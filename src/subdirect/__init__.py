@@ -7,6 +7,8 @@ criterion that answers this is cross-checked everywhere against direct
 enumeration of homomorphisms.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     FactorMismatch,
     InternalInconsistency,
@@ -66,7 +68,6 @@ from .groups import (
     sylow_subgroup,
 )
 from .homoracle import (
-    CyclicCoefficient,
     CyclicHom,
     coefficient_modulus,
     enumerate_homs,
@@ -123,4 +124,6 @@ from .verification import CheckContext, CheckResult, run_checks
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

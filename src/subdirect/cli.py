@@ -63,11 +63,9 @@ def _add_common(sub: argparse.ArgumentParser, *, needs_pair: bool) -> None:
     sub.add_argument("--out", metavar="PATH",
                      help="write a line-oriented JSON report here")
     sub.add_argument("--max-order", type=int, default=DEFAULT_PRODUCT_CAP,
-                     metavar="N", help="largest allowed |G x H| "
+                     metavar="N", help="largest product the command may "
+                     "build, including the G x G of star "
                      f"(default {DEFAULT_PRODUCT_CAP})")
-    sub.add_argument("--seed-order", type=int, default=0, metavar="N",
-                     help="reserved; accepted for interface stability, "
-                     "has no effect")
     sub.add_argument("--raw-oracle", action="store_true",
                      help="cross-check with the exhaustive value-table hom "
                      "search (tiny groups only)")
@@ -109,9 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write one JSON object per check here")
     p.add_argument("--max-order", type=int, default=DEFAULT_PRODUCT_CAP,
                    metavar="N", help="largest allowed |G x H| in the sweeps")
-    p.add_argument("--seed-order", type=int, default=0, metavar="N",
-                   help="reserved; accepted for interface stability, "
-                   "has no effect")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("catalog", help="list built-in groups and presets")
@@ -142,9 +137,6 @@ def _primes_from(args) -> Optional[list]:
 def _load_pair(args):
     G = load_group(args.G)
     H = G if args.H is None or args.H == args.G else load_group(args.H)
-    if G.order * H.order > args.max_order:
-        raise OrderLimitExceeded(
-            f"|G x H| = {G.order * H.order} above cap {args.max_order}")
     return G, H
 
 
@@ -209,6 +201,7 @@ def cmd_star(args) -> int:
     G, H = _load_pair(args)
     info_gh = direct_product(G, H, max_order=args.max_order)
     info_hg = direct_product(H, G, max_order=args.max_order)
+    direct_product(G, G, max_order=args.max_order)  # U*V lives in G x G
     U = load_product_subgroup(info_gh, args.U)
     V = load_product_subgroup(info_hg, args.V)
     primes = _primes_from(args)

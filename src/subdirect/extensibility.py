@@ -17,7 +17,6 @@ from .errors import (
     InternalInconsistency,
     NoDiagonal,
     NotNormal,
-    NotSubdirect,
     PreconditionFailed,
 )
 from .groups import (
@@ -42,9 +41,9 @@ from .products import (
     contains_twisted_diagonal,
     diagonal,
     goursat_quotient,
-    is_subdirect,
     product_of,
     projections_kernels,
+    require_subdirect,
     star_product,
 )
 
@@ -93,20 +92,13 @@ def kernel_commutator_data(U: Subgroup) -> KernelCommutatorData:
     return data
 
 
-def _require_subdirect(U: Subgroup) -> None:
-    if not is_subdirect(U):
-        d = projections_kernels(U)
-        raise NotSubdirect(
-            f"projections have orders {d.p1.order} and {d.p2.order}")
-
-
 def is_extensible(U: Subgroup) -> bool:
     """Exact criterion: G' cap k1(U) equals k1([U, U]).
 
     Both sides of the product are evaluated; by theory they must agree,
     and a disagreement aborts loudly instead of picking one.
     """
-    _require_subdirect(U)
+    require_subdirect(U)
     data = kernel_commutator_data(U)
     left = data.k1_of_derived == data.p1_derived_cap_k1
     right = data.k2_of_derived == data.p2_derived_cap_k2
@@ -118,7 +110,7 @@ def is_extensible(U: Subgroup) -> bool:
 
 def is_p_extensible(U: Subgroup, p: int) -> bool:
     """Exact criterion at one prime: equal p-parts of the two kernels."""
-    _require_subdirect(U)
+    require_subdirect(U)
     data = kernel_commutator_data(U)
     left = (p_part(data.k1_of_derived.order, (p,))
             == p_part(data.p1_derived_cap_k1.order, (p,)))
@@ -230,24 +222,18 @@ def central_inextensibility(U: Subgroup) -> Optional[bool]:
     """
     if contains_twisted_diagonal(U) is None:
         raise NoDiagonal("subgroup contains no twisted diagonal")
-    G = product_of(U).left
-    data = projections_kernels(U)
-    Z = center(G)
-    Gp = commutator_subgroup(G)
-    for k in (data.k1, data.k2):
-        if k.is_subset_of(Z) and k.intersection(Gp).order > 1:
-            return False
-    return None
+    return False if _central_kernel_primes(U) else None
 
 
-def _central_failure_primes(U: Subgroup) -> tuple:
+def _central_kernel_primes(U: Subgroup) -> tuple:
+    """Primes dividing |k cap G'| over the central kernels k of U."""
     G = product_of(U).left
     data = projections_kernels(U)
     Z = center(G)
     Gp = commutator_subgroup(G)
     primes: set = set()
     for k in (data.k1, data.k2):
-        if k.is_subset_of(Z) and k.intersection(Gp).order > 1:
+        if k.is_subset_of(Z):
             primes.update(prime_factors(k.intersection(Gp).order))
     return tuple(sorted(primes))
 
@@ -355,9 +341,8 @@ def build_report(U: Subgroup, primes=None) -> ExtensibilityReport:
     Raises NotSubdirect when the projections are not onto; callers that
     want a soft failure should certify first.
     """
+    require_subdirect(U)
     cert = certify(U)
-    if not cert.is_subdirect:
-        _require_subdirect(U)
     info = product_of(U)
     if primes is None:
         primes = prime_factors(info.group.order)
@@ -365,12 +350,9 @@ def build_report(U: Subgroup, primes=None) -> ExtensibilityReport:
     data = kernel_commutator_data(U)
     obstruction = obstruction_quotient(info.left, data.k1)
     cyclic_ok = cyclic_sylow_sufficient(U)
-    central = None
     central_primes: tuple = ()
     if cert.diagonal_witness is not None:
-        central = central_inextensibility(U)
-        if central is False:
-            central_primes = _central_failure_primes(U)
+        central_primes = _central_kernel_primes(U)
     witnesses_base = {
         "k1_derived_order": data.k1_of_derived.order,
         "derived_cap_k1_order": data.p1_derived_cap_k1.order,
@@ -386,7 +368,7 @@ def build_report(U: Subgroup, primes=None) -> ExtensibilityReport:
                 raise InternalInconsistency(
                     f"cyclic Sylow shortcut contradicts the criterion at p={p}")
             methods.append(METHOD_CYCLIC_SYLOW)
-        if central is False and p in central_primes:
+        if p in central_primes:
             if exact:
                 raise InternalInconsistency(
                     f"central shortcut contradicts the criterion at p={p}")

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InternalInconsistency, NotSubdirect, OrderLimitExceeded
+from .errors import InternalInconsistency, OrderLimitExceeded
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -24,20 +23,9 @@ from .groups import (
     generating_sequence,
     p_part,
 )
-from .products import product_of, projections_kernels
+from .products import product_of, require_subdirect
 
 RAW_SEARCH_LIMIT = 1 << 22
-
-
-@dataclass(frozen=True)
-class CyclicCoefficient:
-    """The coefficient group C_m, written additively."""
-
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
 
 
 class CyclicHom:
@@ -212,21 +200,23 @@ def _hom_value_matrix(G: FiniteGroup, m: int) -> np.ndarray:
     return np.stack([h.values for h in homs])
 
 
-def restriction_kernel_image_sizes(U: Subgroup, m: int) -> tuple[int, int]:
-    """Kernel and image size of restriction Hom(G x H, C_m) -> Hom(U, C_m).
+def _restriction_matrix(U: Subgroup, m: int) -> np.ndarray:
+    """The restriction to U of every hom G x H -> C_m, one row per hom.
 
     Every hom on the product splits as a hom on G plus a hom on H, so the
-    domain is walked as all such sums.
+    rows are all such sums.
     """
-    if not _subdirect(U):
-        raise NotSubdirect("restriction bookkeeping expects a subdirect U")
+    require_subdirect(U)
     info = product_of(U)
-    arr = np.array(U.elements)
-    gs, hs = np.divmod(arr, info.right.order)
+    gs, hs = info.split(U.elements)
     vg = _hom_value_matrix(info.left, m)[:, gs]
     vh = _hom_value_matrix(info.right, m)[:, hs]
-    stacked = (vg[:, None, :] + vh[None, :, :]) % m
-    flat = stacked.reshape(-1, arr.size)
+    return ((vg[:, None, :] + vh[None, :, :]) % m).reshape(-1, gs.size)
+
+
+def restriction_kernel_image_sizes(U: Subgroup, m: int) -> tuple[int, int]:
+    """Kernel and image size of restriction Hom(G x H, C_m) -> Hom(U, C_m)."""
+    flat = _restriction_matrix(U, m)
     kernel = int((flat == 0).all(axis=1).sum())
     image = int(np.unique(flat, axis=0).shape[0])
     if kernel * image != flat.shape[0]:
@@ -240,22 +230,9 @@ def restriction_fiber_counts(U: Subgroup, m: int) -> tuple:
     All counts equal the kernel size: fibers of a group homomorphism of
     hom-groups are cosets.
     """
-    if not _subdirect(U):
-        raise NotSubdirect("restriction bookkeeping expects a subdirect U")
-    info = product_of(U)
-    arr = np.array(U.elements)
-    gs, hs = np.divmod(arr, info.right.order)
-    vg = _hom_value_matrix(info.left, m)[:, gs]
-    vh = _hom_value_matrix(info.right, m)[:, hs]
-    stacked = (vg[:, None, :] + vh[None, :, :]) % m
-    flat = stacked.reshape(-1, arr.size)
-    _, counts = np.unique(flat, axis=0, return_counts=True)
+    _, counts = np.unique(_restriction_matrix(U, m), axis=0,
+                          return_counts=True)
     return tuple(sorted(int(c) for c in counts))
-
-
-def _subdirect(U: Subgroup) -> bool:
-    d = projections_kernels(U)
-    return d.p1.is_whole and d.p2.is_whole
 
 
 def coefficient_modulus(U: Subgroup, p: int) -> int:
@@ -267,8 +244,7 @@ def coefficient_modulus(U: Subgroup, p: int) -> int:
 
 def oracle_is_extensible_for_modulus(U: Subgroup, m: int) -> bool:
     """Do all homs U -> C_m extend to the ambient product?"""
-    if not _subdirect(U):
-        raise NotSubdirect("oracle expects a subdirect subgroup")
+    require_subdirect(U)
     if m == 1:
         return True
     _, image = restriction_kernel_image_sizes(U, m)
@@ -291,8 +267,7 @@ def raw_oracle_is_p_extensible(U: Subgroup, p: int, *,
     path shares no code with the abelianization-based enumerator.  Only
     feasible for very small groups; the cap is an error, not a cutoff.
     """
-    if not _subdirect(U):
-        raise NotSubdirect("oracle expects a subdirect subgroup")
+    require_subdirect(U)
     m = coefficient_modulus(U, p)
     if m == 1:
         return True
@@ -301,8 +276,7 @@ def raw_oracle_is_p_extensible(U: Subgroup, p: int, *,
     target = raw_enumerate_homs(sub_grp, m, limit=limit)
     left = raw_enumerate_homs(info.left, m, limit=limit)
     right = raw_enumerate_homs(info.right, m, limit=limit)
-    arr = np.array(U.elements)
-    gs, hs = np.divmod(arr, info.right.order)
+    gs, hs = info.split(U.elements)
     restricted = {
         tuple(((hl.values[gs] + hr.values[hs]) % m).tolist())
         for hl in left for hr in right
@@ -321,8 +295,7 @@ def extend_hom(phi: CyclicHom, U: Subgroup) -> Optional[CyclicHom]:
     if phi.domain is not sub_grp:
         raise ValueError("phi must live on the subgroup's materialised group")
     m = phi.modulus
-    arr = np.array(U.elements)
-    gs, hs = np.divmod(arr, info.right.order)
+    gs, hs = info.split(U.elements)
     homs_left = enumerate_homs(info.left, m)
     homs_right = enumerate_homs(info.right, m)
     for hl in homs_left:
@@ -330,8 +303,7 @@ def extend_hom(phi: CyclicHom, U: Subgroup) -> Optional[CyclicHom]:
         for hr in homs_right:
             if (((partial + hr.values[hs]) - phi.values) % m).any():
                 continue
-            n = info.group.order
-            gi, hi = np.divmod(np.arange(n), info.right.order)
+            gi, hi = info.split(np.arange(info.group.order))
             vals = (hl.values[gi] + hr.values[hi]) % m
             return CyclicHom(info.group, m, vals, check=False)
     return None

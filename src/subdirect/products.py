@@ -18,6 +18,7 @@ from .errors import (
     InvalidQuintuple,
     NotAutomorphism,
     NotNormal,
+    NotSubdirect,
     OrderLimitExceeded,
 )
 from .groups import (
@@ -26,6 +27,7 @@ from .groups import (
     Subgroup,
     all_subgroups,
     automorphisms,
+    identity_hom,
     is_isomorphic,
     isomorphisms_iter,
     normal_subgroups,
@@ -50,9 +52,13 @@ class ProductGroup:
     def decode(self, x: int) -> tuple[int, int]:
         return divmod(int(x), self.right.order)
 
+    def split(self, elements: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Left and right factor indices of product elements, as arrays."""
+        return np.divmod(np.asarray(elements), self.right.order)
+
     def pairs(self, elements: Sequence[int]) -> list:
-        n = self.right.order
-        return [divmod(int(x), n) for x in elements]
+        """[g, h] factor index lists, the report's 'pairs' field."""
+        return np.stack(self.split(elements), axis=1).tolist()
 
 
 _product_cache: dict = {}
@@ -60,14 +66,14 @@ _product_cache: dict = {}
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, *,
                    max_order: int = DEFAULT_PRODUCT_CAP) -> ProductGroup:
-    """G x H; cached per factor pair so repeated calls share one object."""
-    n = G.order * H.order
-    if n > max_order:
-        raise OrderLimitExceeded(f"product order {n} above cap {max_order}")
+    """G x H, cached per factor pair; the cap applies only on a cache miss."""
     key = (id(G), id(H))
     cached = _product_cache.get(key)
     if cached is not None:
         return cached
+    n = G.order * H.order
+    if n > max_order:
+        raise OrderLimitExceeded(f"product order {n} above cap {max_order}")
     hn = H.order
     gi, hi = np.divmod(np.arange(n), hn)
     left = G.product[gi[:, None], gi[None, :]]
@@ -101,8 +107,7 @@ def projections_kernels(U: Subgroup) -> ProjectionData:
     data = U._cache.get("projections")
     if data is None:
         info = product_of(U)
-        arr = np.array(U.elements)
-        gs, hs = np.divmod(arr, info.right.order)
+        gs, hs = info.split(U.elements)
         p1 = Subgroup(info.left, np.unique(gs), check=False)
         p2 = Subgroup(info.right, np.unique(hs), check=False)
         k1 = Subgroup(info.left, gs[hs == 0], check=False)
@@ -115,6 +120,14 @@ def projections_kernels(U: Subgroup) -> ProjectionData:
 def is_subdirect(U: Subgroup) -> bool:
     d = projections_kernels(U)
     return d.p1.is_whole and d.p2.is_whole
+
+
+def require_subdirect(U: Subgroup) -> None:
+    """Raise NotSubdirect unless both projections of U are onto."""
+    if not is_subdirect(U):
+        d = projections_kernels(U)
+        raise NotSubdirect(
+            f"projections have orders {d.p1.order} and {d.p2.order}")
 
 
 # -- Goursat data -------------------------------------------------------------
@@ -147,8 +160,7 @@ def goursat_quintuple(U: Subgroup) -> GoursatQuintuple:
         d = projections_kernels(U)
         q1, to_q1 = subgroup_quotient(d.p1, d.k1)
         q2, to_q2 = subgroup_quotient(d.p2, d.k2)
-        arr = np.array(U.elements)
-        gs, hs = np.divmod(arr, info.right.order)
+        gs, hs = info.split(U.elements)
         image = np.full(q1.order, -1, dtype=np.int64)
         image[to_q1[gs]] = to_q2[hs]
         try:
@@ -214,8 +226,7 @@ def subgroup_from_quintuple(quint: GoursatQuintuple) -> Subgroup:
     hs = np.array(quint.p2.elements)
     want = quint.phi.image[quint.to_q1[gs]]
     match = want[:, None] == quint.to_q2[hs][None, :]
-    coded = gs[:, None] * H.order + hs[None, :]
-    elements = coded[match]
+    elements = info.encode(gs[:, None], hs[None, :])[match]
     U = Subgroup(info.group, elements, check=False)
     if U.order != quint.p1.order * quint.k2.order:
         raise InvalidQuintuple("order bookkeeping failed")
@@ -233,10 +244,7 @@ def enumerate_subdirect(G: FiniteGroup, H: FiniteGroup, *,
     isomorphisms between the quotients; results are sorted by element
     tuple.  Duplicates cannot arise but are filtered anyway.
     """
-    if G.order * H.order > max_order:
-        raise OrderLimitExceeded(
-            f"product order {G.order * H.order} above cap {max_order}")
-    info = direct_product(G, H)
+    info = direct_product(G, H, max_order=max_order)
     out: dict = {}
     quots_G = [(K, *quotient_group(G, K)) for K in normal_subgroups(G)]
     quots_H = [(L, *quotient_group(H, L)) for L in normal_subgroups(H)]
@@ -302,13 +310,11 @@ def twisted_diagonal(G: FiniteGroup, phi: GroupHom) -> Subgroup:
     if phi.domain is not G or phi.codomain is not G or not phi.is_bijective:
         raise NotAutomorphism("twist must be an automorphism of G")
     info = direct_product(G, G)
-    coded = np.arange(G.order, dtype=np.int64) * G.order + phi.image
+    coded = info.encode(np.arange(G.order, dtype=np.int64), phi.image)
     return Subgroup(info.group, coded, check=False)
 
 
 def diagonal(G: FiniteGroup) -> Subgroup:
-    from .groups import identity_hom
-
     return twisted_diagonal(G, identity_hom(G))
 
 
@@ -320,13 +326,8 @@ def contains_twisted_diagonal(U: Subgroup) -> Optional[GroupHom]:
     G = info.left
     masks = G._cache.get("diagonal_masks")
     if masks is None:
-        masks = []
-        for phi in automorphisms(G):
-            coded = np.arange(G.order, dtype=np.int64) * G.order + phi.image
-            m = 0
-            for c in coded:
-                m |= 1 << int(c)
-            masks.append((phi, m))
+        masks = [(phi, twisted_diagonal(G, phi).mask)
+                 for phi in automorphisms(G)]
         G._cache["diagonal_masks"] = masks
     for phi, m in masks:
         if m | U.mask == U.mask:
@@ -374,8 +375,14 @@ class SubdirectCertificate:
 
 
 def certify(U: Subgroup) -> SubdirectCertificate:
-    info = product_of(U)
-    witness = None
-    if info.left is info.right:
-        witness = contains_twisted_diagonal(U)
-    return SubdirectCertificate(U, is_subdirect(U), witness)
+    # Cache the findings, not the certificate: it refers back to U, and
+    # that cycle would keep U alive until the cyclic collector runs.
+    found = U._cache.get("certificate")
+    if found is None:
+        info = product_of(U)
+        witness = None
+        if info.left is info.right:
+            witness = contains_twisted_diagonal(U)
+        found = (is_subdirect(U), witness)
+        U._cache["certificate"] = found
+    return SubdirectCertificate(U, *found)

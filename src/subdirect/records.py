@@ -17,7 +17,11 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import ParseError
-from .extensibility import build_report, is_extensible
+from .extensibility import (
+    build_report,
+    is_extensible,
+    star_preservation_condition,
+)
 from .groups import FiniteGroup, Subgroup, abelian_invariants, prime_factors
 from .homoracle import (
     coefficient_modulus,
@@ -27,8 +31,11 @@ from .homoracle import (
 from .presets import identify_small_group
 from .products import (
     certify,
+    diagonal,
     goursat_quintuple,
+    goursat_quotient,
     is_section,
+    is_subdirect,
     product_of,
     projections_kernels,
     star_product,
@@ -116,7 +123,6 @@ def _witnesses_to_json(witnesses: dict) -> dict:
 
 
 def analyze_subgroup(U: Subgroup, primes=None, *,
-                     with_oracle: bool = True,
                      raw_oracle: bool = False) -> AnalysisRecord:
     """Full analysis of one subgroup U of a direct product.
 
@@ -151,9 +157,8 @@ def analyze_subgroup(U: Subgroup, primes=None, *,
     if cert.is_subdirect:
         report = build_report(U, primes)
         extensible = report.overall()
-        if with_oracle:
-            mode = ORACLE_RAW if raw_oracle else ORACLE_ABELIANIZATION
-            oracle_overall = True
+        mode = ORACLE_RAW if raw_oracle else ORACLE_ABELIANIZATION
+        oracle_overall = True
         for p in primes:
             verdict = report.per_prime[p]
             entry = {
@@ -161,23 +166,19 @@ def analyze_subgroup(U: Subgroup, primes=None, *,
                 "methods": list(verdict.methods),
                 "coefficient_modulus": coefficient_modulus(U, p),
                 "witnesses": _witnesses_to_json(verdict.witnesses),
-                "oracle": None,
+                "oracle": (raw_oracle_is_p_extensible(U, p) if raw_oracle
+                           else oracle_is_p_extensible(U, p)),
             }
-            if with_oracle:
-                if raw_oracle:
-                    entry["oracle"] = raw_oracle_is_p_extensible(U, p)
-                else:
-                    entry["oracle"] = oracle_is_p_extensible(U, p)
-                oracle_overall = oracle_overall and entry["oracle"]
-                if entry["oracle"] != verdict.extensible:
-                    inconsistent = True
+            oracle_overall = oracle_overall and entry["oracle"]
+            if entry["oracle"] != verdict.extensible:
+                inconsistent = True
             per_prime[str(p)] = entry
 
     return AnalysisRecord(
         schema=RECORD_SCHEMA,
         left=_group_summary(info.left),
         right=_group_summary(info.right),
-        pairs=[list(pair) for pair in info.pairs(U.elements)],
+        pairs=info.pairs(U.elements),
         subdirect=cert.is_subdirect,
         projections=projections,
         quotient=quotient,
@@ -194,7 +195,6 @@ def analyze_subgroup(U: Subgroup, primes=None, *,
 
 
 def star_analysis(U: Subgroup, V: Subgroup, primes=None, *,
-                  with_oracle: bool = True,
                   raw_oracle: bool = False) -> AnalysisRecord:
     """Analysis of U*V decorated with composition facts.
 
@@ -202,16 +202,8 @@ def star_analysis(U: Subgroup, V: Subgroup, primes=None, *,
     quotients; evaluates the kernel preservation condition when both
     inputs contain a plain diagonal and are extensible.
     """
-    from .extensibility import star_preservation_condition
-    from .products import contains_twisted_diagonal, goursat_quotient
-
-    def has_plain_diagonal(X: Subgroup) -> bool:
-        witness = contains_twisted_diagonal(X)
-        return witness is not None and witness.is_identity
-
     W = star_product(U, V)
-    record = analyze_subgroup(W, primes, with_oracle=with_oracle,
-                              raw_oracle=raw_oracle)
+    record = analyze_subgroup(W, primes, raw_oracle=raw_oracle)
     star: dict = {
         "left_input": _input_summary(U),
         "right_input": _input_summary(V),
@@ -225,8 +217,9 @@ def star_analysis(U: Subgroup, V: Subgroup, primes=None, *,
     info_u = product_of(U)
     info_v = product_of(V)
     square = (info_u.left is info_u.right is info_v.left is info_v.right)
-    if square and _subdirect(U) and _subdirect(V):
-        if (has_plain_diagonal(U) and has_plain_diagonal(V)
+    if square and is_subdirect(U) and is_subdirect(V):
+        d = diagonal(info_u.left)
+        if (d.is_subset_of(U) and d.is_subset_of(V)
                 and is_extensible(U) and is_extensible(V)):
             condition = {
                 "side1": star_preservation_condition(U, V, side=1),
@@ -239,20 +232,14 @@ def star_analysis(U: Subgroup, V: Subgroup, primes=None, *,
 
 def _input_summary(U: Subgroup) -> dict:
     info = product_of(U)
-    proj = projections_kernels(U)
+    subdirect = is_subdirect(U)
     return {
         "left": _group_summary(info.left),
         "right": _group_summary(info.right),
         "order": U.order,
-        "subdirect": proj.p1.is_whole and proj.p2.is_whole,
-        "extensible": (is_extensible(U)
-                       if proj.p1.is_whole and proj.p2.is_whole else None),
+        "subdirect": subdirect,
+        "extensible": is_extensible(U) if subdirect else None,
     }
-
-
-def _subdirect(U: Subgroup) -> bool:
-    proj = projections_kernels(U)
-    return proj.p1.is_whole and proj.p2.is_whole
 
 
 # -- report files --------------------------------------------------------------

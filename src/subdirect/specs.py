@@ -61,13 +61,17 @@ class GroupSpec:
     data: dict
 
 
+def _as_int(value, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are input errors."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _int_field(data: dict, key: str) -> int:
     if key not in data:
         raise ParseError(f"preset is missing the field {key!r}")
-    try:
-        return int(data[key])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"field {key!r} must be an integer") from exc
+    return _as_int(data[key], f"field {key!r}")
 
 
 _SHORTHAND = re.compile(
@@ -209,8 +213,11 @@ def load_group(spec: Union[str, GroupSpec], *,
             group.label = spec.name
     elif spec.kind == "cayley":
         table = spec.data.get("table")
-        if not isinstance(table, list):
-            raise ParseError("cayley spec needs a 'table' list")
+        if not isinstance(table, list) or not all(
+                isinstance(row, list) and len(row) == len(table[0])
+                for row in table):
+            raise ParseError("cayley spec needs a 'table' list of equal rows")
+        table = [[_as_int(x, "cayley entry") for x in row] for row in table]
         group = from_cayley_table(table, label=spec.name)
     elif spec.kind == "permutations":
         degree = _int_field(spec.data, "degree")
@@ -269,12 +276,13 @@ def load_product_subgroup(info: ProductGroup, text: str) -> Subgroup:
     if not isinstance(payload, dict):
         raise ParseError("subgroup description must be a JSON object")
     if "pairs" in payload:
+        items = payload["pairs"]
+        if not isinstance(items, list) or not all(
+                isinstance(item, list) and len(item) == 2 for item in items):
+            raise ParseError("'pairs' must be a list of [g, h] pairs")
         coded = []
-        for item in payload["pairs"]:
-            try:
-                g, h = (int(x) for x in item)
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"bad pair {item!r}") from exc
+        for item in items:
+            g, h = (_as_int(x, "pair entry") for x in item)
             if not (0 <= g < info.left.order and 0 <= h < info.right.order):
                 raise ParseError(f"pair {item!r} out of range")
             coded.append(info.encode(g, h))
@@ -282,11 +290,11 @@ def load_product_subgroup(info: ProductGroup, text: str) -> Subgroup:
     if "quintuple" in payload:
         q = payload["quintuple"]
         try:
-            p1 = Subgroup(info.left, [int(x) for x in q["p1"]])
-            k1 = Subgroup(info.left, [int(x) for x in q["k1"]])
-            p2 = Subgroup(info.right, [int(x) for x in q["p2"]])
-            k2 = Subgroup(info.right, [int(x) for x in q["k2"]])
-            pairs = [(int(g), int(h)) for g, h in q["phi"]]
+            p1 = Subgroup(info.left, [_as_int(x, "p1") for x in q["p1"]])
+            k1 = Subgroup(info.left, [_as_int(x, "k1") for x in q["k1"]])
+            p2 = Subgroup(info.right, [_as_int(x, "p2") for x in q["p2"]])
+            k2 = Subgroup(info.right, [_as_int(x, "k2") for x in q["k2"]])
+            pairs = [(_as_int(g, "phi"), _as_int(h, "phi")) for g, h in q["phi"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad quintuple description: {exc}") from exc
         quint = make_quintuple(p1, k1, p2, k2, pairs)

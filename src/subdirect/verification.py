@@ -50,7 +50,9 @@ from .homoracle import (
     restriction_kernel_image_sizes,
 )
 from .products import (
+    DEFAULT_PRODUCT_CAP,
     contains_twisted_diagonal,
+    diagonal,
     direct_product,
     enumerate_subdirect,
     goursat_quintuple,
@@ -63,6 +65,7 @@ from .products import (
 )
 
 MAX_REPORTED_FAILURES = 5
+SCAN_CAP = 144  # largest |G x H| whose full subgroup lattice is swept
 
 
 @dataclass
@@ -86,9 +89,8 @@ class CheckContext:
     """Shared scan state: the selection plus cached enumerations."""
 
     def __init__(self, groups: Iterable[FiniteGroup], *,
-                 scan_cap: int = 144, product_cap: int = 1296):
+                 product_cap: int = DEFAULT_PRODUCT_CAP):
         self.groups = list(groups)
-        self.scan_cap = scan_cap
         self.product_cap = product_cap
         self._subdirects: dict = {}
 
@@ -98,7 +100,7 @@ class CheckContext:
 
     def scan_pairs(self) -> list:
         return [(G, H) for G, H in self.pairs()
-                if G.order * H.order <= self.scan_cap]
+                if G.order * H.order <= SCAN_CAP]
 
     def squares(self) -> list:
         return [G for G in self.groups
@@ -111,6 +113,12 @@ class CheckContext:
                 G, H, max_order=self.product_cap)
         return self._subdirects[key]
 
+    def subdirect_cases(self):
+        """(G, H, U) for every subdirect U over the selected pairs."""
+        for G, H in self.pairs():
+            for U in self.subdirects(G, H):
+                yield G, H, U
+
     def diagonal_subgroups(self, G: FiniteGroup) -> list:
         """All U between some twisted diagonal and G x G, with witnesses."""
         out = []
@@ -121,10 +129,9 @@ class CheckContext:
         return out
 
     def plain_diagonal_subgroups(self, G: FiniteGroup) -> list:
-        info = direct_product(G, G)
-        d_mask = _diagonal_mask(G, info)
-        return [U for U in self.subdirects(G, G)
-                if d_mask | U.mask == U.mask]
+        subs = self.subdirects(G, G)
+        d = diagonal(G)
+        return [U for U in subs if d.is_subset_of(U)]
 
     def composable_triples(self) -> list:
         """(U, V) with U <= F x G, V <= G x H over the selection."""
@@ -140,13 +147,6 @@ class CheckContext:
                         for V in self.subdirects(G, H):
                             out.append((U, V))
         return out
-
-
-def _diagonal_mask(G: FiniteGroup, info) -> int:
-    mask = 0
-    for g in range(G.order):
-        mask |= 1 << info.encode(g, g)
-    return mask
 
 
 def _run(name: str, cases: Iterable, fail_text: Callable) -> CheckResult:
@@ -341,7 +341,7 @@ def check_enumeration_vs_scan(ctx: CheckContext) -> CheckResult:
         G, H = case
         fast = {U.elements for U in ctx.subdirects(G, H)}
         slow = {U.elements
-                for U in subdirect_by_scan(G, H, max_order=ctx.scan_cap)}
+                for U in subdirect_by_scan(G, H, max_order=SCAN_CAP)}
         if fast != slow:
             return (f"{G.label} x {H.label}: enumeration {len(fast)} "
                     f"vs scan {len(slow)}")
@@ -365,7 +365,7 @@ def check_star_monotonicity(ctx: CheckContext) -> CheckResult:
 
     cases = list(ctx.composable_triples())
     for G in ctx.squares():
-        if G.order * G.order > ctx.scan_cap:
+        if G.order * G.order > SCAN_CAP:
             continue
         info = direct_product(G, G)
         lattice = all_subgroups(info.group)
@@ -440,12 +440,6 @@ def check_twisted_kernel_transport(ctx: CheckContext) -> CheckResult:
 # -- extensibility checks --------------------------------------------------------
 
 
-def _subdirect_cases(ctx: CheckContext):
-    for G, H in ctx.pairs():
-        for U in ctx.subdirects(G, H):
-            yield G, H, U
-
-
 def check_side_symmetry(ctx: CheckContext) -> CheckResult:
     """is_extensible evaluates both kernel equalities and they agree."""
     def probe(case) -> Optional[str]:
@@ -456,12 +450,12 @@ def check_side_symmetry(ctx: CheckContext) -> CheckResult:
             return f"{G.label} x {H.label}: {exc}"
         return None
 
-    return _run("side-symmetry", _subdirect_cases(ctx), probe)
+    return _run("side-symmetry", ctx.subdirect_cases(), probe)
 
 
 def check_oracle_agreement(ctx: CheckContext) -> CheckResult:
     def cases():
-        for G, H, U in _subdirect_cases(ctx):
+        for G, H, U in ctx.subdirect_cases():
             for p in prime_factors(G.order * H.order):
                 yield G, H, U, p
 
@@ -489,13 +483,13 @@ def check_sufficiency_soundness(ctx: CheckContext) -> CheckResult:
                 return f"{G.label}: central shortcut fired on extensible U"
         return None
 
-    return _run("sufficiency-soundness", _subdirect_cases(ctx), probe)
+    return _run("sufficiency-soundness", ctx.subdirect_cases(), probe)
 
 
 def check_obstruction_soundness(ctx: CheckContext) -> CheckResult:
     """Trivial p-part of (k1 cap G')/[k1,G] forces p-extensibility."""
     def cases():
-        for G, H, U in _subdirect_cases(ctx):
+        for G, H, U in ctx.subdirect_cases():
             for p in prime_factors(G.order * H.order):
                 yield G, H, U, p
 
@@ -588,7 +582,7 @@ def check_report_methods(ctx: CheckContext) -> CheckResult:
             return f"{G.label} x {H.label}: overall differs from is_extensible"
         return None
 
-    return _run("report-methods", _subdirect_cases(ctx), probe)
+    return _run("report-methods", ctx.subdirect_cases(), probe)
 
 
 # -- hom oracle checks -----------------------------------------------------------
@@ -638,7 +632,7 @@ def check_raw_enumerator_agreement(ctx: CheckContext) -> CheckResult:
 def check_restriction_kernel(ctx: CheckContext) -> CheckResult:
     """Kernel of the restriction counts homs out of the common section."""
     def cases():
-        for G, H, U in _subdirect_cases(ctx):
+        for G, H, U in ctx.subdirect_cases():
             m = p_part(direct_product(G, H).group.exponent(),
                        prime_factors(G.order * H.order))
             yield G, H, U, m
@@ -666,13 +660,13 @@ def check_fiber_uniformity(ctx: CheckContext) -> CheckResult:
             return f"{G.label} x {H.label}: fibers {set(counts)} != {kernel}"
         return None
 
-    return _run("fiber-uniformity", _subdirect_cases(ctx), probe)
+    return _run("fiber-uniformity", ctx.subdirect_cases(), probe)
 
 
 def check_coefficient_stabilization(ctx: CheckContext) -> CheckResult:
     """Verdicts stop changing once m saturates the exponent's p-part."""
     def cases():
-        for G, H, U in _subdirect_cases(ctx):
+        for G, H, U in ctx.subdirect_cases():
             for p in prime_factors(G.order * H.order):
                 yield U, p
 
@@ -706,7 +700,7 @@ def check_record_roundtrip(ctx: CheckContext) -> CheckResult:
             return f"{G.label} x {H.label}: record flagged INCONSISTENT"
         return None
 
-    return _run("record-roundtrip", _subdirect_cases(ctx), probe)
+    return _run("record-roundtrip", ctx.subdirect_cases(), probe)
 
 
 ALL_CHECKS: tuple = (

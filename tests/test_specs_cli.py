@@ -1,11 +1,14 @@
 """Description parsing, report records, self checks, and the command line."""
 
+import hashlib
 import json
+import types
 
 import pytest
 
 import helpers
 
+import subdirect
 from subdirect import (
     CheckContext,
     ParseError,
@@ -410,3 +413,68 @@ def test_cli_diagonal_on_mixed_factors_exits_2(capsys):
     code, out, err = run_cli(capsys, "analyze", "--G", "S3", "--H", "C2",
                              "--U", "diagonal")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, cap, count", [
+    (("analyze", "--G", "A5", "--U", "diagonal"), "5000", None),
+    (("subdirects", "--G", "C37"), "1400", 37),
+    (("star", "--G", "C37", "--H", "C1", "--U", "full", "--V", "full"),
+     "1400", None),
+], ids=["analyze-diagonal", "subdirects", "star-composite"])
+def test_cli_max_order_raises_every_product_cap(capsys, argv, cap, count):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "cap exceeded" in err
+    code, out, err = run_cli(capsys, *argv, "--max-order", cap)
+    assert code == 0, err
+    if count is not None:
+        assert json.loads(out.strip().splitlines()[-1])["count"] == count
+
+
+def _cayley(table) -> str:
+    return json.dumps({"kind": "cayley", "data": {"table": table}})
+
+
+@pytest.mark.parametrize("argv", [
+    ("--G", "S3", "--U", '{"pairs": 5}'),
+    ("--G", "S3", "--U", '{"pairs": [[1.5, 0]]}'),
+    ("--G", _cayley([[0, 1], [1]]), "--U", "full"),
+    ("--G", _cayley([[0, "a"], [1, 0]]), "--U", "full"),
+    ("--G", _cayley([[0, 1.5], [1, 0]]), "--U", "full"),
+], ids=["pairs-not-a-list", "pair-float", "cayley-ragged", "cayley-string",
+        "cayley-float"])
+def test_cli_malformed_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "analyze", *argv)
+    assert code == 2
+    assert "input error" in err
+
+
+# sha256 of the --out files of fixed commands.  Report bytes are part of
+# the interface: a refactor must leave them unchanged.  Q8 and D8 cover
+# the central shortcut and inextensible verdicts.
+PINNED_REPORTS = {
+    "subdirects --G S3":
+        "82921ccb842e8df4b89a15344f4b21c540c3c4753ec82fd37a2c79cfdaadb34e",
+    "subdirects --G Q8":
+        "8edd702090190dc86b670a8a4d29dcf07c28676fc472a5f725a6cfffaef4ecae",
+    "subdirects --G D8":
+        "65d43ce58f6db32601f88c8992be3c1e823776e082845aec97b94f1aca02126f",
+    "star --G S3 --U diagonal --V full":
+        "712e3fdfedac93d37ea95d826445475f6cfab6e69fa4558616ebec406ede7416",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_REPORTS))
+def test_cli_report_bytes_pinned(capsys, tmp_path, command):
+    path = tmp_path / "report.jsonl"
+    code, out, err = run_cli(capsys, *command.split(), "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        PINNED_REPORTS[command]
+
+
+def test_package_exports_resolve_and_are_not_modules():
+    assert subdirect.__all__
+    for name in subdirect.__all__:
+        value = getattr(subdirect, name)
+        assert not isinstance(value, types.ModuleType), name
