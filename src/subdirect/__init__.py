@@ -53,6 +53,7 @@ from .groups import (
     from_cayley_table,
     from_permutation_generators,
     generating_sequence,
+    has_cyclic_sylows,
     identity_hom,
     is_cyclic,
     is_isomorphic,
@@ -78,6 +79,7 @@ from .homoracle import (
     raw_enumerate_homs,
     raw_oracle_is_p_extensible,
     restriction_fiber_counts,
+    restriction_kernel_fibers,
     restriction_kernel_image_sizes,
     restriction_map,
 )

@@ -255,6 +255,8 @@ def cmd_verify(args) -> int:
     results = run_checks(ctx)
     for result in results:
         print(result.line())
+        print(f"time {result.name}: {result.seconds * 1e3:.1f} ms",
+              file=sys.stderr)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             for result in results:

@@ -26,14 +26,13 @@ from .groups import (
     abelian_invariants,
     center,
     commutator_subgroup,
-    is_cyclic,
+    has_cyclic_sylows,
     is_normal,
     mutual_commutator,
     p_part,
     prime_factors,
     set_product,
     subgroup_quotient,
-    sylow_subgroup,
 )
 from .products import (
     SubdirectCertificate,
@@ -176,11 +175,7 @@ def cyclic_sylow_sufficient(U: Subgroup) -> Optional[bool]:
 
     Returning None means the test is silent, not that extension fails.
     """
-    q = goursat_quotient(U)
-    for p in prime_factors(q.order):
-        if not is_cyclic(sylow_subgroup(q, p)):
-            return None
-    return True
+    return True if has_cyclic_sylows(goursat_quotient(U)) else None
 
 
 @dataclass(frozen=True)

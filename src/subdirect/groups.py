@@ -545,6 +545,16 @@ def is_cyclic(obj: Union[FiniteGroup, Subgroup]) -> bool:
     return int(obj.element_orders().max()) == obj.order
 
 
+def has_cyclic_sylows(G: FiniteGroup) -> bool:
+    """Is every Sylow subgroup of G cyclic?"""
+    value = G._cache.get("cyclic_sylows")
+    if value is None:
+        value = all(is_cyclic(sylow_subgroup(G, p))
+                    for p in prime_factors(G.order))
+        G._cache["cyclic_sylows"] = value
+    return value
+
+
 # -- abelian invariants ------------------------------------------------------
 
 

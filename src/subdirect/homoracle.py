@@ -214,25 +214,38 @@ def _restriction_matrix(U: Subgroup, m: int) -> np.ndarray:
     return ((vg[:, None, :] + vh[None, :, :]) % m).reshape(-1, gs.size)
 
 
+def _checked_kernel(flat: np.ndarray, image: int) -> int:
+    """Count the all-zero rows of a restriction matrix with `image`
+    distinct rows, checking kernel * image == rows."""
+    kernel = int((flat == 0).all(axis=1).sum())
+    if kernel * image != flat.shape[0]:
+        raise InternalInconsistency("fiber count does not match the coset count")
+    return kernel
+
+
 def restriction_kernel_image_sizes(U: Subgroup, m: int) -> tuple[int, int]:
     """Kernel and image size of restriction Hom(G x H, C_m) -> Hom(U, C_m)."""
     flat = _restriction_matrix(U, m)
-    kernel = int((flat == 0).all(axis=1).sum())
     image = int(np.unique(flat, axis=0).shape[0])
-    if kernel * image != flat.shape[0]:
-        raise InternalInconsistency("fiber count does not match the coset count")
-    return kernel, image
+    return _checked_kernel(flat, image), image
+
+
+def restriction_kernel_fibers(U: Subgroup, m: int) -> tuple[int, tuple]:
+    """Kernel size of the restriction map, and the multiplicity of each
+    distinct restricted hom, sorted ascending, from one matrix.
+
+    All fiber counts equal the kernel size: fibers of a group
+    homomorphism of hom-groups are cosets.
+    """
+    flat = _restriction_matrix(U, m)
+    _, counts = np.unique(flat, axis=0, return_counts=True)
+    kernel = _checked_kernel(flat, counts.size)
+    return kernel, tuple(sorted(int(c) for c in counts))
 
 
 def restriction_fiber_counts(U: Subgroup, m: int) -> tuple:
-    """Multiplicity of each distinct restricted hom, sorted ascending.
-
-    All counts equal the kernel size: fibers of a group homomorphism of
-    hom-groups are cosets.
-    """
-    _, counts = np.unique(_restriction_matrix(U, m), axis=0,
-                          return_counts=True)
-    return tuple(sorted(int(c) for c in counts))
+    """Multiplicity of each distinct restricted hom, sorted ascending."""
+    return restriction_kernel_fibers(U, m)[1]
 
 
 def coefficient_modulus(U: Subgroup, p: int) -> int:

@@ -338,28 +338,36 @@ def contains_twisted_diagonal(U: Subgroup) -> Optional[GroupHom]:
 # -- sections ------------------------------------------------------------------
 
 
+def _section_catalogue(G: FiniteGroup, *, max_order: int = 256) -> dict:
+    """One quotient S/N per isomorphism class of sections of G, by order.
+
+    Built once per group from the subgroup lattice (capped at
+    ``max_order``) and each subgroup's normal subgroups.
+    """
+    catalogue = G._cache.get("sections")
+    if catalogue is None:
+        catalogue = {}
+        for S in all_subgroups(G, max_order=max_order):
+            Sg, _ = S.as_group()
+            for N in normal_subgroups(Sg):
+                quot, _ = quotient_group(Sg, N)
+                bucket = catalogue.setdefault(quot.order, [])
+                if not any(is_isomorphic(quot, R, max_order=quot.order)
+                           for R in bucket):
+                    bucket.append(quot)
+        G._cache["sections"] = catalogue
+    return catalogue
+
+
 def is_section(Q: FiniteGroup, G: FiniteGroup, *,
                max_order: int = 256) -> bool:
-    """Is Q isomorphic to a quotient of a subgroup of G?
-
-    Brute force over the subgroup lattice and each subgroup's normal
-    subgroups of the right index.
-    """
+    """Is Q isomorphic to a quotient of a subgroup of G?"""
     if Q.order == 1:
         return True
     if G.order % Q.order:
         return False
-    for S in all_subgroups(G, max_order=max_order):
-        if S.order % Q.order:
-            continue
-        Sg, _ = S.as_group()
-        for N in normal_subgroups(Sg):
-            if N.order * Q.order != Sg.order:
-                continue
-            quot, _ = quotient_group(Sg, N)
-            if is_isomorphic(quot, Q, max_order=max(Q.order, 1)):
-                return True
-    return False
+    bucket = _section_catalogue(G, max_order=max_order).get(Q.order, ())
+    return any(is_isomorphic(Q, R, max_order=Q.order) for R in bucket)
 
 
 # -- certificates --------------------------------------------------------------

@@ -9,6 +9,7 @@ the acceptance tests drive the same scans at fixed selections.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -26,10 +27,11 @@ from .extensibility import (
 )
 from .groups import (
     FiniteGroup,
+    Subgroup,
     abelianization,
     commutator_subgroup,
     all_subgroups,
-    is_cyclic,
+    has_cyclic_sylows,
     is_isomorphic,
     mutual_commutator,
     normal_subgroups,
@@ -38,7 +40,6 @@ from .groups import (
     quotient_group,
     set_product,
     subgroup_generated,
-    sylow_subgroup,
 )
 from .homoracle import (
     coefficient_modulus,
@@ -46,7 +47,7 @@ from .homoracle import (
     oracle_is_extensible_for_modulus,
     oracle_is_p_extensible,
     raw_enumerate_homs,
-    restriction_fiber_counts,
+    restriction_kernel_fibers,
     restriction_kernel_image_sizes,
 )
 from .products import (
@@ -76,6 +77,7 @@ class CheckResult:
     passed: bool
     checked: int
     failures: list = field(default_factory=list)
+    seconds: float = 0.0
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -86,13 +88,31 @@ class CheckResult:
 
 
 class CheckContext:
-    """Shared scan state: the selection plus cached enumerations."""
+    """Shared scan state: the selection plus cached enumerations.
+
+    Every subgroup the context hands out is interned by (parent, mask),
+    and :meth:`star` resolves a composite to the interned subgroup with
+    the same elements, so projections, Goursat data and sections are
+    computed once per subgroup rather than once per composition.
+    """
 
     def __init__(self, groups: Iterable[FiniteGroup], *,
                  product_cap: int = DEFAULT_PRODUCT_CAP):
         self.groups = list(groups)
         self.product_cap = product_cap
         self._subdirects: dict = {}
+        self._lattices: dict = {}
+        self._known: dict = {}
+
+    def _intern(self, subs: list) -> list:
+        """The known subgroup for each of subs, registering new ones."""
+        known = self._known
+        return [known.setdefault((id(U.parent), U.mask), U) for U in subs]
+
+    def star(self, U: Subgroup, V: Subgroup) -> Subgroup:
+        """star_product(U, V), as the interned subgroup when there is one."""
+        W = star_product(U, V)
+        return self._known.get((id(W.parent), W.mask), W)
 
     def pairs(self) -> list:
         return [(G, H) for G in self.groups for H in self.groups
@@ -109,9 +129,17 @@ class CheckContext:
     def subdirects(self, G: FiniteGroup, H: FiniteGroup) -> list:
         key = (id(G), id(H))
         if key not in self._subdirects:
-            self._subdirects[key] = enumerate_subdirect(
-                G, H, max_order=self.product_cap)
+            self._subdirects[key] = self._intern(enumerate_subdirect(
+                G, H, max_order=self.product_cap))
         return self._subdirects[key]
+
+    def lattice(self, G: FiniteGroup, H: FiniteGroup) -> list:
+        """Every subgroup of G x H, in all_subgroups order."""
+        key = (id(G), id(H))
+        if key not in self._lattices:
+            info = direct_product(G, H)
+            self._lattices[key] = self._intern(all_subgroups(info.group))
+        return self._lattices[key]
 
     def subdirect_cases(self):
         """(G, H, U) for every subdirect U over the selected pairs."""
@@ -273,7 +301,7 @@ def check_isomorphism_equivalence(ctx: CheckContext) -> CheckResult:
 def _lattice_cases(ctx: CheckContext):
     for G, H in ctx.scan_pairs():
         info = direct_product(G, H)
-        for U in all_subgroups(info.group):
+        for U in ctx.lattice(G, H):
             yield info, U
 
 
@@ -354,7 +382,7 @@ def check_star_monotonicity(ctx: CheckContext) -> CheckResult:
     """k1 grows and p1 shrinks across a composition."""
     def probe(case) -> Optional[str]:
         U, V = case
-        W = star_product(U, V)
+        W = ctx.star(U, V)
         dU = projections_kernels(U)
         dW = projections_kernels(W)
         if not dU.k1.is_subset_of(dW.k1):
@@ -367,8 +395,7 @@ def check_star_monotonicity(ctx: CheckContext) -> CheckResult:
     for G in ctx.squares():
         if G.order * G.order > SCAN_CAP:
             continue
-        info = direct_product(G, G)
-        lattice = all_subgroups(info.group)
+        lattice = ctx.lattice(G, G)
         cases += [(U, V) for U in lattice for V in lattice]
     return _run("star-monotonicity", cases, probe)
 
@@ -377,7 +404,7 @@ def check_section_relation(ctx: CheckContext) -> CheckResult:
     """q(U*V) is a section of q(U) and of q(V)."""
     def probe(case) -> Optional[str]:
         U, V = case
-        qw = goursat_quotient(star_product(U, V))
+        qw = goursat_quotient(ctx.star(U, V))
         if not is_section(qw, goursat_quotient(U)):
             return f"q(U*V) of order {qw.order} not a section of q(U)"
         if not is_section(qw, goursat_quotient(V)):
@@ -389,16 +416,12 @@ def check_section_relation(ctx: CheckContext) -> CheckResult:
 
 def check_cyclic_sylow_functoriality(ctx: CheckContext) -> CheckResult:
     """All-cyclic-Sylow sections stay all-cyclic-Sylow under star."""
-    def all_cyclic(q: FiniteGroup) -> bool:
-        return all(is_cyclic(sylow_subgroup(q, p))
-                   for p in prime_factors(q.order))
-
     def probe(case) -> Optional[str]:
         U, V = case
-        if not (all_cyclic(goursat_quotient(U))
-                and all_cyclic(goursat_quotient(V))):
+        if not (has_cyclic_sylows(goursat_quotient(U))
+                and has_cyclic_sylows(goursat_quotient(V))):
             return None
-        if not all_cyclic(goursat_quotient(star_product(U, V))):
+        if not has_cyclic_sylows(goursat_quotient(ctx.star(U, V))):
             return "composite section lost the cyclic Sylow property"
         return None
 
@@ -424,7 +447,7 @@ def check_twisted_kernel_transport(ctx: CheckContext) -> CheckResult:
                 return f"{G.label}: k2 is not the twist image of k1"
             return None
         dV = projections_kernels(V)
-        dW = projections_kernels(star_product(U, V))
+        dW = projections_kernels(ctx.star(U, V))
         want1 = set_product(dU.k1, phi.inverted().map_subgroup(dV.k1),
                             check=False)
         want2 = set_product(dV.k2, psi.map_subgroup(dU.k2), check=False)
@@ -538,7 +561,7 @@ def check_star_preservation(ctx: CheckContext) -> CheckResult:
         G, U, V = case
         condition = (star_preservation_condition(U, V, side=1)
                      and star_preservation_condition(U, V, side=2))
-        actual = is_extensible(star_product(U, V))
+        actual = is_extensible(ctx.star(U, V))
         if condition != actual:
             return (f"{G.label}: condition {condition} but composite "
                     f"extensible={actual}")
@@ -654,8 +677,7 @@ def check_fiber_uniformity(ctx: CheckContext) -> CheckResult:
         G, H, U = case
         m = p_part(direct_product(G, H).group.exponent(),
                    prime_factors(G.order * H.order))
-        counts = restriction_fiber_counts(U, m)
-        kernel, _ = restriction_kernel_image_sizes(U, m)
+        kernel, counts = restriction_kernel_fibers(U, m)
         if set(counts) != {kernel}:
             return f"{G.label} x {H.label}: fibers {set(counts)} != {kernel}"
         return None
@@ -748,5 +770,8 @@ def run_checks(ctx: CheckContext, names: Optional[Iterable[str]] = None) -> list
     for name, check in known.items():
         if wanted is not None and name not in wanted:
             continue
-        results.append(check(ctx))
+        start = time.perf_counter()
+        result = check(ctx)
+        result.seconds = time.perf_counter() - start
+        results.append(result)
     return results

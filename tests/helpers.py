@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive: plain Python sets, no numpy, no
 reuse of the package's own closure or enumeration code.  Only feasible
-for the very small groups the tests use.
+for the very small groups the tests use.  The one exception is
+:func:`lattice_walk_is_section`, the direct section search that the
+catalogue behind ``is_section`` replaced; it is kept as that
+catalogue's reference.
 """
 
 from __future__ import annotations
@@ -117,3 +120,33 @@ def brute_is_subgroup(G, elems) -> bool:
     elems = set(elems)
     return 0 in elems and all(mul[a][b] in elems
                               for a in elems for b in elems)
+
+
+def lattice_walk_is_section(Q, G) -> bool:
+    """Is Q isomorphic to a quotient of a subgroup of G?
+
+    Walks the subgroup lattice of G and each subgroup's normal subgroups
+    of the right index, testing every quotient against Q.
+    """
+    from subdirect.groups import (
+        all_subgroups,
+        is_isomorphic,
+        normal_subgroups,
+        quotient_group,
+    )
+
+    if Q.order == 1:
+        return True
+    if G.order % Q.order:
+        return False
+    for S in all_subgroups(G):
+        if S.order % Q.order:
+            continue
+        Sg, _ = S.as_group()
+        for N in normal_subgroups(Sg):
+            if N.order * Q.order != Sg.order:
+                continue
+            quot, _ = quotient_group(Sg, N)
+            if is_isomorphic(quot, Q, max_order=Q.order):
+                return True
+    return False

@@ -22,6 +22,7 @@ from subdirect import (
     from_cayley_table,
     from_permutation_generators,
     generating_sequence,
+    has_cyclic_sylows,
     is_cyclic,
     is_isomorphic,
     is_normal,
@@ -224,6 +225,19 @@ def test_sylow_subgroups():
     A = alternating(4)
     assert sylow_subgroup(A, 2).order == 4
     assert sylow_subgroup(A, 3).order == 3
+
+
+def test_has_cyclic_sylows():
+    assert has_cyclic_sylows(cyclic(1))
+    assert has_cyclic_sylows(symmetric(3))
+    assert has_cyclic_sylows(dihedral(10))
+    assert not has_cyclic_sylows(elementary_abelian(2, 2))
+    assert not has_cyclic_sylows(quaternion8())
+    assert not has_cyclic_sylows(alternating(4))
+    G = dihedral(12)
+    want = all(is_cyclic(sylow_subgroup(G, p)) for p in prime_factors(12))
+    assert has_cyclic_sylows(G) is want is False
+    assert G._cache["cyclic_sylows"] is False
 
 
 def test_is_cyclic():

@@ -39,6 +39,7 @@ from subdirect import (
     twisted_diagonal,
 )
 from subdirect.groups import all_subgroups
+from subdirect.presets import _small_registry
 from subdirect.products import product_of, projections_kernels
 
 
@@ -266,6 +267,18 @@ def test_is_section_examples():
     assert is_section(elementary_abelian(2, 2), dihedral(8))
     assert is_section(cyclic(2), symmetric(3))
     assert not is_section(quaternion8(), dihedral(8))
+
+
+def test_is_section_matches_lattice_walk():
+    # Every pair of groups of order at most 12, up to isomorphism.
+    groups = [G for _, G in _small_registry()]
+    sections = 0
+    for Q, G in itertools.product(groups, groups):
+        want = helpers.lattice_walk_is_section(Q, G)
+        assert is_section(Q, G) == want, (Q.label, G.label)
+        sections += want
+    assert len(groups) == 24
+    assert sections > len(groups)
 
 
 def test_certify():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import types
 
 import pytest
@@ -352,6 +353,21 @@ def test_cli_verify_selection(capsys):
     code, out, err = run_cli(capsys, "verify", "--G", "C2,C3")
     assert code == 0
     assert "all" in out and "passed" in out
+
+
+def test_cli_verify_times_each_check_on_stderr(capsys, tmp_path):
+    path = tmp_path / "verify.jsonl"
+    code, out, err = run_cli(capsys, "verify", "--G", "C2,C3",
+                             "--out", str(path))
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == 28
+    assert all(re.fullmatch(r"time [a-z-]+: \d+\.\d ms", line)
+               for line in lines)
+    assert "time" not in out
+    # --out bytes recorded before the timing lines were added.
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "c310bdb7cbf0bc06434c3cf27535cc272ac6b216cbaa7f709e73a0701d888244"
 
 
 def test_cli_verify_rejects_bad_table(capsys, tmp_path):

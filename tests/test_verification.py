@@ -1,0 +1,110 @@
+"""The verify sweep's shared state: interned composites and case counts."""
+
+import pytest
+
+import subdirect.homoracle as homoracle
+from subdirect import (
+    CheckContext,
+    catalog_group,
+    diagonal,
+    run_checks,
+    star_product,
+)
+from subdirect.verification import check_fiber_uniformity
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    return CheckContext([catalog_group(n) for n in ("C2", "C3", "S3")])
+
+
+def test_star_matches_star_product(ctx):
+    for U, V in ctx.composable_triples():
+        assert ctx.star(U, V) == star_product(U, V)
+
+
+def test_star_of_subdirects_is_the_enumerated_object(ctx):
+    for F in ctx.groups:
+        for G in ctx.groups:
+            for H in ctx.groups:
+                targets = ctx.subdirects(F, H)
+                for U in ctx.subdirects(F, G):
+                    for V in ctx.subdirects(G, H):
+                        W = ctx.star(U, V)
+                        assert any(W is T for T in targets)
+
+
+@pytest.mark.parametrize("name", ["C4", "S3"])
+def test_star_of_lattice_subgroups_is_the_lattice_object(name):
+    G = catalog_group(name)
+    ctx = CheckContext([G])
+    lattice = ctx.lattice(G, G)
+    for U in lattice:
+        for V in lattice:
+            W = ctx.star(U, V)
+            assert any(W is T for T in lattice)
+
+
+def test_star_outside_the_context_is_fresh():
+    ctx = CheckContext([catalog_group("C2")])
+    D = diagonal(catalog_group("S3"))
+    W = ctx.star(D, D)
+    assert W == D and W is not D
+
+
+# Case counts of every check on C2, C3, S3, recorded before composites
+# were interned; sharing subgroups must not change what is checked.
+CASE_COUNTS = {
+    "group-axioms": 12,
+    "normal-product-commutator": 11,
+    "quotient-commutator": 7,
+    "abelianization-order": 3,
+    "isomorphism-equivalence": 39,
+    "goursat-roundtrip": 139,
+    "product-order-identity": 139,
+    "commutator-projection": 139,
+    "kernel-commutator-chain": 139,
+    "enumeration-vs-scan": 9,
+    "star-monotonicity": 3832,
+    "section-relation": 171,
+    "cyclic-sylow-functoriality": 171,
+    "twisted-kernel-transport": 90,
+    "side-symmetry": 21,
+    "oracle-agreement": 37,
+    "sufficiency-soundness": 21,
+    "obstruction-soundness": 37,
+    "twisted-kernel-identity": 13,
+    "star-preservation": 17,
+    "star-kernel-sections": 17,
+    "report-methods": 21,
+    "hom-count-identity": 14,
+    "raw-enumerator-agreement": 15,
+    "restriction-kernel": 21,
+    "fiber-uniformity": 21,
+    "coefficient-stabilization": 37,
+    "record-roundtrip": 21,
+}
+
+
+def test_case_counts_small_selection():
+    ctx = CheckContext([catalog_group(n) for n in ("C2", "C3", "S3")])
+    results = run_checks(ctx)
+    assert {r.name: r.checked for r in results} == CASE_COUNTS
+    for res in results:
+        assert res.passed, res.line()
+        assert res.seconds > 0
+
+
+def test_fiber_uniformity_builds_one_matrix_per_case(monkeypatch):
+    built = []
+    real = homoracle._restriction_matrix
+
+    def counted(U, m):
+        built.append(U)
+        return real(U, m)
+
+    monkeypatch.setattr(homoracle, "_restriction_matrix", counted)
+    ctx = CheckContext([catalog_group(n) for n in ("C2", "C3", "S3")])
+    result = check_fiber_uniformity(ctx)
+    assert result.passed
+    assert len(built) == result.checked == CASE_COUNTS["fiber-uniformity"]
