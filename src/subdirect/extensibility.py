@@ -28,6 +28,7 @@ from .groups import (
     commutator_subgroup,
     has_cyclic_sylows,
     is_normal,
+    memoised,
     mutual_commutator,
     p_part,
     prime_factors,
@@ -71,24 +72,21 @@ class KernelCommutatorData:
     p2_derived_cap_k2: Subgroup
 
 
+@memoised("kernel_commutator")
 def kernel_commutator_data(U: Subgroup) -> KernelCommutatorData:
-    data = U._cache.get("kernel_commutator")
-    if data is None:
-        d = projections_kernels(U)
-        derived = mutual_commutator(U, U)
-        dd = projections_kernels(derived)
-        c1 = mutual_commutator(d.k1, d.p1)
-        c2 = mutual_commutator(d.k2, d.p2)
-        cap1 = mutual_commutator(d.p1, d.p1).intersection(d.k1)
-        cap2 = mutual_commutator(d.p2, d.p2).intersection(d.k2)
-        if not (c1.is_subset_of(dd.k1) and dd.k1.is_subset_of(cap1)):
-            raise InternalInconsistency("kernel chain fails on the left")
-        if not (c2.is_subset_of(dd.k2) and dd.k2.is_subset_of(cap2)):
-            raise InternalInconsistency("kernel chain fails on the right")
-        data = KernelCommutatorData(derived, d.k1, dd.k1, c1, cap1,
-                                    d.k2, dd.k2, c2, cap2)
-        U._cache["kernel_commutator"] = data
-    return data
+    d = projections_kernels(U)
+    derived = mutual_commutator(U, U)
+    dd = projections_kernels(derived)
+    c1 = mutual_commutator(d.k1, d.p1)
+    c2 = mutual_commutator(d.k2, d.p2)
+    cap1 = mutual_commutator(d.p1, d.p1).intersection(d.k1)
+    cap2 = mutual_commutator(d.p2, d.p2).intersection(d.k2)
+    if not (c1.is_subset_of(dd.k1) and dd.k1.is_subset_of(cap1)):
+        raise InternalInconsistency("kernel chain fails on the left")
+    if not (c2.is_subset_of(dd.k2) and dd.k2.is_subset_of(cap2)):
+        raise InternalInconsistency("kernel chain fails on the right")
+    return KernelCommutatorData(derived, d.k1, dd.k1, c1, cap1,
+                                d.k2, dd.k2, c2, cap2)
 
 
 def is_extensible(U: Subgroup) -> bool:

@@ -12,11 +12,14 @@ Conventions used throughout the package:
   is deterministic, so repeated runs give identical objects.
 
 Derived data such as element orders, conjugacy classes and the full
-subgroup lattice is memoised on the instance that owns it.
+subgroup lattice is memoised in the ``_cache`` dict of the instance that
+owns it.  :func:`memoised` is the one helper that reads and writes those
+dicts, in every module of the package.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -35,6 +38,23 @@ _DTYPE = np.int32
 DEFAULT_CLOSURE_CAP = 20000
 DEFAULT_ISO_CAP = 64
 DEFAULT_LATTICE_CAP = 256
+
+_MISSING = object()
+
+
+def memoised(key: str):
+    """Store ``fn(obj, *args)`` in ``obj._cache`` under ``key``, or under
+    ``(key, *args)`` when there are extra arguments."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def cached(obj, *args):
+            slot = (key, *args) if args else key
+            value = obj._cache.get(slot, _MISSING)
+            if value is _MISSING:
+                value = obj._cache[slot] = fn(obj, *args)
+            return value
+        return cached
+    return wrap
 
 
 class FiniteGroup:
@@ -97,50 +117,36 @@ class FiniteGroup:
     def element_order(self, a: int) -> int:
         return int(self.element_orders()[a])
 
+    @memoised("orders")
     def element_orders(self) -> np.ndarray:
-        orders = self._cache.get("orders")
-        if orders is None:
-            n = self.order
-            orders = np.zeros(n, dtype=np.int64)
-            cur = np.arange(n)
-            k = 1
-            while (orders == 0).any():
-                newly = (cur == 0) & (orders == 0)
-                orders[newly] = k
-                cur = self.product[cur, np.arange(n)]
-                k += 1
-            orders.setflags(write=False)
-            self._cache["orders"] = orders
+        n = self.order
+        orders = np.zeros(n, dtype=np.int64)
+        cur = np.arange(n)
+        k = 1
+        while (orders == 0).any():
+            newly = (cur == 0) & (orders == 0)
+            orders[newly] = k
+            cur = self.product[cur, np.arange(n)]
+            k += 1
+        orders.setflags(write=False)
         return orders
 
+    @memoised("exponent")
     def exponent(self) -> int:
-        value = self._cache.get("exponent")
-        if value is None:
-            value = math.lcm(*(int(o) for o in self.element_orders()))
-            self._cache["exponent"] = value
-        return value
+        return math.lcm(*(int(o) for o in self.element_orders()))
 
     @property
+    @memoised("abelian")
     def is_abelian(self) -> bool:
-        value = self._cache.get("abelian")
-        if value is None:
-            value = bool((self.product == self.product.T).all())
-            self._cache["abelian"] = value
-        return value
+        return bool((self.product == self.product.T).all())
 
+    @memoised("full")
     def full(self) -> "Subgroup":
-        sub = self._cache.get("full")
-        if sub is None:
-            sub = Subgroup(self, range(self.order), check=False)
-            self._cache["full"] = sub
-        return sub
+        return Subgroup(self, range(self.order), check=False)
 
+    @memoised("trivial")
     def trivial(self) -> "Subgroup":
-        sub = self._cache.get("trivial")
-        if sub is None:
-            sub = Subgroup(self, (0,), check=False)
-            self._cache["trivial"] = sub
-        return sub
+        return Subgroup(self, (0,), check=False)
 
     # -- validation --------------------------------------------------------
 
@@ -215,13 +221,22 @@ def perm_product(p: Sequence[int], q: Sequence[int]) -> tuple:
     return tuple(q[p[i]] for i in range(len(p)))
 
 
+def from_permutations(perms: Sequence[tuple], label: str) -> FiniteGroup:
+    """The group of a list of permutations closed under composition,
+    indexed in list order; the identity must come first."""
+    index = {p: k for k, p in enumerate(perms)}
+    table = np.array([[index[perm_product(p, q)] for q in perms]
+                      for p in perms], dtype=_DTYPE)
+    return FiniteGroup(table, label=label, validate=False)
+
+
 def from_permutation_generators(degree: int, generators: Sequence[Sequence[int]],
-                                label: str = "G", *,
-                                max_order: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+                                label: str = "G") -> FiniteGroup:
     """Close a generator set under composition, breadth first.
 
     Elements are indexed in discovery order starting from the identity,
-    which therefore gets index 0.
+    which therefore gets index 0.  Closures above DEFAULT_CLOSURE_CAP
+    elements raise OrderLimitExceeded.
     """
     gens = []
     for g in generators:
@@ -239,21 +254,14 @@ def from_permutation_generators(degree: int, generators: Sequence[Sequence[int]]
             for g in gens:
                 y = perm_product(x, g)
                 if y not in index:
-                    if len(elems) >= max_order:
+                    if len(elems) >= DEFAULT_CLOSURE_CAP:
                         raise OrderLimitExceeded(
-                            f"closure exceeds max_order={max_order}")
+                            f"closure exceeds max_order={DEFAULT_CLOSURE_CAP}")
                     index[y] = len(elems)
                     elems.append(y)
                     nxt.append(y)
         frontier = nxt
-    n = len(elems)
-    table = np.empty((n, n), dtype=_DTYPE)
-    for i, p in enumerate(elems):
-        row = [index[perm_product(p, q)] for q in elems]
-        table[i] = row
-    group = FiniteGroup(table, label=label, validate=False)
-    group._cache["permutations"] = tuple(elems)
-    return group
+    return from_permutations(elems, label)
 
 
 # -- subgroups ---------------------------------------------------------------
@@ -313,21 +321,17 @@ class Subgroup:
         m = self.mask & other.mask
         return Subgroup(self.parent, _mask_elements(m), check=False)
 
+    @memoised("as_group")
     def as_group(self) -> tuple[FiniteGroup, "GroupHom"]:
         """Materialise as a standalone group plus the embedding."""
-        cached = self._cache.get("as_group")
-        if cached is None:
-            parent = self.parent
-            arr = np.array(self.elements)
-            pos = np.full(parent.order, -1, dtype=_DTYPE)
-            pos[arr] = np.arange(len(arr))
-            table = pos[parent.product[np.ix_(arr, arr)]]
-            grp = FiniteGroup(table, label=f"{parent.label}[{self.order}]",
-                              validate=False)
-            embed = GroupHom(grp, parent, arr, check=False)
-            cached = (grp, embed)
-            self._cache["as_group"] = cached
-        return cached
+        parent = self.parent
+        arr = np.array(self.elements)
+        pos = np.full(parent.order, -1, dtype=_DTYPE)
+        pos[arr] = np.arange(len(arr))
+        table = pos[parent.product[np.ix_(arr, arr)]]
+        grp = FiniteGroup(table, label=f"{parent.label}[{self.order}]",
+                          validate=False)
+        return grp, GroupHom(grp, parent, arr, check=False)
 
 
 def _mask_of(elems) -> int:
@@ -384,36 +388,27 @@ def mutual_commutator(X: Subgroup, Y: Subgroup) -> Subgroup:
     return subgroup_generated(G, np.unique(t))
 
 
+@memoised("derived")
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:
-    sub = G._cache.get("derived")
-    if sub is None:
-        sub = mutual_commutator(G.full(), G.full())
-        G._cache["derived"] = sub
-    return sub
+    return mutual_commutator(G.full(), G.full())
 
 
+@memoised("center")
 def center(G: FiniteGroup) -> Subgroup:
-    sub = G._cache.get("center")
-    if sub is None:
-        central = (G.product == G.product.T).all(axis=1)
-        sub = Subgroup(G, np.flatnonzero(central), check=False)
-        G._cache["center"] = sub
-    return sub
+    central = (G.product == G.product.T).all(axis=1)
+    return Subgroup(G, np.flatnonzero(central), check=False)
 
 
+@memoised("gens")
 def generating_sequence(G: FiniteGroup) -> tuple:
     """Greedy generators: repeatedly the smallest element not yet generated."""
-    gens = G._cache.get("gens")
-    if gens is None:
-        chosen: list[int] = []
-        have = {0}
-        while len(have) < G.order:
-            x = next(i for i in range(1, G.order) if i not in have)
-            chosen.append(x)
-            have = set(_closure_elements(G, chosen))
-        gens = tuple(chosen)
-        G._cache["gens"] = gens
-    return gens
+    chosen: list[int] = []
+    have = {0}
+    while len(have) < G.order:
+        x = next(i for i in range(1, G.order) if i not in have)
+        chosen.append(x)
+        have = set(_closure_elements(G, chosen))
+    return tuple(chosen)
 
 
 def is_normal(N: Subgroup, within: Optional[Subgroup] = None) -> bool:
@@ -545,14 +540,10 @@ def is_cyclic(obj: Union[FiniteGroup, Subgroup]) -> bool:
     return int(obj.element_orders().max()) == obj.order
 
 
+@memoised("cyclic_sylows")
 def has_cyclic_sylows(G: FiniteGroup) -> bool:
     """Is every Sylow subgroup of G cyclic?"""
-    value = G._cache.get("cyclic_sylows")
-    if value is None:
-        value = all(is_cyclic(sylow_subgroup(G, p))
-                    for p in prime_factors(G.order))
-        G._cache["cyclic_sylows"] = value
-    return value
+    return all(is_cyclic(sylow_subgroup(G, p)) for p in prime_factors(G.order))
 
 
 # -- abelian invariants ------------------------------------------------------
@@ -594,14 +585,11 @@ def abelian_invariants(G: FiniteGroup) -> AbelianInvariants:
     return AbelianInvariants(tuple(reversed(chain)))
 
 
+@memoised("abelianization")
 def abelianization(G: FiniteGroup) -> tuple[AbelianInvariants, "GroupHom"]:
     """Invariants of G/G' plus the projection onto that quotient."""
-    cached = G._cache.get("abelianization")
-    if cached is None:
-        Q, proj = quotient_group(G, commutator_subgroup(G))
-        cached = (abelian_invariants(Q), proj)
-        G._cache["abelianization"] = cached
-    return cached
+    Q, proj = quotient_group(G, commutator_subgroup(G))
+    return abelian_invariants(Q), proj
 
 
 # -- homomorphisms -----------------------------------------------------------
@@ -696,32 +684,27 @@ def identity_hom(G: FiniteGroup) -> GroupHom:
 # -- conjugacy data ----------------------------------------------------------
 
 
+@memoised("class_sizes")
 def conjugacy_class_sizes(G: FiniteGroup) -> np.ndarray:
-    sizes = G._cache.get("class_sizes")
-    if sizes is None:
-        n = G.order
-        sizes = np.zeros(n, dtype=np.int64)
-        seen = np.zeros(n, dtype=bool)
-        allg = np.arange(n)
-        for x in range(n):
-            if seen[x]:
-                continue
-            orbit = np.unique(G.product[G.product[G.inverse, x], allg])
-            sizes[orbit] = orbit.size
-            seen[orbit] = True
-        sizes.setflags(write=False)
-        G._cache["class_sizes"] = sizes
+    n = G.order
+    sizes = np.zeros(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    allg = np.arange(n)
+    for x in range(n):
+        if seen[x]:
+            continue
+        orbit = np.unique(G.product[G.product[G.inverse, x], allg])
+        sizes[orbit] = orbit.size
+        seen[orbit] = True
+    sizes.setflags(write=False)
     return sizes
 
 
+@memoised("profile")
 def _element_profile(G: FiniteGroup) -> list:
-    prof = G._cache.get("profile")
-    if prof is None:
-        orders = G.element_orders()
-        sizes = conjugacy_class_sizes(G)
-        prof = [(int(orders[x]), int(sizes[x])) for x in range(G.order)]
-        G._cache["profile"] = prof
-    return prof
+    orders = G.element_orders()
+    sizes = conjugacy_class_sizes(G)
+    return [(int(orders[x]), int(sizes[x])) for x in range(G.order)]
 
 
 # -- isomorphism search ------------------------------------------------------
@@ -806,68 +789,57 @@ def is_isomorphic(G1: FiniteGroup, G2: FiniteGroup, *,
     return find_isomorphism(G1, G2, max_order=max_order) is not None
 
 
-def automorphisms(G: FiniteGroup, *, max_order: int = DEFAULT_ISO_CAP) -> list:
+@memoised("automorphisms")
+def automorphisms(G: FiniteGroup) -> list:
     """All automorphisms, identity first, then discovery order."""
-    auts = G._cache.get("automorphisms")
-    if auts is None:
-        found = list(isomorphisms_iter(G, G, max_order=max_order))
-        ident = [a for a in found if a.is_identity]
-        if len(ident) != 1:
-            raise InternalInconsistency("automorphism scan missed the identity")
-        auts = ident + [a for a in found if not a.is_identity]
-        G._cache["automorphisms"] = auts
-    return auts
+    found = list(isomorphisms_iter(G, G))
+    ident = [a for a in found if a.is_identity]
+    if len(ident) != 1:
+        raise InternalInconsistency("automorphism scan missed the identity")
+    return ident + [a for a in found if not a.is_identity]
 
 
 # -- subgroup lattice --------------------------------------------------------
 
 
-def all_subgroups(G: FiniteGroup, *,
-                  max_order: int = DEFAULT_LATTICE_CAP) -> list:
+@memoised("lattice")
+def all_subgroups(G: FiniteGroup) -> list:
     """Every subgroup, by closing joins of cyclic subgroups.
 
     Kept as the exhaustive cross-check for the targeted constructions;
-    capped because the lattice grows quickly.
+    capped at DEFAULT_LATTICE_CAP because the lattice grows quickly.
     """
-    subs = G._cache.get("lattice")
-    if subs is None:
-        if G.order > max_order:
-            raise OrderLimitExceeded(
-                f"subgroup scan above cap {max_order} (order {G.order})")
-        cyclics = {}
-        for x in range(G.order):
-            sub = subgroup_generated(G, (x,))
-            cyclics.setdefault(sub.mask, sub)
-        cyclics = [cyclics[m] for m in sorted(cyclics)]
-        found = {G.trivial().mask: G.trivial()}
+    if G.order > DEFAULT_LATTICE_CAP:
+        raise OrderLimitExceeded(
+            f"subgroup scan above cap {DEFAULT_LATTICE_CAP} (order {G.order})")
+    cyclics = {}
+    for x in range(G.order):
+        sub = subgroup_generated(G, (x,))
+        cyclics.setdefault(sub.mask, sub)
+    cyclics = [cyclics[m] for m in sorted(cyclics)]
+    found = {G.trivial().mask: G.trivial()}
+    for c in cyclics:
+        found.setdefault(c.mask, c)
+    queue = sorted(found.values(), key=lambda s: (s.order, s.elements))
+    join_memo: dict = {}
+    i = 0
+    while i < len(queue):
+        current = queue[i]
+        i += 1
         for c in cyclics:
-            found.setdefault(c.mask, c)
-        queue = sorted(found.values(), key=lambda s: (s.order, s.elements))
-        join_memo: dict = {}
-        i = 0
-        while i < len(queue):
-            current = queue[i]
-            i += 1
-            for c in cyclics:
-                if c.mask | current.mask == current.mask:
-                    continue
-                key = c.mask | current.mask
-                joined = join_memo.get(key)
-                if joined is None:
-                    joined = subgroup_generated(G, current.elements + c.elements)
-                    join_memo[key] = joined
-                if joined.mask not in found:
-                    found[joined.mask] = joined
-                    queue.append(joined)
-        subs = sorted(found.values(), key=lambda s: (s.order, s.elements))
-        G._cache["lattice"] = subs
-    return subs
+            if c.mask | current.mask == current.mask:
+                continue
+            key = c.mask | current.mask
+            joined = join_memo.get(key)
+            if joined is None:
+                joined = subgroup_generated(G, current.elements + c.elements)
+                join_memo[key] = joined
+            if joined.mask not in found:
+                found[joined.mask] = joined
+                queue.append(joined)
+    return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 
-def normal_subgroups(G: FiniteGroup, *,
-                     max_order: int = DEFAULT_LATTICE_CAP) -> list:
-    subs = G._cache.get("normals")
-    if subs is None:
-        subs = [s for s in all_subgroups(G, max_order=max_order) if is_normal(s)]
-        G._cache["normals"] = subs
-    return subs
+@memoised("normals")
+def normal_subgroups(G: FiniteGroup) -> list:
+    return [s for s in all_subgroups(G) if is_normal(s)]

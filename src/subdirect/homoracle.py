@@ -21,6 +21,7 @@ from .groups import (
     Subgroup,
     abelianization,
     generating_sequence,
+    memoised,
     p_part,
 )
 from .products import product_of, require_subdirect
@@ -141,20 +142,18 @@ def enumerate_homs(K: Union[FiniteGroup, Subgroup], m: int) -> list:
     Enumerated by factoring through the abelianization, which loses
     nothing because the target is abelian.
     """
-    grp = _as_plain_group(K)
-    cache_key = ("cyclic_homs", m)
-    homs = grp._cache.get(cache_key)
-    if homs is None:
-        if m == 1:
-            homs = [CyclicHom(grp, 1, np.zeros(grp.order, dtype=np.int64),
-                              check=False)]
-        else:
-            _, proj = abelianization(grp)
-            tables = _abelian_value_tables(proj.codomain, m)
-            homs = [CyclicHom(grp, m, t[proj.image], check=False)
-                    for t in tables]
-            homs.sort(key=lambda h: h.key())
-        grp._cache[cache_key] = homs
+    return _cyclic_homs(_as_plain_group(K), m)
+
+
+@memoised("cyclic_homs")
+def _cyclic_homs(grp: FiniteGroup, m: int) -> list:
+    if m == 1:
+        return [CyclicHom(grp, 1, np.zeros(grp.order, dtype=np.int64),
+                          check=False)]
+    _, proj = abelianization(grp)
+    tables = _abelian_value_tables(proj.codomain, m)
+    homs = [CyclicHom(grp, m, t[proj.image], check=False) for t in tables]
+    homs.sort(key=lambda h: h.key())
     return homs
 
 
@@ -272,8 +271,7 @@ def oracle_is_p_extensible(U: Subgroup, p: int) -> bool:
     return oracle_is_extensible_for_modulus(U, coefficient_modulus(U, p))
 
 
-def raw_oracle_is_p_extensible(U: Subgroup, p: int, *,
-                               limit: int = RAW_SEARCH_LIMIT) -> bool:
+def raw_oracle_is_p_extensible(U: Subgroup, p: int) -> bool:
     """Same verdict as oracle_is_p_extensible via literal value-table search.
 
     Every hom list involved is produced by raw_enumerate_homs, so this
@@ -286,9 +284,9 @@ def raw_oracle_is_p_extensible(U: Subgroup, p: int, *,
         return True
     info = product_of(U)
     sub_grp, _ = U.as_group()
-    target = raw_enumerate_homs(sub_grp, m, limit=limit)
-    left = raw_enumerate_homs(info.left, m, limit=limit)
-    right = raw_enumerate_homs(info.right, m, limit=limit)
+    target = raw_enumerate_homs(sub_grp, m)
+    left = raw_enumerate_homs(info.left, m)
+    right = raw_enumerate_homs(info.right, m)
     gs, hs = info.split(U.elements)
     restricted = {
         tuple(((hl.values[gs] + hr.values[hs]) % m).tolist())

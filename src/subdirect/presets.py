@@ -12,13 +12,15 @@ Element encodings are fixed so that tests and reports are stable:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Optional
 
 import numpy as np
 
-from .groups import FiniteGroup, find_isomorphism, perm_product
+from .groups import FiniteGroup, find_isomorphism, from_permutations
+from .products import direct_product
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -44,22 +46,11 @@ def dihedral(order: int) -> FiniteGroup:
     return FiniteGroup(table, label=f"D{order}", validate=False)
 
 
-def _perm_group(perms: list, label: str) -> FiniteGroup:
-    index = {p: k for k, p in enumerate(perms)}
-    n = len(perms)
-    table = np.empty((n, n), dtype=np.int64)
-    for a, p in enumerate(perms):
-        table[a] = [index[perm_product(p, q)] for q in perms]
-    group = FiniteGroup(table, label=label, validate=False)
-    group._cache["permutations"] = tuple(perms)
-    return group
-
-
 def symmetric(n: int) -> FiniteGroup:
     if n < 1 or math.factorial(n) > 5040:
         raise ValueError("supported degrees are 1..7")
     perms = list(itertools.permutations(range(n)))
-    return _perm_group(perms, f"S{n}")
+    return from_permutations(perms, f"S{n}")
 
 
 def _parity(p: tuple) -> int:
@@ -82,7 +73,7 @@ def alternating(n: int) -> FiniteGroup:
     if n < 1 or math.factorial(n) > 10080:
         raise ValueError("supported degrees are 1..7")
     perms = [p for p in itertools.permutations(range(n)) if _parity(p) == 0]
-    return _perm_group(perms, f"A{n}")
+    return from_permutations(perms, f"A{n}")
 
 
 _QUAT_AXIS = {  # (axis1, axis2) -> (sign, axis); 0 is the real unit
@@ -157,16 +148,13 @@ _CATALOG_BUILDERS = {
     "Q8": quaternion8,
 }
 
-_catalog_cache: dict = {}
 
-
+@functools.cache
 def catalog_group(name: str) -> FiniteGroup:
     """Shared instances of the verification catalog groups."""
     if name not in _CATALOG_BUILDERS:
         raise KeyError(f"unknown catalog group {name!r}")
-    if name not in _catalog_cache:
-        _catalog_cache[name] = _CATALOG_BUILDERS[name]()
-    return _catalog_cache[name]
+    return _CATALOG_BUILDERS[name]()
 
 
 def catalog_names() -> tuple:
@@ -196,7 +184,7 @@ _REGISTRY_BUILDERS = [
     ("S3", lambda: symmetric(3)),
     ("C7", lambda: cyclic(7)),
     ("C8", lambda: cyclic(8)),
-    ("C2xC4", lambda: None),  # built below to avoid an import cycle
+    ("C2xC4", lambda: direct_product(cyclic(2), cyclic(4)).group),
     ("C2xC2xC2", lambda: elementary_abelian(2, 3)),
     ("D8", lambda: dihedral(8)),
     ("Q8", quaternion8),
@@ -206,31 +194,16 @@ _REGISTRY_BUILDERS = [
     ("D10", lambda: dihedral(10)),
     ("C11", lambda: cyclic(11)),
     ("C12", lambda: cyclic(12)),
-    ("C2xC6", lambda: None),
+    ("C2xC6", lambda: direct_product(cyclic(2), cyclic(6)).group),
     ("D12", lambda: dihedral(12)),
     ("A4", lambda: alternating(4)),
     ("Dic12", dicyclic12),
 ]
 
-_registry_cache: Optional[list] = None
 
-
+@functools.cache
 def _small_registry() -> list:
-    global _registry_cache
-    if _registry_cache is None:
-        from .products import direct_product
-
-        built = []
-        for name, builder in _REGISTRY_BUILDERS:
-            if name == "C2xC4":
-                grp = direct_product(cyclic(2), cyclic(4)).group
-            elif name == "C2xC6":
-                grp = direct_product(cyclic(2), cyclic(6)).group
-            else:
-                grp = builder()
-            built.append((name, grp))
-        _registry_cache = built
-    return _registry_cache
+    return [(name, builder()) for name, builder in _REGISTRY_BUILDERS]
 
 
 def identify_small_group(G: FiniteGroup) -> Optional[str]:

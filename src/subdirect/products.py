@@ -30,12 +30,14 @@ from .groups import (
     identity_hom,
     is_isomorphic,
     isomorphisms_iter,
+    memoised,
     normal_subgroups,
     quotient_group,
     subgroup_quotient,
 )
 
 DEFAULT_PRODUCT_CAP = 1296
+SCAN_CAP = 144  # largest |G x H| whose full subgroup lattice is swept
 
 
 @dataclass(frozen=True)
@@ -103,18 +105,15 @@ class ProjectionData:
     k2: Subgroup
 
 
+@memoised("projections")
 def projections_kernels(U: Subgroup) -> ProjectionData:
-    data = U._cache.get("projections")
-    if data is None:
-        info = product_of(U)
-        gs, hs = info.split(U.elements)
-        p1 = Subgroup(info.left, np.unique(gs), check=False)
-        p2 = Subgroup(info.right, np.unique(hs), check=False)
-        k1 = Subgroup(info.left, gs[hs == 0], check=False)
-        k2 = Subgroup(info.right, hs[gs == 0], check=False)
-        data = ProjectionData(p1, k1, p2, k2)
-        U._cache["projections"] = data
-    return data
+    info = product_of(U)
+    gs, hs = info.split(U.elements)
+    p1 = Subgroup(info.left, np.unique(gs), check=False)
+    p2 = Subgroup(info.right, np.unique(hs), check=False)
+    k1 = Subgroup(info.left, gs[hs == 0], check=False)
+    k2 = Subgroup(info.right, hs[gs == 0], check=False)
+    return ProjectionData(p1, k1, p2, k2)
 
 
 def is_subdirect(U: Subgroup) -> bool:
@@ -153,26 +152,22 @@ class GoursatQuintuple:
     phi: GroupHom
 
 
+@memoised("quintuple")
 def goursat_quintuple(U: Subgroup) -> GoursatQuintuple:
-    quint = U._cache.get("quintuple")
-    if quint is None:
-        info = product_of(U)
-        d = projections_kernels(U)
-        q1, to_q1 = subgroup_quotient(d.p1, d.k1)
-        q2, to_q2 = subgroup_quotient(d.p2, d.k2)
-        gs, hs = info.split(U.elements)
-        image = np.full(q1.order, -1, dtype=np.int64)
-        image[to_q1[gs]] = to_q2[hs]
-        try:
-            phi = GroupHom(q1, q2, image, check=True)
-        except ValueError as exc:  # pragma: no cover - guarded by group laws
-            raise InvalidQuintuple(str(exc)) from exc
-        if not phi.is_bijective:
-            raise InvalidQuintuple("induced quotient map is not bijective")
-        quint = GoursatQuintuple(d.p1, d.k1, d.k2, d.p2, q1, q2,
-                                 to_q1, to_q2, phi)
-        U._cache["quintuple"] = quint
-    return quint
+    info = product_of(U)
+    d = projections_kernels(U)
+    q1, to_q1 = subgroup_quotient(d.p1, d.k1)
+    q2, to_q2 = subgroup_quotient(d.p2, d.k2)
+    gs, hs = info.split(U.elements)
+    image = np.full(q1.order, -1, dtype=np.int64)
+    image[to_q1[gs]] = to_q2[hs]
+    try:
+        phi = GroupHom(q1, q2, image, check=True)
+    except ValueError as exc:  # pragma: no cover - guarded by group laws
+        raise InvalidQuintuple(str(exc)) from exc
+    if not phi.is_bijective:
+        raise InvalidQuintuple("induced quotient map is not bijective")
+    return GoursatQuintuple(d.p1, d.k1, d.k2, d.p2, q1, q2, to_q1, to_q2, phi)
 
 
 def goursat_quotient(U: Subgroup) -> FiniteGroup:
@@ -260,16 +255,18 @@ def enumerate_subdirect(G: FiniteGroup, H: FiniteGroup, *,
     return sorted(out.values(), key=lambda s: s.elements)
 
 
-def subdirect_by_scan(G: FiniteGroup, H: FiniteGroup, *,
-                      max_order: int = 144) -> list:
+def subdirect_by_scan(G: FiniteGroup, H: FiniteGroup) -> list:
     """Subdirect subgroups by filtering the full lattice of G x H.
 
     Exhaustive and slow; kept as the independent cross-check for
-    :func:`enumerate_subdirect`.
+    :func:`enumerate_subdirect`, and capped at SCAN_CAP.
     """
+    n = G.order * H.order
+    if n > SCAN_CAP:
+        raise OrderLimitExceeded(
+            f"subgroup scan above cap {SCAN_CAP} (order {n})")
     info = direct_product(G, H)
-    subs = all_subgroups(info.group, max_order=max_order)
-    return [U for U in subs if is_subdirect(U)]
+    return [U for U in all_subgroups(info.group) if is_subdirect(U)]
 
 
 # -- composition ---------------------------------------------------------------
@@ -318,18 +315,18 @@ def diagonal(G: FiniteGroup) -> Subgroup:
     return twisted_diagonal(G, identity_hom(G))
 
 
+@memoised("diagonal_masks")
+def _diagonal_masks(G: FiniteGroup) -> list:
+    """(phi, mask of the twisted diagonal of phi) per automorphism of G."""
+    return [(phi, twisted_diagonal(G, phi).mask) for phi in automorphisms(G)]
+
+
 def contains_twisted_diagonal(U: Subgroup) -> Optional[GroupHom]:
     """First automorphism phi (identity first) with (g, phi(g)) all in U."""
     info = product_of(U)
     if info.left is not info.right:
         raise ValueError("both factors must be the same group")
-    G = info.left
-    masks = G._cache.get("diagonal_masks")
-    if masks is None:
-        masks = [(phi, twisted_diagonal(G, phi).mask)
-                 for phi in automorphisms(G)]
-        G._cache["diagonal_masks"] = masks
-    for phi, m in masks:
+    for phi, m in _diagonal_masks(info.left):
         if m | U.mask == U.mask:
             return phi
     return None
@@ -338,35 +335,32 @@ def contains_twisted_diagonal(U: Subgroup) -> Optional[GroupHom]:
 # -- sections ------------------------------------------------------------------
 
 
-def _section_catalogue(G: FiniteGroup, *, max_order: int = 256) -> dict:
+@memoised("sections")
+def _section_catalogue(G: FiniteGroup) -> dict:
     """One quotient S/N per isomorphism class of sections of G, by order.
 
     Built once per group from the subgroup lattice (capped at
-    ``max_order``) and each subgroup's normal subgroups.
+    DEFAULT_LATTICE_CAP) and each subgroup's normal subgroups.
     """
-    catalogue = G._cache.get("sections")
-    if catalogue is None:
-        catalogue = {}
-        for S in all_subgroups(G, max_order=max_order):
-            Sg, _ = S.as_group()
-            for N in normal_subgroups(Sg):
-                quot, _ = quotient_group(Sg, N)
-                bucket = catalogue.setdefault(quot.order, [])
-                if not any(is_isomorphic(quot, R, max_order=quot.order)
-                           for R in bucket):
-                    bucket.append(quot)
-        G._cache["sections"] = catalogue
+    catalogue: dict = {}
+    for S in all_subgroups(G):
+        Sg, _ = S.as_group()
+        for N in normal_subgroups(Sg):
+            quot, _ = quotient_group(Sg, N)
+            bucket = catalogue.setdefault(quot.order, [])
+            if not any(is_isomorphic(quot, R, max_order=quot.order)
+                       for R in bucket):
+                bucket.append(quot)
     return catalogue
 
 
-def is_section(Q: FiniteGroup, G: FiniteGroup, *,
-               max_order: int = 256) -> bool:
+def is_section(Q: FiniteGroup, G: FiniteGroup) -> bool:
     """Is Q isomorphic to a quotient of a subgroup of G?"""
     if Q.order == 1:
         return True
     if G.order % Q.order:
         return False
-    bucket = _section_catalogue(G, max_order=max_order).get(Q.order, ())
+    bucket = _section_catalogue(G).get(Q.order, ())
     return any(is_isomorphic(Q, R, max_order=Q.order) for R in bucket)
 
 
@@ -382,15 +376,14 @@ class SubdirectCertificate:
     diagonal_witness: Optional[GroupHom]
 
 
+# Cache the findings, not the certificate: it refers back to U, and
+# that cycle would keep U alive until the cyclic collector runs.
+@memoised("certificate")
+def _certificate_findings(U: Subgroup) -> tuple:
+    info = product_of(U)
+    witness = contains_twisted_diagonal(U) if info.left is info.right else None
+    return is_subdirect(U), witness
+
+
 def certify(U: Subgroup) -> SubdirectCertificate:
-    # Cache the findings, not the certificate: it refers back to U, and
-    # that cycle would keep U alive until the cyclic collector runs.
-    found = U._cache.get("certificate")
-    if found is None:
-        info = product_of(U)
-        witness = None
-        if info.left is info.right:
-            witness = contains_twisted_diagonal(U)
-        found = (is_subdirect(U), witness)
-        U._cache["certificate"] = found
-    return SubdirectCertificate(U, *found)
+    return SubdirectCertificate(U, *_certificate_findings(U))

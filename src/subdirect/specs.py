@@ -99,25 +99,28 @@ def _shorthand_spec(token: str) -> Optional[GroupSpec]:
     return GroupSpec(token, "preset", data)
 
 
-def parse_group_spec(text: str) -> GroupSpec:
-    text = text.strip()
-    if not text:
-        raise ParseError("empty group description")
+def _read_json(text: str):
+    """The JSON value of an ``@path`` file reference or of inline JSON."""
     if text.startswith("@"):
         path = Path(text[1:])
         try:
-            payload = json.loads(path.read_text())
+            return json.loads(path.read_text())
         except OSError as exc:
             raise ParseError(f"cannot read {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON in {path}: {exc}") from exc
-        return spec_from_dict(payload)
-    if text.startswith("{"):
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad inline JSON: {exc}") from exc
-        return spec_from_dict(payload)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad inline JSON: {exc}") from exc
+
+
+def parse_group_spec(text: str) -> GroupSpec:
+    text = text.strip()
+    if not text:
+        raise ParseError("empty group description")
+    if text.startswith(("@", "{")):
+        return spec_from_dict(_read_json(text))
     factors = text.split("x")
     specs = []
     for token in factors:
@@ -197,8 +200,7 @@ def parse_permutation(value, degree: int) -> tuple:
     raise ParseError(f"cannot parse permutation {value!r}")
 
 
-def load_group(spec: Union[str, GroupSpec], *,
-               max_order: Optional[int] = None) -> FiniteGroup:
+def load_group(spec: Union[str, GroupSpec]) -> FiniteGroup:
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     if spec.kind == "preset":
@@ -225,21 +227,10 @@ def load_group(spec: Union[str, GroupSpec], *,
         if not isinstance(gens, list) or not gens:
             raise ParseError("permutation spec needs a 'generators' list")
         perms = [parse_permutation(g, degree) for g in gens]
-        kwargs = {"label": spec.name}
-        if max_order is not None:
-            kwargs["max_order"] = max_order
-        group = from_permutation_generators(degree, perms, **kwargs)
+        group = from_permutation_generators(degree, perms, label=spec.name)
     else:  # product
-        left = load_group(spec.data["left"], max_order=max_order)
-        right = load_group(spec.data["right"], max_order=max_order)
-        group = direct_product(
-            left, right,
-            **({"max_order": max_order} if max_order is not None else {})).group
-    if max_order is not None and group.order > max_order:
-        from .errors import OrderLimitExceeded
-
-        raise OrderLimitExceeded(
-            f"group order {group.order} above cap {max_order}")
+        group = direct_product(load_group(spec.data["left"]),
+                               load_group(spec.data["right"])).group
     return group
 
 
@@ -258,21 +249,9 @@ def load_product_subgroup(info: ProductGroup, text: str) -> Subgroup:
             raise ParseError("diagonal needs both factors to be the same "
                              "group; pass --H identical to --G or omit it")
         return diagonal(info.left)
-    if text.startswith("@"):
-        path = Path(text[1:])
-        try:
-            payload = json.loads(path.read_text())
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON in {path}: {exc}") from exc
-    elif text.startswith("{"):
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad inline JSON: {exc}") from exc
-    else:
+    if not text.startswith(("@", "{")):
         raise ParseError(f"unknown subgroup description {text!r}")
+    payload = _read_json(text)
     if not isinstance(payload, dict):
         raise ParseError("subgroup description must be a JSON object")
     if "pairs" in payload:

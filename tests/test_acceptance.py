@@ -13,6 +13,7 @@ import pytest
 import helpers
 
 from subdirect import (
+    CheckContext,
     Subgroup,
     automorphisms,
     catalog_group,
@@ -25,7 +26,6 @@ from subdirect import (
     dihedral,
     direct_product,
     enumerate_homs,
-    enumerate_subdirect,
     goursat_quintuple,
     goursat_quotient,
     has_cyclic_sylows,
@@ -54,14 +54,11 @@ from subdirect.products import contains_twisted_diagonal, \
 
 CATALOG = tuple(catalog_group(name) for name in catalog_names())
 
-_SUBDIRECT_MEMO: dict = {}
-
-
-def subdirects(G, H):
-    key = (id(G), id(H))
-    if key not in _SUBDIRECT_MEMO:
-        _SUBDIRECT_MEMO[key] = enumerate_subdirect(G, H)
-    return _SUBDIRECT_MEMO[key]
+# Subdirect products enumerated once per factor pair, and composites
+# resolved to the subgroups already enumerated, so their Goursat data,
+# sections and Sylow data are computed once.
+CTX = CheckContext(CATALOG)
+subdirects = CTX.subdirects
 
 
 def catalog_pairs(cap):
@@ -331,8 +328,7 @@ def test_11_composition_sections(capsys):
         for U in subdirects(F, G):
             qu = goursat_quotient(U)
             for V in subdirects(G, H):
-                W = star_product(U, V)
-                qw = goursat_quotient(W)
+                qw = goursat_quotient(CTX.star(U, V))
                 qv = goursat_quotient(V)
                 assert is_section(qw, qu)
                 assert is_section(qw, qv)

@@ -1,5 +1,7 @@
 """Core group machinery: tables, subgroups, quotients, invariants."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -15,17 +17,22 @@ from subdirect import (
     automorphisms,
     center,
     commutator_subgroup,
+    contains_twisted_diagonal,
     cyclic,
+    diagonal,
     dihedral,
     elementary_abelian,
+    enumerate_homs,
     find_isomorphism,
     from_cayley_table,
     from_permutation_generators,
     generating_sequence,
+    goursat_quintuple,
     has_cyclic_sylows,
     is_cyclic,
     is_isomorphic,
     is_normal,
+    kernel_commutator_data,
     mutual_commutator,
     p_part,
     prime_factors,
@@ -37,7 +44,9 @@ from subdirect import (
     sylow_subgroup,
     symmetric,
 )
-from subdirect.groups import Subgroup, all_subgroups, normal_subgroups
+from subdirect.groups import Subgroup, all_subgroups, \
+    conjugacy_class_sizes, memoised, normal_subgroups
+from subdirect.products import projections_kernels
 
 
 def test_trivial_table():
@@ -347,3 +356,52 @@ def test_group_product_array_shape():
     assert G.product.shape == (6, 6)
     assert G.product.dtype == np.int32
     assert int(G.inverse[0]) == 0
+
+
+def test_memoised_stores_none_and_keys_extra_arguments():
+    calls = []
+
+    @memoised("probe")
+    def probe(obj, *args):
+        calls.append(args)
+        return None
+
+    box = types.SimpleNamespace(_cache={})
+    assert probe(box) is None
+    assert probe(box) is None
+    probe(box, 3)
+    probe(box, 3)
+    assert calls == [(), (3,)]
+    assert set(box._cache) == {"probe", ("probe", 3)}
+
+
+_S3 = symmetric(3)
+_DIAG = diagonal(_S3)
+_MEMOISED_CALLS = {
+    "element_orders": lambda: _S3.element_orders(),
+    "exponent": lambda: _S3.exponent(),
+    "is_abelian": lambda: _S3.is_abelian,
+    "full": lambda: _S3.full(),
+    "trivial": lambda: _S3.trivial(),
+    "as_group": lambda: _DIAG.as_group(),
+    "commutator_subgroup": lambda: commutator_subgroup(_S3),
+    "center": lambda: center(_S3),
+    "generating_sequence": lambda: generating_sequence(_S3),
+    "has_cyclic_sylows": lambda: has_cyclic_sylows(_S3),
+    "abelianization": lambda: abelianization(_S3),
+    "conjugacy_class_sizes": lambda: conjugacy_class_sizes(_S3),
+    "automorphisms": lambda: automorphisms(_S3),
+    "all_subgroups": lambda: all_subgroups(_S3),
+    "normal_subgroups": lambda: normal_subgroups(_S3),
+    "projections_kernels": lambda: projections_kernels(_DIAG),
+    "goursat_quintuple": lambda: goursat_quintuple(_DIAG),
+    "contains_twisted_diagonal": lambda: contains_twisted_diagonal(_DIAG),
+    "kernel_commutator_data": lambda: kernel_commutator_data(_DIAG),
+    "enumerate_homs": lambda: enumerate_homs(_DIAG, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEMOISED_CALLS))
+def test_memoised_function_returns_the_same_object(name):
+    call = _MEMOISED_CALLS[name]
+    assert call() is call()

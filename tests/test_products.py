@@ -179,6 +179,15 @@ def test_enumeration_agrees_with_scan():
         assert listed == scanned
 
 
+def test_subdirect_by_scan_cap_ignores_a_cached_lattice():
+    C13 = cyclic(13)
+    with pytest.raises(OrderLimitExceeded):
+        subdirect_by_scan(C13, C13)
+    assert len(all_subgroups(direct_product(C13, C13).group)) == 16
+    with pytest.raises(OrderLimitExceeded):
+        subdirect_by_scan(C13, C13)
+
+
 def test_enumerated_subgroups_are_subdirect_and_closed():
     for U in enumerate_subdirect(symmetric(3), symmetric(3)):
         assert is_subdirect(U)

@@ -465,6 +465,25 @@ def test_cli_malformed_input_exits_2(capsys, argv):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("flag", ["--G", "--U"])
+@pytest.mark.parametrize("kind, message", [
+    ("missing-file", "cannot read"),
+    ("bad-file-json", "bad JSON in"),
+    ("bad-inline-json", "bad inline JSON"),
+])
+def test_cli_unreadable_json_exits_2(capsys, tmp_path, flag, kind, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": ')
+    value = {"missing-file": f"@{tmp_path / 'absent.json'}",
+             "bad-file-json": f"@{bad}",
+             "bad-inline-json": '{"kind": '}[kind]
+    argv = {"--G": ("--G", value, "--U", "full"),
+            "--U": ("--G", "S3", "--U", value)}[flag]
+    code, out, err = run_cli(capsys, "analyze", *argv)
+    assert code == 2
+    assert f"input error: {message}" in err
+
+
 # sha256 of the --out files of fixed commands.  Report bytes are part of
 # the interface: a refactor must leave them unchanged.  Q8 and D8 cover
 # the central shortcut and inextensible verdicts.
