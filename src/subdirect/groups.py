@@ -36,7 +36,6 @@ from .errors import (
 _DTYPE = np.int32
 
 DEFAULT_CLOSURE_CAP = 20000
-DEFAULT_ISO_CAP = 64
 DEFAULT_LATTICE_CAP = 256
 
 _MISSING = object()
@@ -86,33 +85,6 @@ class FiniteGroup:
         if validate:
             self.validate()
         self.inverse = _inverse_table(table)
-
-    # -- basic arithmetic -------------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.product[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
-    def conj(self, a: int, g: int) -> int:
-        """g**-1 * a * g."""
-        t = self.product[self.inverse[g], a]
-        return int(self.product[t, g])
-
-    def commutator(self, a: int, b: int) -> int:
-        """a**-1 * b**-1 * a * b."""
-        t = self.product[self.inverse[a], self.inverse[b]]
-        t = self.product[t, a]
-        return int(self.product[t, b])
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        r = 0
-        for _ in range(k):
-            r = int(self.product[r, a])
-        return r
 
     def element_order(self, a: int) -> int:
         return int(self.element_orders()[a])
@@ -411,38 +383,44 @@ def generating_sequence(G: FiniteGroup) -> tuple:
     return tuple(chosen)
 
 
-def is_normal(N: Subgroup, within: Optional[Subgroup] = None) -> bool:
-    """Is N normal in `within` (default: the whole parent group)?"""
-    G = N.parent
-    if within is None:
-        scope = generating_sequence(G)
-    else:
-        if within.parent is not G or not N.is_subset_of(within):
-            raise ValueError("N must sit inside the ambient subgroup")
-        scope = within.elements
-    arr = np.array(N.elements)
-    for g in scope:
-        conj = G.product[G.product[G.inverse[g], arr], g]
-        if _mask_of(conj) != N.mask:
-            return False
-    return True
+def _coset_minima(P: Subgroup, K: Subgroup) -> tuple[np.ndarray, bool]:
+    """Cosets of K <= P, computed in the parent's table.
+
+    Returns the least element of each left coset gK, for g in P in
+    element order, and whether it always equals the least element of the
+    right coset Kg.  Cosets are disjoint, so that holds exactly when
+    every gK = Kg, that is when K is normal in P.
+    """
+    table = P.parent.product
+    ps = np.array(P.elements)
+    ks = np.array(K.elements)
+    least = table[np.ix_(ps, ks)].min(axis=1)
+    return least, bool((least == table[np.ix_(ks, ps)].min(axis=0)).all())
+
+
+def is_normal(N: Subgroup) -> bool:
+    """Is N normal in its parent group?"""
+    return _coset_minima(N.parent.full(), N)[1]
+
+
+def _quotient(P: Subgroup, K: Subgroup, name: str) -> tuple[FiniteGroup, np.ndarray]:
+    """P/K labelled ``name/|K|``, cosets numbered by their least elements."""
+    least, normal = _coset_minima(P, K)
+    if not normal:
+        raise NotNormal(f"subgroup of order {K.order} is not normal in {name}")
+    reps, coset = np.unique(least, return_inverse=True)
+    to_q = np.full(P.parent.order, -1, dtype=_DTYPE)
+    to_q[np.array(P.elements)] = coset
+    qtable = to_q[P.parent.product[np.ix_(reps, reps)]]
+    return FiniteGroup(qtable, label=f"{name}/{K.order}", validate=False), to_q
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, "GroupHom"]:
     """G/N with minimal-index coset representatives; returns the projection."""
     if N.parent is not G:
         raise ValueError("subgroup of a different parent")
-    if not is_normal(N):
-        raise NotNormal(f"subgroup of order {N.order} is not normal in {G.label}")
-    cols = np.array(N.elements)
-    rep = G.product[:, cols].min(axis=1)
-    reps = np.unique(rep)
-    qindex = np.full(G.order, -1, dtype=_DTYPE)
-    qindex[reps] = np.arange(len(reps))
-    qtable = qindex[rep[G.product[np.ix_(reps, reps)]]]
-    Q = FiniteGroup(qtable, label=f"{G.label}/{N.order}", validate=False)
-    proj = GroupHom(G, Q, qindex[rep], check=False)
-    return Q, proj
+    Q, to_q = _quotient(G.full(), N, G.label)
+    return Q, GroupHom(G, Q, to_q, check=False)
 
 
 def subgroup_quotient(P: Subgroup, K: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
@@ -455,14 +433,7 @@ def subgroup_quotient(P: Subgroup, K: Subgroup) -> tuple[FiniteGroup, np.ndarray
         raise ValueError("subgroups of different parents")
     if not K.is_subset_of(P):
         raise ValueError("kernel must sit inside the projection")
-    Pg, embed = P.as_group()
-    pos = np.full(P.parent.order, -1, dtype=_DTYPE)
-    pos[np.array(P.elements)] = np.arange(P.order)
-    K_local = Subgroup(Pg, pos[np.array(K.elements)], check=False)
-    Q, proj = quotient_group(Pg, K_local)
-    to_q = np.full(P.parent.order, -1, dtype=_DTYPE)
-    to_q[np.array(P.elements)] = proj.image
-    return Q, to_q
+    return _quotient(P, K, f"{P.parent.label}[{P.order}]")
 
 
 def is_prime(p: int) -> bool:
@@ -661,20 +632,11 @@ class GroupHom:
     def kernel(self) -> Subgroup:
         return Subgroup(self.domain, np.flatnonzero(self.image == 0), check=False)
 
-    def image_subgroup(self) -> Subgroup:
-        return Subgroup(self.codomain, np.unique(self.image), check=False)
-
     def map_subgroup(self, sub: Subgroup) -> Subgroup:
         if sub.parent is not self.domain:
             raise ValueError("subgroup of a different parent")
         return Subgroup(self.codomain, np.unique(self.image[np.array(sub.elements)]),
                         check=False)
-
-    def preimage_subgroup(self, sub: Subgroup) -> Subgroup:
-        if sub.parent is not self.codomain:
-            raise ValueError("subgroup of a different parent")
-        hit = np.isin(self.image, np.array(sub.elements))
-        return Subgroup(self.domain, np.flatnonzero(hit), check=False)
 
 
 def identity_hom(G: FiniteGroup) -> GroupHom:
@@ -710,8 +672,7 @@ def _element_profile(G: FiniteGroup) -> list:
 # -- isomorphism search ------------------------------------------------------
 
 
-def isomorphisms_iter(G1: FiniteGroup, G2: FiniteGroup, *,
-                      max_order: int = DEFAULT_ISO_CAP) -> Iterator[GroupHom]:
+def isomorphisms_iter(G1: FiniteGroup, G2: FiniteGroup) -> Iterator[GroupHom]:
     """All isomorphisms G1 -> G2 by pruned generator-image backtracking.
 
     Deterministic: generators are the greedy sequence of G1 and image
@@ -721,9 +682,6 @@ def isomorphisms_iter(G1: FiniteGroup, G2: FiniteGroup, *,
         return
     if sorted(_element_profile(G1)) != sorted(_element_profile(G2)):
         return
-    if G1.order > max_order:
-        raise OrderLimitExceeded(
-            f"isomorphism search above cap {max_order} (order {G1.order})")
     gens = generating_sequence(G1)
     prof1 = _element_profile(G1)
     prof2 = _element_profile(G2)
@@ -779,14 +737,12 @@ def isomorphisms_iter(G1: FiniteGroup, G2: FiniteGroup, *,
     yield from rec(0, mapping0, used0, [0])
 
 
-def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup, *,
-                     max_order: int = DEFAULT_ISO_CAP) -> Optional[GroupHom]:
-    return next(isomorphisms_iter(G1, G2, max_order=max_order), None)
+def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[GroupHom]:
+    return next(isomorphisms_iter(G1, G2), None)
 
 
-def is_isomorphic(G1: FiniteGroup, G2: FiniteGroup, *,
-                  max_order: int = DEFAULT_ISO_CAP) -> bool:
-    return find_isomorphism(G1, G2, max_order=max_order) is not None
+def is_isomorphic(G1: FiniteGroup, G2: FiniteGroup) -> bool:
+    return find_isomorphism(G1, G2) is not None
 
 
 @memoised("automorphisms")

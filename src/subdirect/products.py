@@ -25,6 +25,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _coset_minima,
     all_subgroups,
     automorphisms,
     identity_hom,
@@ -247,7 +248,7 @@ def enumerate_subdirect(G: FiniteGroup, H: FiniteGroup, *,
         for L, QH, projH in quots_H:
             if G.order * L.order != H.order * K.order:
                 continue
-            for iso in isomorphisms_iter(QG, QH, max_order=max(QG.order, 1)):
+            for iso in isomorphisms_iter(QG, QH):
                 match = iso.image[projG.image][:, None] == projH.image[None, :]
                 elements = np.flatnonzero(match.ravel())
                 U = Subgroup(info.group, elements, check=False)
@@ -339,17 +340,18 @@ def contains_twisted_diagonal(U: Subgroup) -> Optional[GroupHom]:
 def _section_catalogue(G: FiniteGroup) -> dict:
     """One quotient S/N per isomorphism class of sections of G, by order.
 
-    Built once per group from the subgroup lattice (capped at
-    DEFAULT_LATTICE_CAP) and each subgroup's normal subgroups.
+    Built once per group from pairs N <= S of its subgroup lattice
+    (capped at DEFAULT_LATTICE_CAP) with N normal in S.
     """
     catalogue: dict = {}
-    for S in all_subgroups(G):
-        Sg, _ = S.as_group()
-        for N in normal_subgroups(Sg):
-            quot, _ = quotient_group(Sg, N)
+    subgroups = all_subgroups(G)
+    for S in subgroups:
+        for N in subgroups:
+            if not (N.is_subset_of(S) and _coset_minima(S, N)[1]):
+                continue
+            quot, _ = subgroup_quotient(S, N)
             bucket = catalogue.setdefault(quot.order, [])
-            if not any(is_isomorphic(quot, R, max_order=quot.order)
-                       for R in bucket):
+            if not any(is_isomorphic(quot, R) for R in bucket):
                 bucket.append(quot)
     return catalogue
 
@@ -361,7 +363,7 @@ def is_section(Q: FiniteGroup, G: FiniteGroup) -> bool:
     if G.order % Q.order:
         return False
     bucket = _section_catalogue(G).get(Q.order, ())
-    return any(is_isomorphic(Q, R, max_order=Q.order) for R in bucket)
+    return any(is_isomorphic(Q, R) for R in bucket)
 
 
 # -- certificates --------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive: plain Python sets, no numpy, no
 reuse of the package's own closure or enumeration code.  Only feasible
-for the very small groups the tests use.  The one exception is
+for the very small groups the tests use.  The two exceptions are
 :func:`lattice_walk_is_section`, the direct section search that the
-catalogue behind ``is_section`` replaced; it is kept as that
-catalogue's reference.
+catalogue behind ``is_section`` replaced, and
+:func:`materialised_quotient`, the quotient route that the coset
+routine in ``subdirect.groups`` replaced; each is kept as the reference
+for its replacement.
 """
 
 from __future__ import annotations
@@ -115,6 +117,15 @@ def elements_of(U) -> frozenset:
     return frozenset(U.elements)
 
 
+def brute_is_normal(G, elems) -> bool:
+    """Is the subgroup with these elements closed under conjugation?"""
+    mul = mul_table(G)
+    inv = [int(G.inverse[x]) for x in range(G.order)]
+    elems = set(elems)
+    return all(mul[mul[inv[g]][n]][g] in elems
+               for g in range(G.order) for n in elems)
+
+
 def brute_is_subgroup(G, elems) -> bool:
     mul = mul_table(G)
     elems = set(elems)
@@ -147,6 +158,36 @@ def lattice_walk_is_section(Q, G) -> bool:
             if N.order * Q.order != Sg.order:
                 continue
             quot, _ = quotient_group(Sg, N)
-            if is_isomorphic(quot, Q, max_order=Q.order):
+            if is_isomorphic(quot, Q):
                 return True
     return False
+
+
+def materialised_quotient(P, K):
+    """P/K by materialising P as a standalone group first.
+
+    K is re-indexed into P's own table and tested for normality by
+    conjugating with P's greedy generators; left cosets are numbered by
+    their least local index.  Returns the quotient table and the
+    parent-index to coset-index map (-1 outside P), or None when K is
+    not normal in P.
+    """
+    import numpy as np
+
+    from subdirect.groups import generating_sequence
+
+    Pg, _ = P.as_group()
+    local = {x: i for i, x in enumerate(P.elements)}
+    ks = np.array([local[x] for x in K.elements])
+    for g in generating_sequence(Pg):
+        conj = Pg.product[Pg.product[Pg.inverse[g], ks], g]
+        if set(conj.tolist()) != set(ks.tolist()):
+            return None
+    rep = Pg.product[:, ks].min(axis=1)
+    reps = np.unique(rep)
+    qindex = np.full(Pg.order, -1)
+    qindex[reps] = np.arange(len(reps))
+    table = qindex[rep[Pg.product[np.ix_(reps, reps)]]]
+    to_q = np.full(P.parent.order, -1)
+    to_q[np.array(P.elements)] = qindex[rep]
+    return table, to_q

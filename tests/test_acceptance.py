@@ -310,7 +310,7 @@ def test_10_kernel_transport_identities(capsys):
         for (U, phi), (V, psi) in itertools.product(pairs, pairs):
             dU = projections_kernels(U)
             dV = projections_kernels(V)
-            dW = projections_kernels(star_product(U, V))
+            dW = projections_kernels(CTX.star(U, V))
             assert dW.k1 == set_product(
                 dU.k1, phi.inverted().map_subgroup(dV.k1), check=False)
             assert dW.k2 == set_product(

@@ -1,5 +1,6 @@
 """Core group machinery: tables, subgroups, quotients, invariants."""
 
+import itertools
 import types
 
 import numpy as np
@@ -9,6 +10,7 @@ import helpers
 
 from subdirect import (
     FiniteGroup,
+    InvalidQuintuple,
     NotAGroup,
     NotNormal,
     abelian_invariants,
@@ -21,6 +23,7 @@ from subdirect import (
     cyclic,
     diagonal,
     dihedral,
+    direct_product,
     elementary_abelian,
     enumerate_homs,
     find_isomorphism,
@@ -33,6 +36,7 @@ from subdirect import (
     is_isomorphic,
     is_normal,
     kernel_commutator_data,
+    make_quintuple,
     mutual_commutator,
     p_part,
     prime_factors,
@@ -46,6 +50,7 @@ from subdirect import (
 )
 from subdirect.groups import Subgroup, all_subgroups, \
     conjugacy_class_sizes, memoised, normal_subgroups
+from subdirect.presets import _small_registry
 from subdirect.products import projections_kernels
 
 
@@ -216,6 +221,65 @@ def test_subgroup_quotient_inside_product():
     K = subgroup_generated(G, [2])
     Q, _ = subgroup_quotient(P, K)
     assert Q.order == 2
+
+
+# Every group of order at most 12 up to isomorphism, plus two products
+# with larger lattices.
+_COSET_GROUPS = [G for _, G in _small_registry()] + [
+    direct_product(cyclic(4), cyclic(4)).group,
+    direct_product(symmetric(3), symmetric(3)).group,
+]
+
+
+@pytest.mark.parametrize("G", _COSET_GROUPS, ids=lambda G: G.label)
+def test_quotients_match_the_materialised_route(G):
+    subgroups = all_subgroups(G)
+    normal_pairs = 0
+    for P in subgroups:
+        for K in subgroups:
+            if not K.is_subset_of(P):
+                continue
+            want = helpers.materialised_quotient(P, K)
+            if want is None:
+                with pytest.raises(NotNormal):
+                    subgroup_quotient(P, K)
+                continue
+            normal_pairs += 1
+            Q, to_q = subgroup_quotient(P, K)
+            assert np.array_equal(Q.product, want[0])
+            assert np.array_equal(to_q, want[1])
+            if P.is_whole:
+                Q, proj = quotient_group(G, K)
+                assert np.array_equal(Q.product, want[0])
+                assert np.array_equal(proj.image, want[1])
+    assert normal_pairs >= len(subgroups)
+    for N in subgroups:
+        assert is_normal(N) == helpers.brute_is_normal(G, N.elements)
+
+
+def test_kernel_not_normal_in_point_stabiliser():
+    S4 = symmetric(4)
+    index = {p: i for i, p in enumerate(itertools.permutations(range(4)))}
+    stabiliser = subgroup_generated(S4, [index[(1, 0, 2, 3)],
+                                         index[(1, 2, 0, 3)]])
+    flip = subgroup_generated(S4, [index[(1, 0, 2, 3)]])
+    rotations = subgroup_generated(S4, [index[(1, 2, 0, 3)]])
+    assert stabiliser.order == 6
+    with pytest.raises(NotNormal):
+        subgroup_quotient(stabiliser, flip)
+    with pytest.raises(InvalidQuintuple):
+        make_quintuple(stabiliser, flip, stabiliser, flip, [(0, 0)])
+    # Normal in the stabiliser but not in S4.
+    Q, to_q = subgroup_quotient(stabiliser, rotations)
+    assert Q.order == 2
+    assert {int(to_q[x]) for x in stabiliser.elements} == {0, 1}
+    assert not is_normal(rotations)
+    with pytest.raises(NotNormal):
+        quotient_group(S4, rotations)
+
+
+def test_automorphisms_above_order_64():
+    assert len(automorphisms(cyclic(65))) == 48
 
 
 def test_set_product_orders():

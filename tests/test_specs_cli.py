@@ -370,6 +370,14 @@ def test_cli_verify_times_each_check_on_stderr(capsys, tmp_path):
         "c310bdb7cbf0bc06434c3cf27535cc272ac6b216cbaa7f709e73a0701d888244"
 
 
+def test_cli_verify_above_order_64_exits_0(capsys):
+    # The isomorphism search has no order cap: C66's Goursat quotients
+    # and twisted diagonals need automorphisms of order-66 groups.
+    code, out, err = run_cli(capsys, "verify", "--G", "C66")
+    assert code == 0, err
+    assert "cap exceeded" not in err
+
+
 def test_cli_verify_rejects_bad_table(capsys, tmp_path):
     table = [[(i + j) % 6 for j in range(6)] for i in range(6)]
     table[3][4] = table[3][3]
