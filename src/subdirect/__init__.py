@@ -100,6 +100,7 @@ from .products import (
     ProductGroup,
     SubdirectCertificate,
     certify,
+    compose_relations,
     contains_twisted_diagonal,
     diagonal,
     direct_product,

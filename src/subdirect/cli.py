@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     PreconditionFailed,
 )
+from .groups import is_prime
 from .presets import catalog_group, catalog_names, preset_descriptions
 from .products import DEFAULT_PRODUCT_CAP, direct_product, enumerate_subdirect
 from .records import (
@@ -129,7 +130,7 @@ def _primes_from(args) -> Optional[list]:
     if not chosen:
         return None
     for p in chosen:
-        if p < 2:
+        if not is_prime(p):
             raise ParseError(f"{p} is not a prime")
     return sorted(chosen)
 

@@ -273,34 +273,65 @@ def subdirect_by_scan(G: FiniteGroup, H: FiniteGroup) -> list:
 # -- composition ---------------------------------------------------------------
 
 
-def star_product(U: Subgroup, V: Subgroup) -> Subgroup:
-    """Relation composition of U <= F x G and V <= G x H inside F x H."""
-    PU = product_of(U)
-    PV = product_of(V)
+# Largest float32 product (elements) one chunk of compose_relations forms.
+COMPOSE_BUDGET = 1 << 20
+
+
+def _relation_tensor(subs: Sequence[Subgroup], rows: int,
+                     cols: int) -> np.ndarray:
+    """Stack subgroups of a rows x cols product as 0/1 relation matrices."""
+    tensor = np.zeros((len(subs), rows * cols), dtype=np.float32)
+    for i, S in enumerate(subs):
+        tensor[i, S.elements] = 1
+    return tensor.reshape(len(subs), rows, cols)
+
+
+def compose_relations(Us: Sequence[Subgroup],
+                      Vs: Sequence[Subgroup]) -> np.ndarray:
+    """Relation composites of every U <= F x G in Us with every V <= G x H.
+
+    Returns a uint8 array of shape (len(Us), len(Vs), bytes): entry
+    [i, j] is the membership row of Us[i] * Vs[j] in element order
+    f * |H| + h, packed little-endian, so ``int.from_bytes(row, "little")``
+    is the subgroup mask.  All composites come from one matrix product,
+    taken over chunks of Us of at most COMPOSE_BUDGET output elements.
+    """
+    if not Us or not Vs:
+        raise ValueError("nothing to compose")
+    PU = product_of(Us[0])
+    PV = product_of(Vs[0])
+    if any(U.parent is not PU.group for U in Us) \
+            or any(V.parent is not PV.group for V in Vs):
+        raise ValueError("each side must live in a single product")
     if PU.right is not PV.left:
         raise FactorMismatch(
             f"middle factors differ: {PU.right.label} vs {PV.left.label}")
-    mid = PU.right.order
-    by_mid_left: dict = {}
-    for x in U.elements:
-        u, a = divmod(x, mid)
-        by_mid_left.setdefault(a, []).append(u)
-    hn = PV.right.order
-    by_mid_right: dict = {}
-    for y in V.elements:
-        a, w = divmod(y, hn)
-        by_mid_right.setdefault(a, []).append(w)
-    info = direct_product(PU.left, PV.right)
-    elements = set()
-    for a, us in by_mid_left.items():
-        ws = by_mid_right.get(a)
-        if not ws:
-            continue
-        for u in us:
-            base = u * hn
-            for w in ws:
-                elements.add(base + w)
-    return Subgroup(info.group, elements, check=True)
+    fn, gn, hn = PU.left.order, PU.right.order, PV.right.order
+    n, m = len(Us), len(Vs)
+    right = _relation_tensor(Vs, gn, hn).transpose(1, 0, 2).reshape(gn, m * hn)
+    out = np.empty((n, m, (fn * hn + 7) // 8), dtype=np.uint8)
+    step = max(1, COMPOSE_BUDGET // (fn * m * hn))
+    for lo in range(0, n, step):
+        left = _relation_tensor(Us[lo:lo + step], fn, gn)
+        c = len(left)
+        related = (left.reshape(c * fn, gn) @ right) > 0
+        rows = related.reshape(c, fn, m, hn).transpose(0, 2, 1, 3)
+        out[lo:lo + c] = np.packbits(rows.reshape(c, m, fn * hn), axis=-1,
+                                     bitorder="little")
+    return out
+
+
+def composite_subgroup(group: FiniteGroup, row: np.ndarray) -> Subgroup:
+    """The subgroup whose packed membership row is row, closure checked."""
+    elements = np.flatnonzero(np.unpackbits(row, bitorder="little"))
+    return Subgroup(group, elements, check=True)
+
+
+def star_product(U: Subgroup, V: Subgroup) -> Subgroup:
+    """Relation composition of U <= F x G and V <= G x H inside F x H."""
+    row = compose_relations([U], [V])[0, 0]
+    info = direct_product(product_of(U).left, product_of(V).right)
+    return composite_subgroup(info.group, row)
 
 
 def twisted_diagonal(G: FiniteGroup, phi: GroupHom) -> Subgroup:

@@ -8,6 +8,7 @@ the acceptance tests drive the same scans at fixed selections.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -53,6 +54,8 @@ from .homoracle import (
 from .products import (
     DEFAULT_PRODUCT_CAP,
     SCAN_CAP,
+    compose_relations,
+    composite_subgroup,
     contains_twisted_diagonal,
     diagonal,
     direct_product,
@@ -60,8 +63,8 @@ from .products import (
     goursat_quintuple,
     goursat_quotient,
     is_section,
+    product_of,
     projections_kernels,
-    star_product,
     subdirect_by_scan,
     subgroup_from_quintuple,
 )
@@ -91,9 +94,10 @@ class CheckContext:
     """Shared scan state: the selection plus cached enumerations.
 
     Every subgroup the context hands out is interned by (parent, mask),
-    and :meth:`star` resolves a composite to the interned subgroup with
-    the same elements, so projections, Goursat data and sections are
-    computed once per subgroup rather than once per composition.
+    and :meth:`star_block` resolves each composite to the interned
+    subgroup with the same elements, so projections, Goursat data and
+    sections are computed once per subgroup rather than once per
+    composition.
     """
 
     def __init__(self, groups: Iterable[FiniteGroup], *,
@@ -109,10 +113,31 @@ class CheckContext:
         known = self._known
         return [known.setdefault((id(U.parent), U.mask), U) for U in subs]
 
+    def star_block(self, Us: list, Vs: list):
+        """(U, V, U*V) for every U in Us and V in Vs, row by row.
+
+        One compose_relations call makes the whole block.  Each composite
+        is the interned subgroup with its mask; on a miss it is built
+        fresh with its closure checked, and not interned.  Its home F x H
+        is built under the context's product cap.
+        """
+        if not Us or not Vs:
+            return
+        rows = compose_relations(Us, Vs)
+        group = direct_product(product_of(Us[0]).left, product_of(Vs[0]).right,
+                               max_order=self.product_cap).group
+        known = self._known
+        home = id(group)
+        for U, U_rows in zip(Us, rows):
+            for V, row in zip(Vs, U_rows):
+                W = known.get((home, int.from_bytes(row, "little")))
+                if W is None:
+                    W = composite_subgroup(group, row)
+                yield U, V, W
+
     def star(self, U: Subgroup, V: Subgroup) -> Subgroup:
-        """star_product(U, V), as the interned subgroup when there is one."""
-        W = star_product(U, V)
-        return self._known.get((id(W.parent), W.mask), W)
+        """U*V, as the interned subgroup when there is one."""
+        return next(self.star_block([U], [V]))[2]
 
     def pairs(self) -> list:
         return [(G, H) for G in self.groups for H in self.groups
@@ -161,20 +186,25 @@ class CheckContext:
         d = diagonal(G)
         return [U for U in subs if d.is_subset_of(U)]
 
-    def composable_triples(self) -> list:
-        """(U, V) with U <= F x G, V <= G x H over the selection."""
-        out = []
+    def composable_triples(self):
+        """(U, V, U*V) with U <= F x G, V <= G x H subdirect.
+
+        One block per (F, G, H).  A composite of subdirect products is
+        subdirect, so the subdirect products of F x H are enumerated
+        first and every composite is an interned subgroup.
+        """
+        cap = self.product_cap
         for F in self.groups:
             for G in self.groups:
-                if F.order * G.order > self.product_cap:
+                if F.order * G.order > cap:
                     continue
                 for H in self.groups:
-                    if G.order * H.order > self.product_cap:
+                    if G.order * H.order > cap:
                         continue
-                    for U in self.subdirects(F, G):
-                        for V in self.subdirects(G, H):
-                            out.append((U, V))
-        return out
+                    if F.order * H.order <= cap:
+                        self.subdirects(F, H)
+                    yield from self.star_block(self.subdirects(F, G),
+                                               self.subdirects(G, H))
 
 
 def _run(name: str, cases: Iterable, fail_text: Callable) -> CheckResult:
@@ -379,9 +409,15 @@ def check_enumeration_vs_scan(ctx: CheckContext) -> CheckResult:
 
 def check_star_monotonicity(ctx: CheckContext) -> CheckResult:
     """k1 grows and p1 shrinks across a composition."""
+    def cases():
+        yield from ctx.composable_triples()
+        for G in ctx.squares():
+            if G.order * G.order <= SCAN_CAP:
+                lattice = ctx.lattice(G, G)
+                yield from ctx.star_block(lattice, lattice)
+
     def probe(case) -> Optional[str]:
-        U, V = case
-        W = ctx.star(U, V)
+        U, V, W = case
         dU = projections_kernels(U)
         dW = projections_kernels(W)
         if not dU.k1.is_subset_of(dW.k1):
@@ -390,20 +426,14 @@ def check_star_monotonicity(ctx: CheckContext) -> CheckResult:
             return "p1(U*V) not inside p1(U)"
         return None
 
-    cases = list(ctx.composable_triples())
-    for G in ctx.squares():
-        if G.order * G.order > SCAN_CAP:
-            continue
-        lattice = ctx.lattice(G, G)
-        cases += [(U, V) for U in lattice for V in lattice]
-    return _run("star-monotonicity", cases, probe)
+    return _run("star-monotonicity", cases(), probe)
 
 
 def check_section_relation(ctx: CheckContext) -> CheckResult:
     """q(U*V) is a section of q(U) and of q(V)."""
     def probe(case) -> Optional[str]:
-        U, V = case
-        qw = goursat_quotient(ctx.star(U, V))
+        U, V, W = case
+        qw = goursat_quotient(W)
         if not is_section(qw, goursat_quotient(U)):
             return f"q(U*V) of order {qw.order} not a section of q(U)"
         if not is_section(qw, goursat_quotient(V)):
@@ -416,11 +446,11 @@ def check_section_relation(ctx: CheckContext) -> CheckResult:
 def check_cyclic_sylow_functoriality(ctx: CheckContext) -> CheckResult:
     """All-cyclic-Sylow sections stay all-cyclic-Sylow under star."""
     def probe(case) -> Optional[str]:
-        U, V = case
+        U, V, W = case
         if not (has_cyclic_sylows(goursat_quotient(U))
                 and has_cyclic_sylows(goursat_quotient(V))):
             return None
-        if not has_cyclic_sylows(goursat_quotient(ctx.star(U, V))):
+        if not has_cyclic_sylows(goursat_quotient(W)):
             return "composite section lost the cyclic Sylow property"
         return None
 
@@ -433,20 +463,22 @@ def check_twisted_kernel_transport(ctx: CheckContext) -> CheckResult:
         for G in ctx.squares():
             pairs = ctx.diagonal_subgroups(G)
             for U, phi in pairs:
-                yield ("single", G, U, phi, None, None)
-            for U, phi in pairs:
-                for V, psi in pairs:
-                    yield ("pair", G, U, phi, V, psi)
+                yield ("single", G, U, phi, None, None, None)
+            subs = [U for U, _ in pairs]
+            twists = itertools.product([phi for _, phi in pairs], repeat=2)
+            for (phi, psi), (U, V, W) in zip(
+                    twists, ctx.star_block(subs, subs), strict=True):
+                yield ("pair", G, U, phi, V, psi, W)
 
     def probe(case) -> Optional[str]:
-        kind, G, U, phi, V, psi = case
+        kind, G, U, phi, V, psi, W = case
         dU = projections_kernels(U)
         if kind == "single":
             if phi.map_subgroup(dU.k1) != dU.k2:
                 return f"{G.label}: k2 is not the twist image of k1"
             return None
         dV = projections_kernels(V)
-        dW = projections_kernels(ctx.star(U, V))
+        dW = projections_kernels(W)
         want1 = set_product(dU.k1, phi.inverted().map_subgroup(dV.k1),
                             check=False)
         want2 = set_product(dV.k2, psi.map_subgroup(dU.k2), check=False)
@@ -552,15 +584,14 @@ def check_star_preservation(ctx: CheckContext) -> CheckResult:
         for G in ctx.squares():
             subs = [U for U in ctx.plain_diagonal_subgroups(G)
                     if is_extensible(U)]
-            for U in subs:
-                for V in subs:
-                    yield G, U, V
+            for U, V, W in ctx.star_block(subs, subs):
+                yield G, U, V, W
 
     def probe(case) -> Optional[str]:
-        G, U, V = case
+        G, U, V, W = case
         condition = (star_preservation_condition(U, V, side=1)
                      and star_preservation_condition(U, V, side=2))
-        actual = is_extensible(ctx.star(U, V))
+        actual = is_extensible(W)
         if condition != actual:
             return (f"{G.label}: condition {condition} but composite "
                     f"extensible={actual}")

@@ -2,11 +2,13 @@
 
 Everything here is deliberately naive: plain Python sets, no numpy, no
 reuse of the package's own closure or enumeration code.  Only feasible
-for the very small groups the tests use.  The two exceptions are
+for the very small groups the tests use.  The three exceptions are
 :func:`lattice_walk_is_section`, the direct section search that the
-catalogue behind ``is_section`` replaced, and
+catalogue behind ``is_section`` replaced,
 :func:`materialised_quotient`, the quotient route that the coset
-routine in ``subdirect.groups`` replaced; each is kept as the reference
+routine in ``subdirect.groups`` replaced, and
+:func:`dict_loop_composite`, the pairwise relation composition that the
+batched ``compose_relations`` replaced; each is kept as the reference
 for its replacement.
 """
 
@@ -191,3 +193,27 @@ def materialised_quotient(P, K):
     to_q = np.full(P.parent.order, -1)
     to_q[np.array(P.elements)] = qindex[rep]
     return table, to_q
+
+
+def dict_loop_composite(U, V) -> frozenset:
+    """Elements of U*V in F x H, joining U and V on the middle factor.
+
+    U <= F x G and V <= G x H are grouped by their middle coordinate in
+    plain dicts, and every matching pair (f, g), (g, h) gives f*|H| + h.
+    """
+    mid = U.parent.product_info.right.order
+    hn = V.parent.product_info.right.order
+    by_mid_left: dict = {}
+    for x in U.elements:
+        f, g = divmod(x, mid)
+        by_mid_left.setdefault(g, []).append(f)
+    by_mid_right: dict = {}
+    for y in V.elements:
+        g, h = divmod(y, hn)
+        by_mid_right.setdefault(g, []).append(h)
+    elements = set()
+    for g, fs in by_mid_left.items():
+        for f in fs:
+            for h in by_mid_right.get(g, ()):
+                elements.add(f * hn + h)
+    return frozenset(elements)

@@ -307,10 +307,13 @@ def test_10_kernel_transport_identities(capsys):
             dU = projections_kernels(U)
             assert phi.map_subgroup(dU.k1) == dU.k2
             cases += 1
-        for (U, phi), (V, psi) in itertools.product(pairs, pairs):
+        subs = [U for U, _ in pairs]
+        twists = itertools.product([phi for _, phi in pairs], repeat=2)
+        for (phi, psi), (U, V, W) in zip(twists, CTX.star_block(subs, subs),
+                                         strict=True):
             dU = projections_kernels(U)
             dV = projections_kernels(V)
-            dW = projections_kernels(CTX.star(U, V))
+            dW = projections_kernels(W)
             assert dW.k1 == set_product(
                 dU.k1, phi.inverted().map_subgroup(dV.k1), check=False)
             assert dW.k2 == set_product(
@@ -325,16 +328,15 @@ def test_11_composition_sections(capsys):
     for F, G, H in itertools.product(CATALOG, repeat=3):
         if F.order > 12 or G.order > 12 or H.order > 12:
             continue
-        for U in subdirects(F, G):
+        for U, V, W in CTX.star_block(subdirects(F, G), subdirects(G, H)):
             qu = goursat_quotient(U)
-            for V in subdirects(G, H):
-                qw = goursat_quotient(CTX.star(U, V))
-                qv = goursat_quotient(V)
-                assert is_section(qw, qu)
-                assert is_section(qw, qv)
-                if has_cyclic_sylows(qu) and has_cyclic_sylows(qv):
-                    assert has_cyclic_sylows(qw)
-                cases += 1
+            qv = goursat_quotient(V)
+            qw = goursat_quotient(W)
+            assert is_section(qw, qu)
+            assert is_section(qw, qv)
+            if has_cyclic_sylows(qu) and has_cyclic_sylows(qv):
+                assert has_cyclic_sylows(qw)
+            cases += 1
     report(capsys, "11 composition sections and Sylow closure", cases)
 
 

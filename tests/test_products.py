@@ -16,6 +16,7 @@ from subdirect import (
     center,
     certify,
     commutator_subgroup,
+    compose_relations,
     contains_twisted_diagonal,
     cyclic,
     diagonal,
@@ -38,6 +39,7 @@ from subdirect import (
     symmetric,
     twisted_diagonal,
 )
+import subdirect.products as products
 from subdirect.groups import all_subgroups
 from subdirect.presets import _small_registry
 from subdirect.products import product_of, projections_kernels
@@ -221,6 +223,48 @@ def test_star_requires_matching_middle():
     V = diagonal(cyclic(2))
     with pytest.raises(FactorMismatch):
         star_product(U, V)
+
+
+def _lattice(G, H):
+    return all_subgroups(direct_product(G, H).group)
+
+
+def _composition_blocks():
+    """Square lattice blocks and non-square subdirect and lattice blocks."""
+    C2, C4, S3 = cyclic(2), cyclic(4), symmetric(3)
+    for G in (C4, elementary_abelian(2, 2), S3):
+        yield _lattice(G, G), _lattice(G, G)
+    yield enumerate_subdirect(C2, C4), enumerate_subdirect(C4, S3)
+    yield _lattice(C2, C4), _lattice(C4, S3)
+
+
+def _assert_block_matches_dict_loop(Us, Vs):
+    rows = compose_relations(Us, Vs)
+    assert rows.shape[:2] == (len(Us), len(Vs))
+    for U, U_rows in zip(Us, rows):
+        for V, row in zip(Vs, U_rows):
+            want = sum(1 << x for x in helpers.dict_loop_composite(U, V))
+            assert int.from_bytes(row, "little") == want
+
+
+def test_compose_relations_matches_dict_loop():
+    for Us, Vs in _composition_blocks():
+        _assert_block_matches_dict_loop(Us, Vs)
+
+
+def test_compose_relations_in_one_row_chunks(monkeypatch):
+    monkeypatch.setattr(products, "COMPOSE_BUDGET", 1)
+    for Us, Vs in _composition_blocks():
+        _assert_block_matches_dict_loop(Us, Vs)
+
+
+def test_compose_relations_requires_matching_middle():
+    S3, C2 = symmetric(3), cyclic(2)
+    with pytest.raises(FactorMismatch):
+        compose_relations(_lattice(S3, S3), _lattice(C2, C2))
+    with pytest.raises(FactorMismatch):
+        compose_relations(enumerate_subdirect(C2, S3),
+                          enumerate_subdirect(C2, C2))
 
 
 def test_star_order_identity():

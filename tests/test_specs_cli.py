@@ -378,6 +378,16 @@ def test_cli_verify_above_order_64_exits_0(capsys):
     assert "cap exceeded" not in err
 
 
+def test_cli_verify_caps_the_composite_home(capsys):
+    # C9 x C2 and C2 x C9 are within the cap; their composites live in
+    # C9 x C9, which is not.  C9 is not a catalog group, so this run
+    # builds its own C9 and no earlier product is cached.
+    code, out, err = run_cli(capsys, "verify", "--G", "C2,C9",
+                             "--max-order", "18")
+    assert code == 3
+    assert "product order 81 above cap 18" in err
+
+
 def test_cli_verify_rejects_bad_table(capsys, tmp_path):
     table = [[(i + j) % 6 for j in range(6)] for i in range(6)]
     table[3][4] = table[3][3]
@@ -431,6 +441,17 @@ def test_cli_bad_prime_exits_2(capsys):
     code, out, err = run_cli(capsys, "analyze", "--G", "S3",
                              "--U", "diagonal", "--prime", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--G", "S3", "--U", "full", "--prime", "4"),
+    ("analyze", "--G", "S3", "--U", "full", "--pi", "4"),
+    ("subdirects", "--G", "S3", "--pi", "2,9"),
+], ids=["prime-4", "pi-4", "pi-2-9"])
+def test_cli_composite_prime_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "is not a prime" in err
 
 
 def test_cli_diagonal_on_mixed_factors_exits_2(capsys):

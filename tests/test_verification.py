@@ -2,9 +2,13 @@
 
 import pytest
 
+import helpers
+
 import subdirect.homoracle as homoracle
+import subdirect.verification as verification
 from subdirect import (
     CheckContext,
+    Subgroup,
     catalog_group,
     diagonal,
     run_checks,
@@ -19,8 +23,12 @@ def ctx():
 
 
 def test_star_matches_star_product(ctx):
-    for U, V in ctx.composable_triples():
-        assert ctx.star(U, V) == star_product(U, V)
+    """Block composites, ctx.star and star_product against the dict loop."""
+    for U, V, W in ctx.composable_triples():
+        want = helpers.dict_loop_composite(U, V)
+        assert set(W.elements) == want
+        assert ctx.star(U, V) is W
+        assert set(star_product(U, V).elements) == want
 
 
 def test_star_of_subdirects_is_the_enumerated_object(ctx):
@@ -108,3 +116,44 @@ def test_fiber_uniformity_builds_one_matrix_per_case(monkeypatch):
     result = check_fiber_uniformity(ctx)
     assert result.passed
     assert len(built) == result.checked == CASE_COUNTS["fiber-uniformity"]
+
+
+COMPOSING_CHECKS = ("star-monotonicity", "section-relation",
+                    "cyclic-sylow-functoriality", "twisted-kernel-transport",
+                    "star-preservation")
+
+
+def test_composing_checks_compose_once_per_block(monkeypatch):
+    ctx = CheckContext([catalog_group(n) for n in ("C2", "C3", "S3")])
+    blocks = []
+    real_compose = verification.compose_relations
+
+    def compose(Us, Vs):
+        blocks.append(len(Us) * len(Vs))
+        return real_compose(Us, Vs)
+
+    checked = []
+    real_init = Subgroup.__init__
+
+    def init(self, parent, elements, *, check=True):
+        real_init(self, parent, elements, check=check)
+        if check and parent.product_info is not None:
+            checked.append(self)
+
+    monkeypatch.setattr(verification, "compose_relations", compose)
+    monkeypatch.setattr(Subgroup, "__init__", init)
+    for res in run_checks(ctx, COMPOSING_CHECKS[:4]):
+        assert res.passed, res.line()
+    # One block per (F, G, H) in each of three checks, one lattice block
+    # per square in star-monotonicity and one block of diagonal pairs
+    # per square in twisted-kernel-transport, whose other cases are the
+    # single subgroups that twisted-kernel-identity also counts.
+    assert len(blocks) == 3 * 27 + 3 + 3
+    pairs = sum(CASE_COUNTS[name] for name in COMPOSING_CHECKS[:4])
+    assert sum(blocks) == pairs - CASE_COUNTS["twisted-kernel-identity"]
+    assert checked == []
+
+    del blocks[:]
+    res = run_checks(ctx, ["star-preservation"])[0]
+    assert res.passed and res.checked == CASE_COUNTS["star-preservation"]
+    assert len(blocks) == 3 and sum(blocks) == res.checked
