@@ -51,6 +51,17 @@ INPUT_ERRORS = (ParseError, NotAGroup, NotAutomorphism, NotNormal,
                 PreconditionFailed, NotSubdirect)
 
 
+def _order_cap(text: str) -> int:
+    """A --max-order value: a positive integer, else exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, *, needs_pair: bool) -> None:
     if needs_pair:
         sub.add_argument("--G", required=True, metavar="SPEC",
@@ -63,9 +74,10 @@ def _add_common(sub: argparse.ArgumentParser, *, needs_pair: bool) -> None:
                      help="single prime to decide (same as --pi P)")
     sub.add_argument("--out", metavar="PATH",
                      help="write a line-oriented JSON report here")
-    sub.add_argument("--max-order", type=int, default=DEFAULT_PRODUCT_CAP,
-                     metavar="N", help="largest product the command may "
-                     "build, including the G x G of star "
+    sub.add_argument("--max-order", type=_order_cap,
+                     default=DEFAULT_PRODUCT_CAP, metavar="N",
+                     help="largest product the command may build, "
+                     "including the G x G of star "
                      f"(default {DEFAULT_PRODUCT_CAP})")
     sub.add_argument("--raw-oracle", action="store_true",
                      help="cross-check with the exhaustive value-table hom "
@@ -106,8 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "spec, including @file")
     p.add_argument("--out", metavar="PATH",
                    help="write one JSON object per check here")
-    p.add_argument("--max-order", type=int, default=DEFAULT_PRODUCT_CAP,
-                   metavar="N", help="largest allowed |G x H| in the sweeps")
+    p.add_argument("--max-order", type=_order_cap,
+                   default=DEFAULT_PRODUCT_CAP, metavar="N",
+                   help="largest allowed |G x H| in the sweeps")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("catalog", help="list built-in groups and presets")

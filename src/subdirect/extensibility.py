@@ -247,11 +247,13 @@ def _require_diagonal_pair(U: Subgroup, V: Subgroup) -> FiniteGroup:
     return G
 
 
-def star_preservation_condition(U: Subgroup, V: Subgroup, side: int = 1) -> bool:
+def star_preservation_condition(U: Subgroup, V: Subgroup, side: int = 1, *,
+                                composite: Optional[Subgroup] = None) -> bool:
     """k_i(U*V) cap G' = (k_i(U) cap G') (k_i(V) cap G').
 
     Defined for extensible U, V containing the untwisted diagonal; the
-    condition holds exactly when U*V is extensible again.
+    condition holds exactly when U*V is extensible again.  ``composite``
+    is U*V when the caller has already formed it.
     """
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
@@ -259,7 +261,7 @@ def star_preservation_condition(U: Subgroup, V: Subgroup, side: int = 1) -> bool
     if not (is_extensible(U) and is_extensible(V)):
         raise PreconditionFailed("both inputs must be extensible")
     Gp = commutator_subgroup(G)
-    W = star_product(U, V)
+    W = star_product(U, V) if composite is None else composite
     dU = projections_kernels(U)
     dV = projections_kernels(V)
     dW = projections_kernels(W)
@@ -285,9 +287,13 @@ class StarKernelQuotientOrders:
     right_inner: int
 
 
-def star_kernel_quotient_orders(U: Subgroup, V: Subgroup) -> StarKernelQuotientOrders:
+def star_kernel_quotient_orders(U: Subgroup, V: Subgroup, *,
+                                composite: Optional[Subgroup] = None
+                                ) -> StarKernelQuotientOrders:
+    """The orders of :class:`StarKernelQuotientOrders` for U*V, which
+    ``composite`` gives when the caller has already formed it."""
     _require_diagonal_pair(U, V)
-    W = star_product(U, V)
+    W = star_product(U, V) if composite is None else composite
     dU = projections_kernels(U)
     dV = projections_kernels(V)
     kcW = kernel_commutator_data(W)

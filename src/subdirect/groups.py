@@ -181,7 +181,7 @@ def from_cayley_table(table: Sequence[Sequence[int]], label: str = "G") -> Finit
         sigma = np.arange(n)
         sigma[0], sigma[identity] = identity, 0
         relabel = sigma  # involution, so sigma doubles as its inverse
-        arr = relabel[arr[np.ix_(sigma, sigma)]]
+        arr = relabel[arr[sigma[:, None], sigma]]
     return FiniteGroup(arr, label=label, validate=True)
 
 
@@ -257,7 +257,7 @@ class Subgroup:
         self._cache = {}
         if check:
             arr = np.array(elems)
-            prods = parent.product[np.ix_(arr, arr)]
+            prods = parent.product[arr[:, None], arr]
             if _mask_of(np.unique(prods)) | self.mask != self.mask:
                 raise ValueError("element set is not closed under products")
             if _mask_of(np.unique(parent.inverse[arr])) | self.mask != self.mask:
@@ -300,7 +300,7 @@ class Subgroup:
         arr = np.array(self.elements)
         pos = np.full(parent.order, -1, dtype=_DTYPE)
         pos[arr] = np.arange(len(arr))
-        table = pos[parent.product[np.ix_(arr, arr)]]
+        table = pos[parent.product[arr[:, None], arr]]
         grp = FiniteGroup(table, label=f"{parent.label}[{self.order}]",
                           validate=False)
         return grp, GroupHom(grp, parent, arr, check=False)
@@ -314,36 +314,45 @@ def _mask_of(elems) -> int:
 
 
 def _mask_elements(mask: int) -> tuple:
-    out = []
-    e = 0
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return tuple(out)
+    return tuple(e for e, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
-def _closure_elements(G: FiniteGroup, seed: Iterable[int]) -> tuple:
-    """Smallest product-closed set containing the identity and the seed."""
-    elems = np.unique(np.fromiter((int(x) for x in (0, *seed)), dtype=np.int64))
-    while True:
-        prods = G.product[np.ix_(elems, elems)]
-        merged = np.unique(prods)
-        if merged.size == elems.size:
-            return tuple(int(x) for x in merged)
-        elems = merged
+def _closure(G: FiniteGroup, seed: Iterable[int]) -> tuple[tuple, tuple]:
+    """Sorted elements of <seed>, and the seed elements adopted as
+    generators: those not yet generated when the walk reaches them.  The
+    set stays closed under right multiplication by every generator, so
+    old elements meet only the new one and new elements meet them all."""
+    have = {0}
+    gens: list[int] = []
+    cols: list[list] = []
+    for s in seed:
+        s = int(s)
+        if s in have:
+            continue
+        gens.append(s)
+        cols.append(G.product[:, s].tolist())
+        frontier, step = list(have), cols[-1:]
+        while frontier:
+            fresh = []
+            for col in step:
+                for x in frontier:
+                    y = col[x]
+                    if y not in have:
+                        have.add(y)
+                        fresh.append(y)
+            frontier, step = fresh, cols
+    return tuple(sorted(have)), tuple(gens)
 
 
 def subgroup_generated(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    return Subgroup(G, _closure_elements(G, seed), check=False)
+    return Subgroup(G, _closure(G, seed)[0], check=False)
 
 
 def set_product(A: Subgroup, B: Subgroup, *, check: bool = True) -> Subgroup:
     """The product set {a*b}; a subgroup whenever one factor is normal."""
     if A.parent is not B.parent:
         raise ValueError("subgroups of different parents")
-    prods = A.parent.product[np.ix_(np.array(A.elements), np.array(B.elements))]
+    prods = A.parent.product[np.array(A.elements)[:, None], np.array(B.elements)]
     return Subgroup(A.parent, np.unique(prods), check=check)
 
 
@@ -354,7 +363,7 @@ def mutual_commutator(X: Subgroup, Y: Subgroup) -> Subgroup:
         raise ValueError("subgroups of different parents")
     xa = np.array(X.elements)
     ya = np.array(Y.elements)
-    t = G.product[np.ix_(G.inverse[xa], G.inverse[ya])]
+    t = G.product[G.inverse[xa][:, None], G.inverse[ya]]
     t = G.product[t, xa[:, None]]
     t = G.product[t, ya[None, :]]
     return subgroup_generated(G, np.unique(t))
@@ -374,13 +383,7 @@ def center(G: FiniteGroup) -> Subgroup:
 @memoised("gens")
 def generating_sequence(G: FiniteGroup) -> tuple:
     """Greedy generators: repeatedly the smallest element not yet generated."""
-    chosen: list[int] = []
-    have = {0}
-    while len(have) < G.order:
-        x = next(i for i in range(1, G.order) if i not in have)
-        chosen.append(x)
-        have = set(_closure_elements(G, chosen))
-    return tuple(chosen)
+    return _closure(G, range(G.order))[1]
 
 
 def _coset_minima(P: Subgroup, K: Subgroup) -> tuple[np.ndarray, bool]:
@@ -394,8 +397,8 @@ def _coset_minima(P: Subgroup, K: Subgroup) -> tuple[np.ndarray, bool]:
     table = P.parent.product
     ps = np.array(P.elements)
     ks = np.array(K.elements)
-    least = table[np.ix_(ps, ks)].min(axis=1)
-    return least, bool((least == table[np.ix_(ks, ps)].min(axis=0)).all())
+    least = table[ps[:, None], ks].min(axis=1)
+    return least, bool((least == table[ks[:, None], ps].min(axis=0)).all())
 
 
 def is_normal(N: Subgroup) -> bool:
@@ -411,7 +414,7 @@ def _quotient(P: Subgroup, K: Subgroup, name: str) -> tuple[FiniteGroup, np.ndar
     reps, coset = np.unique(least, return_inverse=True)
     to_q = np.full(P.parent.order, -1, dtype=_DTYPE)
     to_q[np.array(P.elements)] = coset
-    qtable = to_q[P.parent.product[np.ix_(reps, reps)]]
+    qtable = to_q[P.parent.product[reps[:, None], reps]]
     return FiniteGroup(qtable, label=f"{name}/{K.order}", validate=False), to_q
 
 
@@ -484,21 +487,15 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     orders = G.element_orders()
     while P.order < target:
         arr = np.array(P.elements)
-        grown = None
         for x in range(G.order):
-            if x in P:
-                continue
             o = int(orders[x])
-            if p_part(o, (p,)) != o:
+            if x in P or p_part(o, (p,)) != o:
                 continue
-            conj = G.product[G.product[G.inverse[x], arr], x]
-            if _mask_of(conj) != P.mask:
-                continue
-            grown = subgroup_generated(G, (*P.elements, x))
-            break
-        if grown is None:
+            if _mask_of(G.product[G.product[G.inverse[x], arr], x]) == P.mask:
+                P = subgroup_generated(G, (*P.elements, x))
+                break
+        else:
             raise InternalInconsistency("Sylow growth stalled below the p-part")
-        P = grown
     if p_part(P.order, (p,)) != P.order:
         raise InternalInconsistency("Sylow candidate is not a p-group")
     return P

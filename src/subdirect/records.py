@@ -222,8 +222,10 @@ def star_analysis(U: Subgroup, V: Subgroup, primes=None, *,
         if (d.is_subset_of(U) and d.is_subset_of(V)
                 and is_extensible(U) and is_extensible(V)):
             condition = {
-                "side1": star_preservation_condition(U, V, side=1),
-                "side2": star_preservation_condition(U, V, side=2),
+                "side1": star_preservation_condition(U, V, side=1,
+                                                     composite=W),
+                "side2": star_preservation_condition(U, V, side=2,
+                                                     composite=W),
             }
     star["preservation_condition"] = condition
     record.star = star

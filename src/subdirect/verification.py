@@ -589,8 +589,9 @@ def check_star_preservation(ctx: CheckContext) -> CheckResult:
 
     def probe(case) -> Optional[str]:
         G, U, V, W = case
-        condition = (star_preservation_condition(U, V, side=1)
-                     and star_preservation_condition(U, V, side=2))
+        condition = (star_preservation_condition(U, V, side=1, composite=W)
+                     and star_preservation_condition(U, V, side=2,
+                                                     composite=W))
         actual = is_extensible(W)
         if condition != actual:
             return (f"{G.label}: condition {condition} but composite "
@@ -605,14 +606,13 @@ def check_star_kernel_sections(ctx: CheckContext) -> CheckResult:
     def cases():
         for G in ctx.squares():
             subs = ctx.plain_diagonal_subgroups(G)
-            for U in subs:
-                for V in subs:
-                    yield G, U, V
+            for U, V, W in ctx.star_block(subs, subs):
+                yield G, U, V, W
 
     def probe(case) -> Optional[str]:
-        G, U, V = case
+        G, U, V, W = case
         try:
-            star_kernel_quotient_orders(U, V)
+            star_kernel_quotient_orders(U, V, composite=W)
         except SubdirectError as exc:
             return f"{G.label}: {exc}"
         return None

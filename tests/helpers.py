@@ -9,7 +9,10 @@ catalogue behind ``is_section`` replaced,
 routine in ``subdirect.groups`` replaced, and
 :func:`dict_loop_composite`, the pairwise relation composition that the
 batched ``compose_relations`` replaced; each is kept as the reference
-for its replacement.
+for its replacement.  Likewise :func:`squaring_closure` and
+:func:`greedy_generating_sequence` are the set-squaring closure and the
+greedy generator loop that the incremental closure in
+``subdirect.groups`` replaced.
 """
 
 from __future__ import annotations
@@ -217,3 +220,26 @@ def dict_loop_composite(U, V) -> frozenset:
             for h in by_mid_right.get(g, ()):
                 elements.add(f * hn + h)
     return frozenset(elements)
+
+
+def squaring_closure(G, seed) -> tuple:
+    """Sorted elements of <seed>: square the whole set until it stops
+    growing."""
+    import numpy as np
+
+    elems = np.unique(np.fromiter((int(x) for x in (0, *seed)), dtype=np.int64))
+    while True:
+        merged = np.unique(G.product[np.ix_(elems, elems)])
+        if merged.size == elems.size:
+            return tuple(int(x) for x in merged)
+        elems = merged
+
+
+def greedy_generating_sequence(G) -> tuple:
+    """Repeatedly adopt the smallest element not yet generated."""
+    chosen: list = []
+    have = {0}
+    while len(have) < G.order:
+        chosen.append(next(i for i in range(1, G.order) if i not in have))
+        have = set(squaring_closure(G, chosen))
+    return tuple(chosen)

@@ -5,6 +5,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 
@@ -17,6 +18,8 @@ from subdirect import (
     abelianization,
     alternating,
     automorphisms,
+    catalog_group,
+    catalog_names,
     center,
     commutator_subgroup,
     contains_twisted_diagonal,
@@ -255,6 +258,44 @@ def test_quotients_match_the_materialised_route(G):
     assert normal_pairs >= len(subgroups)
     for N in subgroups:
         assert is_normal(N) == helpers.brute_is_normal(G, N.elements)
+
+
+def _commutator_seed(G, X, Y) -> np.ndarray:
+    mul = helpers.mul_table(G)
+    inv = [int(G.inverse[x]) for x in range(G.order)]
+    return np.unique([mul[mul[inv[x]][inv[y]]][mul[x][y]]
+                      for x in X.elements for y in Y.elements])
+
+
+@pytest.mark.parametrize("G", _COSET_GROUPS, ids=lambda G: G.label)
+def test_closure_matches_the_squaring_route(G):
+    seeds = [(x,) for x in range(G.order)]
+    seeds += itertools.product(range(G.order), repeat=2)
+    for seed in seeds:
+        assert subgroup_generated(G, seed).elements == \
+            helpers.squaring_closure(G, seed)
+    subgroups = all_subgroups(G)
+    for X in subgroups:
+        for Y in subgroups:
+            seed = _commutator_seed(G, X, Y)
+            want = helpers.squaring_closure(G, seed)
+            assert subgroup_generated(G, seed).elements == want
+            assert mutual_commutator(X, Y).elements == want
+    assert generating_sequence(G) == helpers.greedy_generating_sequence(G)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_closure_is_the_generated_subgroup(data):
+    G = catalog_group(data.draw(st.sampled_from(catalog_names())))
+    seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=8))
+    seed = data.draw(st.permutations(seed + seed[:2] + [0]))
+    elems = subgroup_generated(G, seed).elements
+    have = set(elems)
+    assert have >= set(seed)
+    assert all(int(G.product[a, b]) in have for a in elems for b in elems)
+    assert all(int(G.inverse[a]) in have for a in elems)
+    assert elems == helpers.squaring_closure(G, seed)
 
 
 def test_kernel_not_normal_in_point_stabiliser():

@@ -454,6 +454,20 @@ def test_cli_composite_prime_exits_2(capsys, argv):
     assert "is not a prime" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--G", "S3", "--U", "full"),
+    ("subdirects", "--G", "S3"),
+    ("star", "--G", "S3", "--U", "diagonal", "--V", "diagonal"),
+    ("verify", "--G", "C2"),
+], ids=["analyze", "subdirects", "star", "verify"])
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_cli_non_positive_max_order_exits_2(capsys, argv, cap):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-order", cap])
+    assert exc.value.code == 2
+    assert "--max-order: must be positive" in capsys.readouterr().err
+
+
 def test_cli_diagonal_on_mixed_factors_exits_2(capsys):
     code, out, err = run_cli(capsys, "analyze", "--G", "S3", "--H", "C2",
                              "--U", "diagonal")

@@ -4,7 +4,9 @@ import pytest
 
 import helpers
 
+import subdirect.extensibility as extensibility
 import subdirect.homoracle as homoracle
+import subdirect.products as products
 import subdirect.verification as verification
 from subdirect import (
     CheckContext,
@@ -157,3 +159,21 @@ def test_composing_checks_compose_once_per_block(monkeypatch):
     res = run_checks(ctx, ["star-preservation"])[0]
     assert res.passed and res.checked == CASE_COUNTS["star-preservation"]
     assert len(blocks) == 3 and sum(blocks) == res.checked
+
+
+def test_star_checks_reuse_the_block_composite(monkeypatch):
+    calls = []
+    real = products.star_product
+
+    def counted(U, V):
+        calls.append((U, V))
+        return real(U, V)
+
+    monkeypatch.setattr(products, "star_product", counted)
+    monkeypatch.setattr(extensibility, "star_product", counted)
+    ctx = CheckContext([catalog_group(n) for n in ("C2", "C3", "S3")])
+    names = ["star-preservation", "star-kernel-sections"]
+    for res in run_checks(ctx, names):
+        assert res.passed, res.line()
+        assert res.checked == CASE_COUNTS[res.name]
+    assert calls == []
