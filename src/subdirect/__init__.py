@@ -78,7 +78,6 @@ from .homoracle import (
     oracle_is_p_extensible,
     raw_enumerate_homs,
     raw_oracle_is_p_extensible,
-    restriction_fiber_counts,
     restriction_kernel_fibers,
     restriction_kernel_image_sizes,
     restriction_map,

@@ -510,8 +510,13 @@ def is_cyclic(obj: Union[FiniteGroup, Subgroup]) -> bool:
 
 @memoised("cyclic_sylows")
 def has_cyclic_sylows(G: FiniteGroup) -> bool:
-    """Is every Sylow subgroup of G cyclic?"""
-    return all(is_cyclic(sylow_subgroup(G, p)) for p in prime_factors(G.order))
+    """Is every Sylow subgroup of G cyclic?
+
+    The Sylow p-subgroups are conjugate, so they are cyclic exactly when
+    some element has order p_part(|G|, p).
+    """
+    orders = set(G.element_orders().tolist())
+    return all(p_part(G.order, (p,)) in orders for p in prime_factors(G.order))
 
 
 # -- abelian invariants ------------------------------------------------------

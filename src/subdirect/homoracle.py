@@ -152,9 +152,9 @@ def _cyclic_homs(grp: FiniteGroup, m: int) -> list:
                           check=False)]
     _, proj = abelianization(grp)
     tables = _abelian_value_tables(proj.codomain, m)
-    homs = [CyclicHom(grp, m, t[proj.image], check=False) for t in tables]
-    homs.sort(key=lambda h: h.key())
-    return homs
+    # Cosets are numbered by their least elements, so pulling the sorted
+    # tables back along proj keeps them sorted.
+    return [CyclicHom(grp, m, t[proj.image], check=False) for t in tables]
 
 
 def hom_count_formula(divisors, m: int) -> int:
@@ -162,8 +162,7 @@ def hom_count_formula(divisors, m: int) -> int:
     return math.prod(math.gcd(int(d), m) for d in divisors)
 
 
-def raw_enumerate_homs(K: Union[FiniteGroup, Subgroup], m: int, *,
-                       limit: int = RAW_SEARCH_LIMIT) -> list:
+def raw_enumerate_homs(K: Union[FiniteGroup, Subgroup], m: int) -> list:
     """All homomorphisms by brute value-table search.
 
     Exponential in the group order; only usable for small inputs, and
@@ -172,8 +171,9 @@ def raw_enumerate_homs(K: Union[FiniteGroup, Subgroup], m: int, *,
     grp = _as_plain_group(K)
     n = grp.order
     total = m ** (n - 1) if n > 1 else 1
-    if total > limit:
-        raise OrderLimitExceeded(f"{m}**{n - 1} value tables exceed {limit}")
+    if total > RAW_SEARCH_LIMIT:
+        raise OrderLimitExceeded(
+            f"{m}**{n - 1} value tables exceed {RAW_SEARCH_LIMIT}")
     out = []
     for tail in itertools.product(range(m), repeat=n - 1):
         vals = np.array((0, *tail), dtype=np.int64)
@@ -240,11 +240,6 @@ def restriction_kernel_fibers(U: Subgroup, m: int) -> tuple[int, tuple]:
     _, counts = np.unique(flat, axis=0, return_counts=True)
     kernel = _checked_kernel(flat, counts.size)
     return kernel, tuple(sorted(int(c) for c in counts))
-
-
-def restriction_fiber_counts(U: Subgroup, m: int) -> tuple:
-    """Multiplicity of each distinct restricted hom, sorted ascending."""
-    return restriction_kernel_fibers(U, m)[1]
 
 
 def coefficient_modulus(U: Subgroup, p: int) -> int:

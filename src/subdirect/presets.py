@@ -137,28 +137,20 @@ def dicyclic12() -> FiniteGroup:
 
 # -- catalog and identification ----------------------------------------------
 
-_CATALOG_BUILDERS = {
-    "C2": lambda: cyclic(2),
-    "C3": lambda: cyclic(3),
-    "C4": lambda: cyclic(4),
-    "C2xC2": lambda: elementary_abelian(2, 2),
-    "C6": lambda: cyclic(6),
-    "S3": lambda: symmetric(3),
-    "D8": lambda: dihedral(8),
-    "Q8": quaternion8,
-}
+CATALOG_NAMES = ("C2", "C3", "C4", "C2xC2", "C6", "S3", "D8", "Q8")
 
 
 @functools.cache
 def catalog_group(name: str) -> FiniteGroup:
-    """Shared instances of the verification catalog groups."""
-    if name not in _CATALOG_BUILDERS:
+    """Shared instances of the verification catalog groups, built by the
+    registry's builders."""
+    if name not in CATALOG_NAMES:
         raise KeyError(f"unknown catalog group {name!r}")
-    return _CATALOG_BUILDERS[name]()
+    return dict(_REGISTRY_BUILDERS)[name]()
 
 
 def catalog_names() -> tuple:
-    return tuple(_CATALOG_BUILDERS)
+    return CATALOG_NAMES
 
 
 def preset_descriptions() -> tuple:

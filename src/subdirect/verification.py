@@ -2,25 +2,27 @@
 
 Each check sweeps one library invariant over every applicable case built
 from the selected groups and reports how many cases it covered.  The
-verify command runs all of them and fails on the first false result;
-the acceptance tests drive the same scans at fixed selections.
+verify command runs all of them; a check fails when any of its cases
+does.  The acceptance tests drive the same scans at fixed selections.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .errors import SubdirectError
+from .errors import OrderLimitExceeded, SubdirectError
 from .extensibility import (
     build_report,
     central_inextensibility,
     cyclic_sylow_sufficient,
     is_extensible,
     is_p_extensible,
+    kernel_commutator_data,
     obstruction_quotient,
     star_kernel_quotient_orders,
     star_preservation_condition,
@@ -68,6 +70,7 @@ from .products import (
     subdirect_by_scan,
     subgroup_from_quintuple,
 )
+from .records import AnalysisRecord, analyze_subgroup
 
 MAX_REPORTED_FAILURES = 5
 
@@ -166,11 +169,29 @@ class CheckContext:
             self._lattices[key] = self._intern(all_subgroups(info.group))
         return self._lattices[key]
 
+    def lattice_cases(self):
+        """(U,) for every subgroup U of G x H over the scan pairs."""
+        for G, H in self.scan_pairs():
+            for U in self.lattice(G, H):
+                yield (U,)
+
     def subdirect_cases(self):
         """(G, H, U) for every subdirect U over the selected pairs."""
         for G, H in self.pairs():
             for U in self.subdirects(G, H):
                 yield G, H, U
+
+    def prime_cases(self):
+        """(G, H, U, p) for every subdirect U and prime p dividing |G x H|."""
+        for G, H, U in self.subdirect_cases():
+            for p in prime_factors(G.order * H.order):
+                yield G, H, U, p
+
+    def modulus_cases(self):
+        """(G, H, U, m) for every subdirect U, where m is the exponent of
+        G x H, the modulus that saturates every prime at once."""
+        for G, H, U in self.subdirect_cases():
+            yield G, H, U, math.lcm(G.exponent(), H.exponent())
 
     def diagonal_subgroups(self, G: FiniteGroup) -> list:
         """All U between some twisted diagonal and G x G, with witnesses."""
@@ -207,15 +228,28 @@ class CheckContext:
                                                self.subdirects(G, H))
 
 
-def _run(name: str, cases: Iterable, fail_text: Callable) -> CheckResult:
-    """Sweep cases; fail_text maps a case to None (ok) or a message."""
+def _run(name: str, cases: Iterable, probe: Callable) -> CheckResult:
+    """Sweep probe over cases, tuples of its arguments.
+
+    probe returns None (ok) or the reason a case fails.  Every failure
+    line is the case's label, the reprs of its groups, subgroups, homs
+    and integers, then the reason.  A SubdirectError the probe raises
+    fails its case and the sweep goes on, except OrderLimitExceeded: a
+    cap was exceeded, so no verdict exists.  Errors raised while the
+    cases are generated propagate.
+    """
     failures = []
     checked = 0
     for case in cases:
         checked += 1
-        msg = fail_text(case)
-        if msg is not None:
-            failures.append(msg)
+        try:
+            reason = probe(*case)
+        except SubdirectError as exc:
+            if isinstance(exc, OrderLimitExceeded):
+                raise
+            reason = f"{type(exc).__name__}: {exc}"
+        if reason is not None:
+            failures.append(f"{', '.join(map(repr, case))}: {reason}")
     return CheckResult(name, not failures, checked, failures)
 
 
@@ -223,15 +257,11 @@ def _run(name: str, cases: Iterable, fail_text: Callable) -> CheckResult:
 
 
 def check_group_axioms(ctx: CheckContext) -> CheckResult:
-    def probe(G: FiniteGroup) -> Optional[str]:
-        try:
-            G.validate()
-        except SubdirectError as exc:
-            return f"{G.label}: {exc}"
-        return None
+    def probe(G: FiniteGroup) -> None:
+        G.validate()
 
-    cases = list(ctx.groups)
-    cases += [direct_product(G, H).group for G, H in ctx.scan_pairs()]
+    cases = [(G,) for G in ctx.groups]
+    cases += [(direct_product(G, H).group,) for G, H in ctx.scan_pairs()]
     return _run("group-axioms", cases, probe)
 
 
@@ -239,22 +269,17 @@ def check_normal_product_commutator(ctx: CheckContext) -> CheckResult:
     """G' = <X', [X,Y], Y'> whenever X, Y are normal with XY = G."""
     def cases():
         for G in ctx.groups:
-            Gp = commutator_subgroup(G)
             for X in normal_subgroups(G):
                 for Y in normal_subgroups(G):
-                    if set_product(X, Y, check=False).order != G.order:
-                        continue
-                    yield G, Gp, X, Y
+                    if set_product(X, Y, check=False).order == G.order:
+                        yield G, X, Y
 
-    def probe(case) -> Optional[str]:
-        G, Gp, X, Y = case
-        Xg, _ = X.as_group()
-        Yg, _ = Y.as_group()
-        seed = set(X.elements[i] for i in commutator_subgroup(Xg).elements)
-        seed |= set(Y.elements[i] for i in commutator_subgroup(Yg).elements)
+    def probe(G, X, Y) -> Optional[str]:
+        seed = set(mutual_commutator(X, X).elements)
+        seed |= set(mutual_commutator(Y, Y).elements)
         seed |= set(mutual_commutator(X, Y).elements)
-        if subgroup_generated(G, seed) != Gp:
-            return f"{G.label}: X order {X.order}, Y order {Y.order}"
+        if subgroup_generated(G, seed) != commutator_subgroup(G):
+            return "<X', [X,Y], Y'> is not G'"
         return None
 
     return _run("normal-product-commutator", cases(), probe)
@@ -267,16 +292,15 @@ def check_quotient_commutator(ctx: CheckContext) -> CheckResult:
             for N in normal_subgroups(G):
                 yield G, N
 
-    def probe(case) -> Optional[str]:
-        G, N = case
+    def probe(G, N) -> Optional[str]:
         Gp = commutator_subgroup(G)
         Q, proj = quotient_group(G, N)
         derived = commutator_subgroup(Q)
         if derived != proj.map_subgroup(Gp):
-            return f"{G.label}/N(order {N.order}): wrong derived subgroup"
+            return "(G/N)' is not the image of G'"
         want = Gp.order // Gp.intersection(N).order
         if derived.order != want:
-            return f"{G.label}/N(order {N.order}): order {derived.order} != {want}"
+            return f"|(G/N)'| = {derived.order} != {want}"
         return None
 
     return _run("quotient-commutator", cases(), probe)
@@ -287,13 +311,15 @@ def check_abelianization_order(ctx: CheckContext) -> CheckResult:
         inv, _ = abelianization(G)
         want = G.order // commutator_subgroup(G).order
         if inv.order != want:
-            return f"{G.label}: divisor product {inv.order} != {want}"
+            return f"divisor product {inv.order} != {want}"
         return None
 
-    return _run("abelianization-order", ctx.groups, probe)
+    return _run("abelianization-order", [(G,) for G in ctx.groups], probe)
 
 
 def check_isomorphism_equivalence(ctx: CheckContext) -> CheckResult:
+    """Cases (a,), (a, b) and (a, b, c) test reflexivity, symmetry and
+    transitivity."""
     groups = ctx.groups
     rel = {}
     for a in groups:
@@ -302,24 +328,20 @@ def check_isomorphism_equivalence(ctx: CheckContext) -> CheckResult:
 
     def cases():
         for a in groups:
-            yield ("refl", a, a, a)
-        for a in groups:
-            for b in groups:
-                yield ("sym", a, b, b)
-        for a in groups:
-            for b in groups:
-                for c in groups:
-                    yield ("trans", a, b, c)
+            yield (a,)
+        yield from itertools.product(groups, repeat=2)
+        yield from itertools.product(groups, repeat=3)
 
-    def probe(case) -> Optional[str]:
-        kind, a, b, c = case
-        if kind == "refl" and not rel[(id(a), id(a))]:
-            return f"not reflexive at {a.label}"
-        if kind == "sym" and rel[(id(a), id(b))] != rel[(id(b), id(a))]:
-            return f"not symmetric at {a.label}, {b.label}"
-        if kind == "trans" and rel[(id(a), id(b))] and rel[(id(b), id(c))] \
+    def probe(a, b=None, c=None) -> Optional[str]:
+        if b is None:
+            return None if rel[(id(a), id(a))] else "not reflexive"
+        if c is None:
+            if rel[(id(a), id(b))] != rel[(id(b), id(a))]:
+                return "not symmetric"
+            return None
+        if rel[(id(a), id(b))] and rel[(id(b), id(c))] \
                 and not rel[(id(a), id(c))]:
-            return f"not transitive at {a.label}, {b.label}, {c.label}"
+            return "not transitive"
         return None
 
     return _run("isomorphism-equivalence", cases(), probe)
@@ -328,80 +350,53 @@ def check_isomorphism_equivalence(ctx: CheckContext) -> CheckResult:
 # -- product and quintuple checks ------------------------------------------------
 
 
-def _lattice_cases(ctx: CheckContext):
-    for G, H in ctx.scan_pairs():
-        info = direct_product(G, H)
-        for U in ctx.lattice(G, H):
-            yield info, U
-
-
 def check_goursat_roundtrip(ctx: CheckContext) -> CheckResult:
-    def probe(case) -> Optional[str]:
-        info, U = case
-        back = subgroup_from_quintuple(goursat_quintuple(U))
-        if back != U:
-            return f"{info.group.label}: order {U.order} roundtrip differs"
+    def probe(U: Subgroup) -> Optional[str]:
+        if subgroup_from_quintuple(goursat_quintuple(U)) != U:
+            return "roundtrip differs"
         return None
 
-    return _run("goursat-roundtrip", _lattice_cases(ctx), probe)
+    return _run("goursat-roundtrip", ctx.lattice_cases(), probe)
 
 
 def check_product_order_identity(ctx: CheckContext) -> CheckResult:
-    def probe(case) -> Optional[str]:
-        info, U = case
+    def probe(U: Subgroup) -> Optional[str]:
         d = projections_kernels(U)
         if U.order != d.p1.order * d.k2.order \
                 or U.order != d.p2.order * d.k1.order:
-            return f"{info.group.label}: order {U.order} breaks |U|=|p_i||k_j|"
+            return "breaks |U| = |p_i||k_j|"
         return None
 
-    return _run("product-order-identity", _lattice_cases(ctx), probe)
+    return _run("product-order-identity", ctx.lattice_cases(), probe)
 
 
 def check_commutator_projection(ctx: CheckContext) -> CheckResult:
     """p_i(U') equals (p_i(U))' for every product subgroup."""
-    def probe(case) -> Optional[str]:
-        info, U = case
-        Ug, embed = U.as_group()
-        Up = embed.map_subgroup(commutator_subgroup(Ug))
+    def probe(U: Subgroup) -> Optional[str]:
         d = projections_kernels(U)
-        dp = projections_kernels(Up)
-        p1g, _ = d.p1.as_group()
-        p2g, _ = d.p2.as_group()
-        want1 = set(d.p1.elements[i]
-                    for i in commutator_subgroup(p1g).elements)
-        want2 = set(d.p2.elements[i]
-                    for i in commutator_subgroup(p2g).elements)
-        if set(dp.p1.elements) != want1 or set(dp.p2.elements) != want2:
-            return f"{info.group.label}: order {U.order} projection mismatch"
+        dp = projections_kernels(mutual_commutator(U, U))
+        if dp.p1 != mutual_commutator(d.p1, d.p1) \
+                or dp.p2 != mutual_commutator(d.p2, d.p2):
+            return "p_i(U') is not p_i(U)'"
         return None
 
-    return _run("commutator-projection", _lattice_cases(ctx), probe)
+    return _run("commutator-projection", ctx.lattice_cases(), probe)
 
 
 def check_kernel_commutator_chain(ctx: CheckContext) -> CheckResult:
     """[k_i(U), p_i(U)] <= k_i(U') <= (p_i(U))' cap k_i(U)."""
-    from .extensibility import kernel_commutator_data
+    def probe(U: Subgroup) -> None:
+        kernel_commutator_data(U)
 
-    def probe(case) -> Optional[str]:
-        info, U = case
-        try:
-            kernel_commutator_data(U)
-        except SubdirectError as exc:
-            return f"{info.group.label}: order {U.order}: {exc}"
-        return None
-
-    return _run("kernel-commutator-chain", _lattice_cases(ctx), probe)
+    return _run("kernel-commutator-chain", ctx.lattice_cases(), probe)
 
 
 def check_enumeration_vs_scan(ctx: CheckContext) -> CheckResult:
-    def probe(case) -> Optional[str]:
-        G, H = case
+    def probe(G, H) -> Optional[str]:
         fast = {U.elements for U in ctx.subdirects(G, H)}
         slow = {U.elements for U in subdirect_by_scan(G, H)}
         if fast != slow:
-            return (f"{G.label} x {H.label}: enumeration {len(fast)} "
-                    f"vs scan {len(slow)}")
+            return f"enumeration {len(fast)} vs scan {len(slow)}"
         return None
 
     return _run("enumeration-vs-scan", ctx.scan_pairs(), probe)
@@ -416,8 +411,7 @@ def check_star_monotonicity(ctx: CheckContext) -> CheckResult:
                 lattice = ctx.lattice(G, G)
                 yield from ctx.star_block(lattice, lattice)
 
-    def probe(case) -> Optional[str]:
-        U, V, W = case
+    def probe(U, V, W) -> Optional[str]:
         dU = projections_kernels(U)
         dW = projections_kernels(W)
         if not dU.k1.is_subset_of(dW.k1):
@@ -431,8 +425,7 @@ def check_star_monotonicity(ctx: CheckContext) -> CheckResult:
 
 def check_section_relation(ctx: CheckContext) -> CheckResult:
     """q(U*V) is a section of q(U) and of q(V)."""
-    def probe(case) -> Optional[str]:
-        U, V, W = case
+    def probe(U, V, W) -> Optional[str]:
         qw = goursat_quotient(W)
         if not is_section(qw, goursat_quotient(U)):
             return f"q(U*V) of order {qw.order} not a section of q(U)"
@@ -445,8 +438,7 @@ def check_section_relation(ctx: CheckContext) -> CheckResult:
 
 def check_cyclic_sylow_functoriality(ctx: CheckContext) -> CheckResult:
     """All-cyclic-Sylow sections stay all-cyclic-Sylow under star."""
-    def probe(case) -> Optional[str]:
-        U, V, W = case
+    def probe(U, V, W) -> Optional[str]:
         if not (has_cyclic_sylows(goursat_quotient(U))
                 and has_cyclic_sylows(goursat_quotient(V))):
             return None
@@ -458,24 +450,27 @@ def check_cyclic_sylow_functoriality(ctx: CheckContext) -> CheckResult:
 
 
 def check_twisted_kernel_transport(ctx: CheckContext) -> CheckResult:
-    """k2(U) = phi(k1(U)) and the composite kernel product identities."""
+    """k2(U) = phi(k1(U)) and the composite kernel product identities.
+
+    Cases are (G, U, phi) for each diagonal-containing U with its twist,
+    then (G, U, phi, V, psi, U*V) for each pair of them.
+    """
     def cases():
         for G in ctx.squares():
             pairs = ctx.diagonal_subgroups(G)
             for U, phi in pairs:
-                yield ("single", G, U, phi, None, None, None)
+                yield G, U, phi
             subs = [U for U, _ in pairs]
             twists = itertools.product([phi for _, phi in pairs], repeat=2)
             for (phi, psi), (U, V, W) in zip(
                     twists, ctx.star_block(subs, subs), strict=True):
-                yield ("pair", G, U, phi, V, psi, W)
+                yield G, U, phi, V, psi, W
 
-    def probe(case) -> Optional[str]:
-        kind, G, U, phi, V, psi, W = case
+    def probe(G, U, phi, V=None, psi=None, W=None) -> Optional[str]:
         dU = projections_kernels(U)
-        if kind == "single":
+        if V is None:
             if phi.map_subgroup(dU.k1) != dU.k2:
-                return f"{G.label}: k2 is not the twist image of k1"
+                return "k2 is not the twist image of k1"
             return None
         dV = projections_kernels(V)
         dW = projections_kernels(W)
@@ -483,9 +478,9 @@ def check_twisted_kernel_transport(ctx: CheckContext) -> CheckResult:
                             check=False)
         want2 = set_product(dV.k2, psi.map_subgroup(dU.k2), check=False)
         if dW.k1 != want1:
-            return f"{G.label}: k1(U*V) != k1(U) phi^-1(k1(V))"
+            return "k1(U*V) != k1(U) phi^-1(k1(V))"
         if dW.k2 != want2:
-            return f"{G.label}: k2(U*V) != k2(V) psi(k2(U))"
+            return "k2(U*V) != k2(V) psi(k2(U))"
         return None
 
     return _run("twisted-kernel-transport", cases(), probe)
@@ -496,45 +491,32 @@ def check_twisted_kernel_transport(ctx: CheckContext) -> CheckResult:
 
 def check_side_symmetry(ctx: CheckContext) -> CheckResult:
     """is_extensible evaluates both kernel equalities and they agree."""
-    def probe(case) -> Optional[str]:
-        G, H, U = case
-        try:
-            is_extensible(U)
-        except SubdirectError as exc:
-            return f"{G.label} x {H.label}: {exc}"
-        return None
+    def probe(G, H, U) -> None:
+        is_extensible(U)
 
     return _run("side-symmetry", ctx.subdirect_cases(), probe)
 
 
 def check_oracle_agreement(ctx: CheckContext) -> CheckResult:
-    def cases():
-        for G, H, U in ctx.subdirect_cases():
-            for p in prime_factors(G.order * H.order):
-                yield G, H, U, p
-
-    def probe(case) -> Optional[str]:
-        G, H, U, p = case
+    def probe(G, H, U, p) -> Optional[str]:
         criterion = is_p_extensible(U, p)
         oracle = oracle_is_p_extensible(U, p)
         if criterion != oracle:
-            return (f"{G.label} x {H.label}, |U|={U.order}, p={p}: "
-                    f"criterion {criterion} vs oracle {oracle}")
+            return f"criterion {criterion} vs oracle {oracle}"
         return None
 
-    return _run("oracle-agreement", cases(), probe)
+    return _run("oracle-agreement", ctx.prime_cases(), probe)
 
 
 def check_sufficiency_soundness(ctx: CheckContext) -> CheckResult:
     """Shortcut verdicts never contradict the exact criterion."""
-    def probe(case) -> Optional[str]:
-        G, H, U = case
+    def probe(G, H, U) -> Optional[str]:
         exact = is_extensible(U)
         if cyclic_sylow_sufficient(U) and not exact:
-            return f"{G.label} x {H.label}: cyclic-Sylow fired on inextensible U"
+            return "cyclic-Sylow fired on inextensible U"
         if G is H and contains_twisted_diagonal(U) is not None:
             if central_inextensibility(U) is False and exact:
-                return f"{G.label}: central shortcut fired on extensible U"
+                return "central shortcut fired on extensible U"
         return None
 
     return _run("sufficiency-soundness", ctx.subdirect_cases(), probe)
@@ -542,38 +524,26 @@ def check_sufficiency_soundness(ctx: CheckContext) -> CheckResult:
 
 def check_obstruction_soundness(ctx: CheckContext) -> CheckResult:
     """Trivial p-part of (k1 cap G')/[k1,G] forces p-extensibility."""
-    def cases():
-        for G, H, U in ctx.subdirect_cases():
-            for p in prime_factors(G.order * H.order):
-                yield G, H, U, p
-
-    def probe(case) -> Optional[str]:
-        G, H, U, p = case
+    def probe(G, H, U, p) -> Optional[str]:
         k1 = projections_kernels(U).k1
         if not obstruction_quotient(G, k1).p_part_trivial(p):
             return None
         if not is_p_extensible(U, p):
-            return (f"{G.label} x {H.label}, p={p}: trivial obstruction "
-                    "but inextensible")
+            return "trivial obstruction but inextensible"
         return None
 
-    return _run("obstruction-soundness", cases(), probe)
+    return _run("obstruction-soundness", ctx.prime_cases(), probe)
 
 
 def check_twisted_kernel_identity(ctx: CheckContext) -> CheckResult:
     """k_i(U') = [k_i(U), G] on every diagonal-containing subgroup."""
     def cases():
         for G in ctx.squares():
-            for U, _ in ctx.diagonal_subgroups(G):
-                yield G, U
+            for U, phi in ctx.diagonal_subgroups(G):
+                yield G, U, phi
 
-    def probe(case) -> Optional[str]:
-        G, U = case
-        try:
-            twisted_kernel_identity(U)
-        except SubdirectError as exc:
-            return f"{G.label}: {exc}"
-        return None
+    def probe(G, U, phi) -> None:
+        twisted_kernel_identity(U)
 
     return _run("twisted-kernel-identity", cases(), probe)
 
@@ -587,15 +557,13 @@ def check_star_preservation(ctx: CheckContext) -> CheckResult:
             for U, V, W in ctx.star_block(subs, subs):
                 yield G, U, V, W
 
-    def probe(case) -> Optional[str]:
-        G, U, V, W = case
+    def probe(G, U, V, W) -> Optional[str]:
         condition = (star_preservation_condition(U, V, side=1, composite=W)
                      and star_preservation_condition(U, V, side=2,
                                                      composite=W))
         actual = is_extensible(W)
         if condition != actual:
-            return (f"{G.label}: condition {condition} but composite "
-                    f"extensible={actual}")
+            return f"condition {condition} but composite extensible={actual}"
         return None
 
     return _run("star-preservation", cases(), probe)
@@ -609,30 +577,21 @@ def check_star_kernel_sections(ctx: CheckContext) -> CheckResult:
             for U, V, W in ctx.star_block(subs, subs):
                 yield G, U, V, W
 
-    def probe(case) -> Optional[str]:
-        G, U, V, W = case
-        try:
-            star_kernel_quotient_orders(U, V, composite=W)
-        except SubdirectError as exc:
-            return f"{G.label}: {exc}"
-        return None
+    def probe(G, U, V, W) -> None:
+        star_kernel_quotient_orders(U, V, composite=W)
 
     return _run("star-kernel-sections", cases(), probe)
 
 
 def check_report_methods(ctx: CheckContext) -> CheckResult:
     """Per-prime reports build cleanly and conjoin to the overall verdict."""
-    def probe(case) -> Optional[str]:
-        G, H, U = case
-        try:
-            report = build_report(U)
-        except SubdirectError as exc:
-            return f"{G.label} x {H.label}: {exc}"
+    def probe(G, H, U) -> Optional[str]:
+        report = build_report(U)
         want = all(v.extensible for v in report.per_prime.values())
         if report.overall() != want:
-            return f"{G.label} x {H.label}: overall is not the conjunction"
+            return "overall is not the conjunction"
         if report.overall() != is_extensible(U):
-            return f"{G.label} x {H.label}: overall differs from is_extensible"
+            return "overall differs from is_extensible"
         return None
 
     return _run("report-methods", ctx.subdirect_cases(), probe)
@@ -651,13 +610,11 @@ def check_hom_count_identity(ctx: CheckContext) -> CheckResult:
             for pi in pis:
                 yield G, pi
 
-    def probe(case) -> Optional[str]:
-        G, pi = case
+    def probe(G, pi) -> Optional[str]:
         m = p_part(G.exponent(), pi)
         count = len(enumerate_homs(G, m))
         if count != p_part(G.order, pi):
-            return (f"{G.label}, pi={pi}: {count} homs vs "
-                    f"{p_part(G.order, pi)}")
+            return f"{count} homs vs {p_part(G.order, pi)}"
         return None
 
     return _run("hom-count-identity", cases(), probe)
@@ -671,12 +628,11 @@ def check_raw_enumerator_agreement(ctx: CheckContext) -> CheckResult:
                 if m ** (G.order - 1) <= 1 << 18:
                     yield G, m
 
-    def probe(case) -> Optional[str]:
-        G, m = case
+    def probe(G, m) -> Optional[str]:
         fast = {h.key() for h in enumerate_homs(G, m)}
         raw = {h.key() for h in raw_enumerate_homs(G, m)}
         if fast != raw:
-            return f"{G.label}, m={m}: {len(fast)} fast vs {len(raw)} raw"
+            return f"{len(fast)} fast vs {len(raw)} raw"
         return None
 
     return _run("raw-enumerator-agreement", cases(), probe)
@@ -684,46 +640,29 @@ def check_raw_enumerator_agreement(ctx: CheckContext) -> CheckResult:
 
 def check_restriction_kernel(ctx: CheckContext) -> CheckResult:
     """Kernel of the restriction counts homs out of the common section."""
-    def cases():
-        for G, H, U in ctx.subdirect_cases():
-            m = p_part(direct_product(G, H).group.exponent(),
-                       prime_factors(G.order * H.order))
-            yield G, H, U, m
-
-    def probe(case) -> Optional[str]:
-        G, H, U, m = case
+    def probe(G, H, U, m) -> Optional[str]:
         kernel, _ = restriction_kernel_image_sizes(U, m)
         want = len(enumerate_homs(goursat_quotient(U), m))
         if kernel != want:
-            return (f"{G.label} x {H.label}, m={m}: kernel {kernel} "
-                    f"vs |Hom(q(U))| {want}")
+            return f"kernel {kernel} vs |Hom(q(U))| {want}"
         return None
 
-    return _run("restriction-kernel", cases(), probe)
+    return _run("restriction-kernel", ctx.modulus_cases(), probe)
 
 
 def check_fiber_uniformity(ctx: CheckContext) -> CheckResult:
-    def probe(case) -> Optional[str]:
-        G, H, U = case
-        m = p_part(direct_product(G, H).group.exponent(),
-                   prime_factors(G.order * H.order))
+    def probe(G, H, U, m) -> Optional[str]:
         kernel, counts = restriction_kernel_fibers(U, m)
         if set(counts) != {kernel}:
-            return f"{G.label} x {H.label}: fibers {set(counts)} != {kernel}"
+            return f"fibers {set(counts)} != {kernel}"
         return None
 
-    return _run("fiber-uniformity", ctx.subdirect_cases(), probe)
+    return _run("fiber-uniformity", ctx.modulus_cases(), probe)
 
 
 def check_coefficient_stabilization(ctx: CheckContext) -> CheckResult:
     """Verdicts stop changing once m saturates the exponent's p-part."""
-    def cases():
-        for G, H, U in ctx.subdirect_cases():
-            for p in prime_factors(G.order * H.order):
-                yield U, p
-
-    def probe(case) -> Optional[str]:
-        U, p = case
+    def probe(G, H, U, p) -> Optional[str]:
         m = coefficient_modulus(U, p)
         a = oracle_is_extensible_for_modulus(U, m)
         b = oracle_is_extensible_for_modulus(U, m * p)
@@ -731,25 +670,22 @@ def check_coefficient_stabilization(ctx: CheckContext) -> CheckResult:
             return f"verdict changed between m={m} and m={m * p}"
         return None
 
-    return _run("coefficient-stabilization", cases(), probe)
+    return _run("coefficient-stabilization", ctx.prime_cases(), probe)
 
 
 # -- reporting checks ------------------------------------------------------------
 
 
 def check_record_roundtrip(ctx: CheckContext) -> CheckResult:
-    from .records import AnalysisRecord, analyze_subgroup
-
-    def probe(case) -> Optional[str]:
-        G, H, U = case
+    def probe(G, H, U) -> Optional[str]:
         record = analyze_subgroup(U)
         back = AnalysisRecord.from_dict(json.loads(record.to_json()))
         if back != record:
-            return f"{G.label} x {H.label}: reparse differs"
+            return "reparse differs"
         if record.to_json() != analyze_subgroup(U).to_json():
-            return f"{G.label} x {H.label}: serialization not deterministic"
+            return "serialization not deterministic"
         if record.inconsistent:
-            return f"{G.label} x {H.label}: record flagged INCONSISTENT"
+            return "record flagged INCONSISTENT"
         return None
 
     return _run("record-roundtrip", ctx.subdirect_cases(), probe)

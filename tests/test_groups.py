@@ -352,6 +352,19 @@ def test_has_cyclic_sylows():
     want = all(is_cyclic(sylow_subgroup(G, p)) for p in prime_factors(12))
     assert has_cyclic_sylows(G) is want is False
     assert G._cache["cyclic_sylows"] is False
+    # The element-order route against the Sylow subgroups themselves.
+    groups = [G for _, G in _small_registry()]
+    groups += [symmetric(4), dihedral(16), elementary_abelian(2, 4),
+               alternating(5)]
+    for F, H in ((cyclic(4), cyclic(4)), (symmetric(3), symmetric(3)),
+                 (quaternion8(), cyclic(2))):
+        groups += [U.as_group()[0]
+                   for U in all_subgroups(direct_product(F, H).group)]
+    assert len(groups) == 122
+    for G in groups:
+        want = all(is_cyclic(sylow_subgroup(G, p))
+                   for p in prime_factors(G.order))
+        assert has_cyclic_sylows(G) is want, G.label
 
 
 def test_is_cyclic():

@@ -5,12 +5,14 @@ import pytest
 
 import helpers
 
+import subdirect.homoracle as homoracle
 from subdirect import (
     CyclicHom,
     NotSubdirect,
     OrderLimitExceeded,
     Subgroup,
     abelianization,
+    alternating,
     coefficient_modulus,
     cyclic,
     diagonal,
@@ -26,12 +28,13 @@ from subdirect import (
     quaternion8,
     raw_enumerate_homs,
     raw_oracle_is_p_extensible,
-    restriction_fiber_counts,
+    restriction_kernel_fibers,
     restriction_kernel_image_sizes,
     restriction_map,
     subgroup_generated,
     symmetric,
 )
+from subdirect.presets import _small_registry
 
 A3 = (0, 3, 4)
 
@@ -77,6 +80,13 @@ def test_enumerate_homs_sorted_and_deterministic():
     assert keys == sorted(keys)
     again = enumerate_homs(dihedral(8), 2)
     assert [h.key() for h in again] == keys
+    cases = [(G, m) for _, G in _small_registry() for m in (2, 3, 4, 6, 8, 12)]
+    for F, H in ((dihedral(8), dihedral(8)), (quaternion8(), dihedral(8)),
+                 (symmetric(3), symmetric(3)), (alternating(4), alternating(4))):
+        cases += [(U, m) for U in enumerate_subdirect(F, H) for m in (2, 3, 4)]
+    for K, m in cases:
+        keys = [h.key() for h in enumerate_homs(K, m)]
+        assert keys == sorted(keys), (K, m)
 
 
 def test_raw_enumerator_agrees():
@@ -87,9 +97,10 @@ def test_raw_enumerator_agrees():
             assert fast == slow
 
 
-def test_raw_enumerator_cap():
+def test_raw_enumerator_cap(monkeypatch):
+    monkeypatch.setattr(homoracle, "RAW_SEARCH_LIMIT", 100)
     with pytest.raises(OrderLimitExceeded):
-        raw_enumerate_homs(dihedral(12), 12, limit=100)
+        raw_enumerate_homs(dihedral(12), 12)
 
 
 def test_hom_count_formula():
@@ -166,7 +177,7 @@ def test_fiber_counts_uniform():
     G = symmetric(3)
     for U in enumerate_subdirect(G, G):
         for m in (2, 3, 6):
-            counts = restriction_fiber_counts(U, m)
+            counts = restriction_kernel_fibers(U, m)[1]
             kernel, image = restriction_kernel_image_sizes(U, m)
             assert set(counts) == {kernel}
             assert len(counts) == image

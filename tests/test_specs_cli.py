@@ -10,6 +10,7 @@ import pytest
 import helpers
 
 import subdirect
+import subdirect.verification as verification
 from subdirect import (
     CheckContext,
     ParseError,
@@ -412,6 +413,60 @@ def test_cli_verify_out_file(capsys, tmp_path):
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert all(line["schema"] == "subdirect-verify/1" for line in lines)
     assert all(line["passed"] for line in lines)
+
+
+CHECK_LINE = re.compile(r"[a-z-]+: (pass|FAIL) \(\d+ cases\)")
+
+
+def test_cli_verify_library_error_in_a_check_exits_1(capsys, tmp_path,
+                                                     monkeypatch):
+    def broken(G, N):
+        raise subdirect.NotNormal("injected")
+
+    monkeypatch.setattr(verification, "quotient_group", broken)
+    path = tmp_path / "verify.jsonl"
+    code, out, err = run_cli(capsys, "verify", "--G", "C2,S3",
+                             "--out", str(path))
+    assert code == 1, err
+    assert "input error" not in err
+    checks = [line for line in out.splitlines() if CHECK_LINE.fullmatch(line)]
+    assert len(checks) == 28
+    assert [c for c in checks if "FAIL" in c] == \
+        ["quotient-commutator: FAIL (5 cases)"]
+    assert "  FiniteGroup('C2', order=2), Subgroup(order=1 of C2): " \
+        "NotNormal: injected" in out.splitlines()
+    assert out.splitlines()[-1] == "FAILED 1 of 28 checks (4693 cases)"
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(lines) == 28
+    assert [line["name"] for line in lines if not line["passed"]] == \
+        ["quotient-commutator"]
+
+
+def test_cli_verify_failure_names_factors_order_and_prime(capsys,
+                                                         monkeypatch):
+    def broken(U, p):
+        raise subdirect.InternalInconsistency("injected")
+
+    monkeypatch.setattr(verification, "oracle_is_p_extensible", broken)
+    code, out, err = run_cli(capsys, "verify", "--G", "C2,S3")
+    assert code == 1, err
+    assert "internal consistency failure" not in err
+    lines = out.splitlines()
+    assert len([line for line in lines if CHECK_LINE.fullmatch(line)]) == 28
+    at = lines.index("oracle-agreement: FAIL (26 cases)")
+    assert lines[at + 4] == (
+        "  FiniteGroup('C2', order=2), FiniteGroup('S3', order=6), "
+        "Subgroup(order=12 of C2xS3), 3: InternalInconsistency: injected")
+
+
+def test_cli_verify_cap_in_a_check_exits_3(capsys, monkeypatch):
+    def capped(G):
+        raise subdirect.OrderLimitExceeded("injected cap")
+
+    monkeypatch.setattr(verification, "abelianization", capped)
+    code, out, err = run_cli(capsys, "verify", "--G", "C2")
+    assert code == 3
+    assert "cap exceeded: injected cap" in err
 
 
 def test_cli_catalog(capsys):

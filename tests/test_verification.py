@@ -177,3 +177,20 @@ def test_star_checks_reuse_the_block_composite(monkeypatch):
         assert res.passed, res.line()
         assert res.checked == CASE_COUNTS[res.name]
     assert calls == []
+
+
+def test_star_monotonicity_failure_names_its_groups(monkeypatch):
+    C2 = catalog_group("C2")
+    ctx = CheckContext([C2])
+    full = ctx.lattice(C2, C2)[-1]
+    trivial = ctx.lattice(C2, C2)[0]
+    assert full.is_whole and trivial.order == 1
+    # A composite that loses k1: the probe must report the case.
+    monkeypatch.setattr(ctx, "composable_triples",
+                        lambda: iter([(full, full, trivial)]))
+    monkeypatch.setattr(ctx, "squares", lambda: [])
+    result = verification.check_star_monotonicity(ctx)
+    assert not result.passed and result.checked == 1
+    assert result.failures == [
+        "Subgroup(order=4 of C2xC2), Subgroup(order=4 of C2xC2), "
+        "Subgroup(order=1 of C2xC2): k1(U) not inside k1(U*V)"]
