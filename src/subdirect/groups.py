@@ -43,14 +43,15 @@ _MISSING = object()
 
 def memoised(key: str):
     """Store ``fn(obj, *args)`` in ``obj._cache`` under ``key``, or under
-    ``(key, *args)`` when there are extra arguments."""
+    ``(key, *args)`` when there are extra arguments.  Keyword arguments
+    are not part of the key: they act only on the call that computes."""
     def wrap(fn):
         @functools.wraps(fn)
-        def cached(obj, *args):
+        def cached(obj, *args, **options):
             slot = (key, *args) if args else key
             value = obj._cache.get(slot, _MISSING)
             if value is _MISSING:
-                value = obj._cache[slot] = fn(obj, *args)
+                value = obj._cache[slot] = fn(obj, *args, **options)
             return value
         return cached
     return wrap

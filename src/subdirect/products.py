@@ -64,16 +64,11 @@ class ProductGroup:
         return np.stack(self.split(elements), axis=1).tolist()
 
 
-_product_cache: dict = {}
-
-
+@memoised("product")
 def direct_product(G: FiniteGroup, H: FiniteGroup, *,
                    max_order: int = DEFAULT_PRODUCT_CAP) -> ProductGroup:
-    """G x H, cached per factor pair; the cap applies only on a cache miss."""
-    key = (id(G), id(H))
-    cached = _product_cache.get(key)
-    if cached is not None:
-        return cached
+    """G x H, memoised on G per right factor H, so it lives as long as G;
+    the cap applies only when it is first built."""
     n = G.order * H.order
     if n > max_order:
         raise OrderLimitExceeded(f"product order {n} above cap {max_order}")
@@ -85,7 +80,6 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, *,
     group = FiniteGroup(table, label=f"{G.label}x{H.label}", validate=False)
     product = ProductGroup(G, H, group)
     group.product_info = product
-    _product_cache[key] = product
     return product
 
 

@@ -112,16 +112,6 @@ def _quotient_summary(q: FiniteGroup) -> dict:
             "abelian_invariants": invariants}
 
 
-def _witnesses_to_json(witnesses: dict) -> dict:
-    out = {}
-    for key, value in sorted(witnesses.items()):
-        if isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
-
-
 def analyze_subgroup(U: Subgroup, primes=None, *,
                      raw_oracle: bool = False) -> AnalysisRecord:
     """Full analysis of one subgroup U of a direct product.
@@ -165,7 +155,7 @@ def analyze_subgroup(U: Subgroup, primes=None, *,
                 "extensible": verdict.extensible,
                 "methods": list(verdict.methods),
                 "coefficient_modulus": coefficient_modulus(U, p),
-                "witnesses": _witnesses_to_json(verdict.witnesses),
+                "witnesses": verdict.witnesses,
                 "oracle": (raw_oracle_is_p_extensible(U, p) if raw_oracle
                            else oracle_is_p_extensible(U, p)),
             }

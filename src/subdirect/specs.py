@@ -16,23 +16,16 @@ object ``{"pairs": [[g, h], ...]}`` generating the subgroup, or
 
 from __future__ import annotations
 
+import functools
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
 
 from .errors import ParseError
 from .groups import FiniteGroup, Subgroup, from_cayley_table, \
     from_permutation_generators, subgroup_generated
-from .presets import (
-    alternating,
-    cyclic,
-    dihedral,
-    elementary_abelian,
-    quaternion8,
-    symmetric,
-)
+from .presets import alternating, cyclic, dihedral, elementary_abelian, \
+    quaternion8, symmetric
 from .products import (
     ProductGroup,
     diagonal,
@@ -41,24 +34,21 @@ from .products import (
     subgroup_from_quintuple,
 )
 
+# preset id -> (builder, the integer fields a JSON preset spec passes it)
 PRESETS = {
-    "cyclic": lambda data: cyclic(_int_field(data, "n")),
-    "dihedral": lambda data: dihedral(_int_field(data, "order")),
-    "symmetric": lambda data: symmetric(_int_field(data, "n")),
-    "alternating": lambda data: alternating(_int_field(data, "n")),
-    "quaternion8": lambda data: quaternion8(),
-    "elementary_abelian": lambda data: elementary_abelian(
-        _int_field(data, "p"), _int_field(data, "k")),
+    "cyclic": (cyclic, ("n",)),
+    "dihedral": (dihedral, ("order",)),
+    "symmetric": (symmetric, ("n",)),
+    "alternating": (alternating, ("n",)),
+    "quaternion8": (quaternion8, ()),
+    "elementary_abelian": (elementary_abelian, ("p", "k")),
 }
 
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """A parsed group description, not yet materialised."""
-
-    name: str
-    kind: str
-    data: dict
+# One alternative per preset, named after its id, capturing its arguments.
+_SHORTHAND = re.compile(
+    r"(?P<cyclic>C(\d+))|(?P<dihedral>D(\d+))|(?P<symmetric>S(\d+))"
+    r"|(?P<alternating>A(\d+))|(?P<quaternion8>Q8)"
+    r"|(?P<elementary_abelian>E(\d+)\^(\d+))")
 
 
 def _as_int(value, what: str) -> int:
@@ -74,29 +64,15 @@ def _int_field(data: dict, key: str) -> int:
     return _as_int(data[key], f"field {key!r}")
 
 
-_SHORTHAND = re.compile(
-    r"^(C(?P<cyc>\d+)|D(?P<dih>\d+)|S(?P<sym>\d+)|A(?P<alt>\d+)"
-    r"|Q8|E(?P<eap>\d+)\^(?P<eak>\d+))$")
-
-
-def _shorthand_spec(token: str) -> Optional[GroupSpec]:
-    m = _SHORTHAND.match(token)
-    if not m:
-        return None
-    if m.group("cyc"):
-        data = {"id": "cyclic", "n": int(m.group("cyc"))}
-    elif m.group("dih"):
-        data = {"id": "dihedral", "order": int(m.group("dih"))}
-    elif m.group("sym"):
-        data = {"id": "symmetric", "n": int(m.group("sym"))}
-    elif m.group("alt"):
-        data = {"id": "alternating", "n": int(m.group("alt"))}
-    elif m.group("eap"):
-        data = {"id": "elementary_abelian", "p": int(m.group("eap")),
-                "k": int(m.group("eak"))}
-    else:
-        data = {"id": "quaternion8"}
-    return GroupSpec(token, "preset", data)
+def _preset(preset_id: str, args: tuple, name: str) -> FiniteGroup:
+    """A preset group; any name but its own label or 'preset' relabels it."""
+    try:
+        group = PRESETS[preset_id][0](*args)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    if name not in ("preset", group.label):
+        group.label = name
+    return group
 
 
 def _read_json(text: str):
@@ -115,29 +91,29 @@ def _read_json(text: str):
         raise ParseError(f"bad inline JSON: {exc}") from exc
 
 
-def parse_group_spec(text: str) -> GroupSpec:
+def load_group(text: str) -> FiniteGroup:
+    """The group of a shorthand, inline JSON or ``@path`` description.
+
+    Every shorthand factor is checked before any is built; the factors
+    of a product are then built and multiplied from the left.
+    """
     text = text.strip()
     if not text:
         raise ParseError("empty group description")
     if text.startswith(("@", "{")):
-        return spec_from_dict(_read_json(text))
-    factors = text.split("x")
-    specs = []
-    for token in factors:
-        spec = _shorthand_spec(token.strip())
-        if spec is None:
-            raise ParseError(f"unknown group shorthand {token.strip()!r}")
-        specs.append(spec)
-    if len(specs) == 1:
-        return specs[0]
-    combined = specs[0]
-    for nxt in specs[1:]:
-        combined = GroupSpec(f"{combined.name}x{nxt.name}", "product",
-                             {"left": combined, "right": nxt})
-    return combined
+        return _group_from_json(_read_json(text))
+    factors = []
+    for token in (token.strip() for token in text.split("x")):
+        m = _SHORTHAND.fullmatch(token)
+        if m is None:
+            raise ParseError(f"unknown group shorthand {token!r}")
+        args = tuple(int(x) for x in m.groups()[m.lastindex:] if x)
+        factors.append((m.lastgroup, args, token))
+    return functools.reduce(lambda a, b: direct_product(a, b).group,
+                            (_preset(*factor) for factor in factors))
 
 
-def spec_from_dict(payload: dict) -> GroupSpec:
+def _group_from_json(payload) -> FiniteGroup:
     if not isinstance(payload, dict):
         raise ParseError("group spec must be a JSON object")
     kind = payload.get("kind")
@@ -147,24 +123,39 @@ def spec_from_dict(payload: dict) -> GroupSpec:
     data = payload.get("data")
     if not isinstance(data, dict):
         raise ParseError("spec field 'data' must be an object")
-    if kind == "product":
-        for side in ("left", "right"):
-            if side not in data:
-                raise ParseError(f"product spec is missing {side!r}")
-        data = {
-            "left": _child_spec(data["left"]),
-            "right": _child_spec(data["right"]),
-        }
-    return GroupSpec(name, kind, data)
+    if kind == "preset":
+        preset_id = data.get("id")
+        if not isinstance(preset_id, str) or preset_id not in PRESETS:
+            raise ParseError(f"unknown preset {preset_id!r}")
+        args = tuple(_int_field(data, key) for key in PRESETS[preset_id][1])
+        return _preset(preset_id, args, name)
+    if kind == "cayley":
+        table = data.get("table")
+        if not isinstance(table, list) or not all(
+                isinstance(row, list) and len(row) == len(table[0])
+                for row in table):
+            raise ParseError("cayley spec needs a 'table' list of equal rows")
+        table = [[_as_int(x, "cayley entry") for x in row] for row in table]
+        return from_cayley_table(table, label=name)
+    if kind == "permutations":
+        degree = _int_field(data, "degree")
+        gens = data.get("generators")
+        if not isinstance(gens, list) or not gens:
+            raise ParseError("permutation spec needs a 'generators' list")
+        perms = [parse_permutation(g, degree) for g in gens]
+        return from_permutation_generators(degree, perms, label=name)
+    for side in ("left", "right"):  # a product; its name is not used
+        if side not in data:
+            raise ParseError(f"product spec is missing {side!r}")
+    return direct_product(_factor(data["left"]), _factor(data["right"])).group
 
 
-def _child_spec(value) -> GroupSpec:
-    if isinstance(value, GroupSpec):
-        return value
+def _factor(value) -> FiniteGroup:
+    """A product factor: a description string or a JSON spec object."""
     if isinstance(value, str):
-        return parse_group_spec(value)
+        return load_group(value)
     if isinstance(value, dict):
-        return spec_from_dict(value)
+        return _group_from_json(value)
     raise ParseError("product factors must be specs or shorthand strings")
 
 
@@ -174,7 +165,7 @@ _CYCLE = re.compile(r"\(([^()]*)\)")
 def parse_permutation(value, degree: int) -> tuple:
     """Accepts image lists like [1, 0, 2] or cycles like "(0 1 2)(3 4)"."""
     if isinstance(value, (list, tuple)):
-        perm = [int(x) for x in value]
+        perm = [_as_int(x, "permutation entry") for x in value]
         if sorted(perm) != list(range(degree)):
             raise ParseError(f"not a permutation of 0..{degree - 1}: {value}")
         return tuple(perm)
@@ -187,8 +178,11 @@ def parse_permutation(value, degree: int) -> tuple:
             raise ParseError(f"bad cycle notation {value!r}")
         perm = list(range(degree))
         for cycle_text in _CYCLE.findall(body):
-            points = [int(tok) for tok in re.split(r"[,\s]+", cycle_text.strip())
-                      if tok]
+            tokens = re.split(r"[,\s]+", cycle_text.strip())
+            try:
+                points = [int(tok) for tok in tokens if tok]
+            except ValueError:
+                raise ParseError(f"non-integer point in {value!r}") from None
             if len(points) != len(set(points)):
                 raise ParseError(f"repeated point in cycle {cycle_text!r}")
             for a in points:
@@ -198,40 +192,6 @@ def parse_permutation(value, degree: int) -> tuple:
                 perm[a] = points[(i + 1) % len(points)]
         return tuple(perm)
     raise ParseError(f"cannot parse permutation {value!r}")
-
-
-def load_group(spec: Union[str, GroupSpec]) -> FiniteGroup:
-    if isinstance(spec, str):
-        spec = parse_group_spec(spec)
-    if spec.kind == "preset":
-        preset_id = spec.data.get("id")
-        if preset_id not in PRESETS:
-            raise ParseError(f"unknown preset {preset_id!r}")
-        try:
-            group = PRESETS[preset_id](spec.data)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-        if spec.name not in ("preset", group.label):
-            group.label = spec.name
-    elif spec.kind == "cayley":
-        table = spec.data.get("table")
-        if not isinstance(table, list) or not all(
-                isinstance(row, list) and len(row) == len(table[0])
-                for row in table):
-            raise ParseError("cayley spec needs a 'table' list of equal rows")
-        table = [[_as_int(x, "cayley entry") for x in row] for row in table]
-        group = from_cayley_table(table, label=spec.name)
-    elif spec.kind == "permutations":
-        degree = _int_field(spec.data, "degree")
-        gens = spec.data.get("generators")
-        if not isinstance(gens, list) or not gens:
-            raise ParseError("permutation spec needs a 'generators' list")
-        perms = [parse_permutation(g, degree) for g in gens]
-        group = from_permutation_generators(degree, perms, label=spec.name)
-    else:  # product
-        group = direct_product(load_group(spec.data["left"]),
-                               load_group(spec.data["right"])).group
-    return group
 
 
 # -- subgroup descriptors ------------------------------------------------------

@@ -122,13 +122,16 @@ class CheckContext:
         One compose_relations call makes the whole block.  Each composite
         is the interned subgroup with its mask; on a miss it is built
         fresh with its closure checked, and not interned.  Its home F x H
-        is built under the context's product cap.
+        must fit the context's product cap on every call, built or not.
         """
         if not Us or not Vs:
             return
+        F, H = product_of(Us[0]).left, product_of(Vs[0]).right
+        if F.order * H.order > self.product_cap:
+            raise OrderLimitExceeded(f"product order {F.order * H.order} "
+                                     f"above cap {self.product_cap}")
         rows = compose_relations(Us, Vs)
-        group = direct_product(product_of(Us[0]).left, product_of(Vs[0]).right,
-                               max_order=self.product_cap).group
+        group = direct_product(F, H, max_order=self.product_cap).group
         known = self._known
         home = id(group)
         for U, U_rows in zip(Us, rows):

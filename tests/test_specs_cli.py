@@ -1,11 +1,13 @@
 """Description parsing, report records, self checks, and the command line."""
 
+import gc
 import hashlib
 import json
 import re
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 
@@ -14,6 +16,7 @@ import subdirect.verification as verification
 from subdirect import (
     CheckContext,
     ParseError,
+    SubdirectError,
     analyze_subgroup,
     catalog_group,
     cyclic,
@@ -30,11 +33,11 @@ from subdirect import (
     write_records,
 )
 from subdirect.cli import main
+from subdirect.products import ProductGroup
 from subdirect.records import AnalysisRecord, RECORD_SCHEMA
 from subdirect.specs import (
     load_group,
     load_product_subgroup,
-    parse_group_spec,
     parse_permutation,
 )
 
@@ -43,18 +46,18 @@ from subdirect.specs import (
 
 
 def test_shorthand_specs():
-    assert parse_group_spec("S3").kind == "preset"
-    assert parse_group_spec("Q8").data == {"id": "quaternion8"}
-    spec = parse_group_spec("D8xC2")
-    assert spec.kind == "product"
-    assert spec.name == "D8xC2"
+    assert load_group("S3").label == "S3"
+    assert load_group("Q8").order == 8
+    G = load_group("D8xC2")
+    assert G.product_info is not None
+    assert G.label == "D8xC2"
 
 
 def test_shorthand_rejects_unknown():
     with pytest.raises(ParseError):
-        parse_group_spec("F20")
+        load_group("F20")
     with pytest.raises(ParseError):
-        parse_group_spec("")
+        load_group("")
 
 
 def test_load_group_orders():
@@ -132,6 +135,86 @@ def test_diagonal_descriptor_needs_equal_factors():
     info = direct_product(symmetric(3), cyclic(6))
     with pytest.raises(ParseError):
         load_product_subgroup(info, "diagonal")
+
+
+# Fuzzed descriptions.  Presets and permutation closures build their
+# whole |G|^2 table before any order cap is checked, so every integer is
+# drawn from -3..12 and the fields that set a group's size exponentially
+# (symmetric and alternating degrees, elementary abelian p and k,
+# permutation degrees) from -3..4.
+_SMALL = st.integers(-3, 12)
+_SIZE = st.integers(-3, 4)
+# deferred, so that "x | _JUNK" draws x half of the time
+_JUNK = st.deferred(lambda: st.none() | st.booleans() | st.floats()
+                    | st.text(max_size=4) | _SIZE
+                    | st.lists(_SIZE, max_size=3))
+
+
+def _object(**fields):
+    """JSON objects with these fields, all of them half of the time."""
+    return (st.fixed_dictionaries(fields)
+            | st.fixed_dictionaries({}, optional=fields))
+
+
+def _spec(kind, data):
+    return _object(kind=st.just(kind) | _JUNK, name=st.text(max_size=3),
+                   data=data | _JUNK)
+
+
+_PRESET_DATA = st.one_of(
+    _object(id=st.just("cyclic"), n=_SMALL | _JUNK),
+    _object(id=st.just("dihedral"), order=_SMALL | _JUNK),
+    _object(id=st.sampled_from(["symmetric", "alternating"]), n=_SIZE | _JUNK),
+    _object(id=st.just("elementary_abelian"), p=_SIZE | _JUNK,
+            k=_SIZE | _JUNK),
+    _object(id=st.sampled_from(["quaternion8", "bogus"]) | _JUNK),
+)
+_PERMUTATION = (st.lists(_SMALL | _JUNK, max_size=5)
+                | st.text(alphabet="()0123456789 ,-a", max_size=10) | _JUNK)
+_SHORTHANDS = st.sampled_from(
+    ["C2", "D6", "S3", "A4", "Q8", "E2^2", "C2xC3", "", "F20", "C0", "E4^2",
+     " C2 x S3 ", "{", "@"])
+_GROUP_SPECS = st.recursive(
+    st.one_of(
+        _spec("preset", _PRESET_DATA),
+        _spec("cayley", _object(table=st.lists(
+            st.lists(_SMALL | _JUNK, max_size=4), max_size=4) | _JUNK)),
+        _spec("permutations", _object(
+            degree=_SIZE | _JUNK,
+            generators=st.lists(_PERMUTATION, max_size=3) | _JUNK)),
+        _JUNK),
+    lambda children: _spec("product", _object(left=children | _SHORTHANDS,
+                                              right=children | _SHORTHANDS)),
+    max_leaves=4)
+_INDICES = st.lists(_SMALL | _JUNK, max_size=6) | _JUNK
+_SUBGROUP_DESCRIPTORS = st.one_of(
+    _object(pairs=st.lists(st.lists(_SMALL | _JUNK, max_size=3), max_size=4)
+            | _JUNK),
+    _object(quintuple=_object(
+        p1=_INDICES, k1=_INDICES, p2=_INDICES, k2=_INDICES,
+        phi=st.lists(st.lists(_SMALL | _JUNK, max_size=3), max_size=4)
+        | _JUNK) | _JUNK),
+    _JUNK)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_GROUP_SPECS | _SHORTHANDS)
+def test_load_group_raises_only_library_errors(payload):
+    try:
+        load_group(payload if isinstance(payload, str)
+                   else json.dumps(payload))
+    except SubdirectError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_SUBGROUP_DESCRIPTORS)
+def test_load_product_subgroup_raises_only_library_errors(payload):
+    info = direct_product(symmetric(3), cyclic(2))
+    try:
+        load_product_subgroup(info, json.dumps(payload))
+    except SubdirectError:
+        pass
 
 
 # -- records ---------------------------------------------------------------------
@@ -381,12 +464,39 @@ def test_cli_verify_above_order_64_exits_0(capsys):
 
 def test_cli_verify_caps_the_composite_home(capsys):
     # C9 x C2 and C2 x C9 are within the cap; their composites live in
-    # C9 x C9, which is not.  C9 is not a catalog group, so this run
-    # builds its own C9 and no earlier product is cached.
+    # C9 x C9, which is not.
     code, out, err = run_cli(capsys, "verify", "--G", "C2,C9",
                              "--max-order", "18")
     assert code == 3
     assert "product order 81 above cap 18" in err
+
+
+def test_cli_verify_composite_cap_ignores_earlier_runs(capsys):
+    # The cap-9 run builds C3 x C3 on the shared catalog C3; the cap-6
+    # run must still refuse it as the home of its composites.
+    code, out, err = run_cli(capsys, "verify", "--G", "C2,C3",
+                             "--max-order", "9")
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "verify", "--G", "C2,C3",
+                             "--max-order", "6")
+    assert code == 3
+    assert "product order 9 above cap 6" in err
+
+
+def test_cli_products_do_not_outlive_their_factors(capsys):
+    def live_products() -> list:
+        return [obj for obj in gc.get_objects()
+                if isinstance(obj, ProductGroup)]
+
+    gc.collect()
+    before = live_products()  # held, so no new product can reuse an id
+    for _ in range(3):
+        code, out, err = run_cli(capsys, "analyze", "--G", "S4",
+                                 "--U", "diagonal")
+        assert code == 0, err
+    gc.collect()
+    known = {id(obj) for obj in before}
+    assert [obj for obj in live_products() if id(obj) not in known] == []
 
 
 def test_cli_verify_rejects_bad_table(capsys, tmp_path):
@@ -549,14 +659,24 @@ def _cayley(table) -> str:
     return json.dumps({"kind": "cayley", "data": {"table": table}})
 
 
+def _permutations(generators) -> str:
+    return json.dumps({"kind": "permutations",
+                       "data": {"degree": 3, "generators": generators}})
+
+
 @pytest.mark.parametrize("argv", [
     ("--G", "S3", "--U", '{"pairs": 5}'),
     ("--G", "S3", "--U", '{"pairs": [[1.5, 0]]}'),
     ("--G", _cayley([[0, 1], [1]]), "--U", "full"),
     ("--G", _cayley([[0, "a"], [1, 0]]), "--U", "full"),
     ("--G", _cayley([[0, 1.5], [1, 0]]), "--U", "full"),
+    ("--G", _permutations([["a", 1, 2]]), "--U", "full"),
+    ("--G", _permutations(["(0 a)"]), "--U", "full"),
+    ("--G", _permutations([[1.7, 0, 2]]), "--U", "full"),
+    ("--G", _permutations([[True, 0, 2]]), "--U", "full"),
 ], ids=["pairs-not-a-list", "pair-float", "cayley-ragged", "cayley-string",
-        "cayley-float"])
+        "cayley-float", "image-string", "cycle-string", "image-float",
+        "image-bool"])
 def test_cli_malformed_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, "analyze", *argv)
     assert code == 2
