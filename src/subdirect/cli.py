@@ -77,7 +77,7 @@ def _add_common(sub: argparse.ArgumentParser, *, needs_pair: bool) -> None:
     sub.add_argument("--max-order", type=_order_cap,
                      default=DEFAULT_PRODUCT_CAP, metavar="N",
                      help="largest product the command may build, "
-                     "including the G x G of star "
+                     "including products in --G/--H and the G x G of star "
                      f"(default {DEFAULT_PRODUCT_CAP})")
     sub.add_argument("--raw-oracle", action="store_true",
                      help="cross-check with the exhaustive value-table hom "
@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write one JSON object per check here")
     p.add_argument("--max-order", type=_order_cap,
                    default=DEFAULT_PRODUCT_CAP, metavar="N",
-                   help="largest allowed |G x H| in the sweeps")
+                   help="largest allowed |G x H| in the sweeps, and "
+                        "largest product in a --G entry")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("catalog", help="list built-in groups and presets")
@@ -149,8 +150,9 @@ def _primes_from(args) -> Optional[list]:
 
 
 def _load_pair(args):
-    G = load_group(args.G)
-    H = G if args.H is None or args.H == args.G else load_group(args.H)
+    G = load_group(args.G, max_order=args.max_order)
+    H = (G if args.H is None or args.H == args.G
+         else load_group(args.H, max_order=args.max_order))
     return G, H
 
 
@@ -259,7 +261,7 @@ def cmd_verify(args) -> int:
     for name in names:
         try:
             G = (catalog_group(name) if name in catalog_names()
-                 else load_group(name))
+                 else load_group(name, max_order=args.max_order))
             G.validate()
         except NotAGroup as exc:
             print(f"verification failed while loading {name}: {exc}")

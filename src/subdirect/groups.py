@@ -545,18 +545,36 @@ class AbelianInvariants:
 
 
 def abelian_invariants(G: FiniteGroup) -> AbelianInvariants:
-    """Divisor chain of an abelian group by maximal-order extraction."""
+    """Divisor chain of an abelian group, read from its element orders.
+
+    For a prime p, the elements of order dividing p**k number
+    p**(r_1 + ... + r_k), where r_k counts the cyclic p-factors of order
+    at least p**k.  The j-th largest p-factor has order p**e_j, where e_j
+    counts the k with r_k >= j, and the j-th largest divisor is the
+    product of the j-th largest p-factors over all p.
+    """
     if not G.is_abelian:
         raise ValueError("divisor chain is only defined for abelian groups")
-    chain = []
-    cur = G
-    while cur.order > 1:
-        orders = cur.element_orders()
-        x = int(np.argmax(orders))
-        chain.append(int(orders[x]))
-        cyc = subgroup_generated(cur, (x,))
-        cur, _ = quotient_group(cur, cyc)
-    return AbelianInvariants(tuple(reversed(chain)))
+    orders = G.element_orders()
+    top: list = []  # top[j-1] is the j-th largest divisor
+    for p in prime_factors(G.order):
+        ranks = []  # r_1, r_2, ... while the counts grow
+        below = 1
+        while True:
+            count = int(np.count_nonzero(p ** (len(ranks) + 1) % orders == 0))
+            if count == below:
+                break
+            growth, r = count // below, 0
+            while growth > 1:
+                growth //= p
+                r += 1
+            ranks.append(r)
+            below = count
+        for j in range(1, ranks[0] + 1):
+            if j > len(top):
+                top.append(1)
+            top[j - 1] *= p ** sum(1 for r in ranks if r >= j)
+    return AbelianInvariants(tuple(reversed(top)))
 
 
 @memoised("abelianization")

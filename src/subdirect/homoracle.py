@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Optional, Union
 
 import numpy as np
@@ -77,63 +78,44 @@ def _as_plain_group(K: Union[FiniteGroup, Subgroup]) -> FiniteGroup:
     return K
 
 
-def _abelian_value_tables(A: FiniteGroup, m: int) -> list:
-    """All hom value tables A -> C_m for abelian A, exact and deterministic.
+def _abelian_value_tables(A: FiniteGroup, m: int) -> np.ndarray:
+    """Every hom value table A -> C_m for abelian A, one row each, in
+    ascending lexicographic order.
 
     Works generator by generator: if g has relative order t over the part
     built so far, its value v must solve t*v = value(g**t) mod m, a linear
-    congruence with gcd(t, m) solutions (or none).  Every full table is
+    congruence with gcd(t, m) solutions (or none).  Every partial table is
+    extended by all of its solutions at once, so every full table is
     produced exactly once.
     """
     n = A.order
+    tables = np.zeros((1, n), dtype=np.int64)
     if m == 1 or n == 1:
-        return [np.zeros(n, dtype=np.int64)]
-    gens = generating_sequence(A)
-    # precompute, per generator, its relative order, closing power and
-    # the index arrays for the new coset layers
-    schedule = []
+        return tables
+    tables[:, 1:] = -1
     current = np.array([0], dtype=np.int64)
     have = {0}
-    for g in gens:
+    for g in generating_sequence(A):
         powers = []
         e = int(g)
         while e not in have:
             powers.append(e)
             e = int(A.product[e, g])
-        t0 = len(powers) + 1
-        closing = e  # g ** t0, already valued
-        layers = []
-        for t in range(1, t0):
-            layers.append((A.product[current, powers[t - 1]], current.copy(), t))
-        schedule.append((t0, closing, layers))
-        grown = [current] + [lay[0] for lay in layers]
-        current = np.sort(np.concatenate(grown))
-        have = set(int(x) for x in current)
-
-    results: list = []
-
-    def rec(j: int, vals: np.ndarray) -> None:
-        if j == len(schedule):
-            results.append(vals)
-            return
-        t0, closing, layers = schedule[j]
-        target = int(vals[closing])
+        t0 = len(powers) + 1  # e = g ** t0 is already valued
         d = math.gcd(t0, m)
-        if target % d:
-            return
+        tables = tables[tables[:, e] % d == 0]
         step = m // d
-        v0 = (target // d) * pow(t0 // d, -1, step) % step
-        for k in range(d):
-            v = v0 + k * step
-            grown = vals.copy()
-            for targets, sources, t in layers:
-                grown[targets] = (vals[sources] + t * v) % m
-            rec(j + 1, grown)
-
-    start = np.full(n, -1, dtype=np.int64)
-    start[0] = 0
-    rec(0, start)
-    return sorted(results, key=lambda a: tuple(a))
+        v0 = (tables[:, e] // d) * pow(t0 // d, -1, step) % step
+        values = (v0[:, None] + step * np.arange(d)).ravel()
+        tables = np.repeat(tables, d, axis=0)
+        layers = [current]
+        for t, power in enumerate(powers, start=1):
+            layer = A.product[current, power]
+            tables[:, layer] = (tables[:, current] + t * values[:, None]) % m
+            layers.append(layer)
+        current = np.sort(np.concatenate(layers))
+        have = set(current.tolist())
+    return tables[np.lexsort(tables.T[::-1])]
 
 
 def enumerate_homs(K: Union[FiniteGroup, Subgroup], m: int) -> list:
@@ -151,10 +133,10 @@ def _cyclic_homs(grp: FiniteGroup, m: int) -> list:
         return [CyclicHom(grp, 1, np.zeros(grp.order, dtype=np.int64),
                           check=False)]
     _, proj = abelianization(grp)
-    tables = _abelian_value_tables(proj.codomain, m)
     # Cosets are numbered by their least elements, so pulling the sorted
     # tables back along proj keeps them sorted.
-    return [CyclicHom(grp, m, t[proj.image], check=False) for t in tables]
+    tables = _abelian_value_tables(proj.codomain, m)[:, proj.image]
+    return [CyclicHom(grp, m, t, check=False) for t in tables]
 
 
 def hom_count_formula(divisors, m: int) -> int:
@@ -213,6 +195,14 @@ def _restriction_matrix(U: Subgroup, m: int) -> np.ndarray:
     return ((vg[:, None, :] + vh[None, :, :]) % m).reshape(-1, gs.size)
 
 
+def _row_keys(flat: np.ndarray) -> list:
+    """The bytes of each row of a restriction matrix, equal exactly when
+    the rows are."""
+    flat = np.ascontiguousarray(flat)
+    row = np.dtype((np.void, flat.shape[1] * flat.itemsize))
+    return flat.view(row).ravel().tolist()
+
+
 def _checked_kernel(flat: np.ndarray, image: int) -> int:
     """Count the all-zero rows of a restriction matrix with `image`
     distinct rows, checking kernel * image == rows."""
@@ -225,7 +215,7 @@ def _checked_kernel(flat: np.ndarray, image: int) -> int:
 def restriction_kernel_image_sizes(U: Subgroup, m: int) -> tuple[int, int]:
     """Kernel and image size of restriction Hom(G x H, C_m) -> Hom(U, C_m)."""
     flat = _restriction_matrix(U, m)
-    image = int(np.unique(flat, axis=0).shape[0])
+    image = len(set(_row_keys(flat)))
     return _checked_kernel(flat, image), image
 
 
@@ -237,9 +227,9 @@ def restriction_kernel_fibers(U: Subgroup, m: int) -> tuple[int, tuple]:
     homomorphism of hom-groups are cosets.
     """
     flat = _restriction_matrix(U, m)
-    _, counts = np.unique(flat, axis=0, return_counts=True)
-    kernel = _checked_kernel(flat, counts.size)
-    return kernel, tuple(sorted(int(c) for c in counts))
+    counts = Counter(_row_keys(flat)).values()
+    kernel = _checked_kernel(flat, len(counts))
+    return kernel, tuple(sorted(counts))
 
 
 def coefficient_modulus(U: Subgroup, p: int) -> int:

@@ -265,12 +265,15 @@ def write_records(path: Union[str, Path], records, *,
 def read_records(path: Union[str, Path]) -> tuple[dict, list]:
     """Parse a report file back into (header, records)."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     if not lines:
         raise ParseError(f"{path} is empty")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad header line: {exc}") from exc
     if not isinstance(header, dict) or header.get("schema") != HEADER_SCHEMA:
         raise ParseError("first line is not a report header")
@@ -280,7 +283,9 @@ def read_records(path: Union[str, Path]) -> tuple[dict, list]:
             continue
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"bad record on line {i}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ParseError(f"record on line {i} is not a JSON object")
         records.append(AnalysisRecord.from_dict(payload))
     return header, records

@@ -27,6 +27,7 @@ from .groups import FiniteGroup, Subgroup, from_cayley_table, \
 from .presets import alternating, cyclic, dihedral, elementary_abelian, \
     quaternion8, symmetric
 from .products import (
+    DEFAULT_PRODUCT_CAP,
     ProductGroup,
     diagonal,
     direct_product,
@@ -51,10 +52,16 @@ _SHORTHAND = re.compile(
     r"|(?P<elementary_abelian>E(\d+)\^(\d+))")
 
 
+_INT32 = range(-2 ** 31, 2 ** 31)
+
+
 def _as_int(value, what: str) -> int:
-    """A JSON integer; floats, strings and booleans are input errors."""
+    """A JSON integer that fits the int32 tables; floats, strings,
+    booleans and larger integers are input errors."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{what} must be an integer, got {value!r}")
+    if value not in _INT32:
+        raise ParseError(f"{what} {value} is outside the int32 range")
     return value
 
 
@@ -76,32 +83,43 @@ def _preset(preset_id: str, args: tuple, name: str) -> FiniteGroup:
 
 
 def _read_json(text: str):
-    """The JSON value of an ``@path`` file reference or of inline JSON."""
+    """The JSON value of an ``@path`` file reference or of inline JSON.
+
+    Nesting too deep for the parser, and a file that is not text, are
+    input errors like bad syntax.
+    """
     if text.startswith("@"):
         path = Path(text[1:])
         try:
-            return json.loads(path.read_text())
+            return json.loads(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise ParseError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError,
+                UnicodeDecodeError) as exc:
             raise ParseError(f"bad JSON in {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad inline JSON: {exc}") from exc
 
 
-def load_group(text: str) -> FiniteGroup:
+def load_group(text: str, *,
+               max_order: int = DEFAULT_PRODUCT_CAP) -> FiniteGroup:
     """The group of a shorthand, inline JSON or ``@path`` description.
 
     Every shorthand factor is checked before any is built; the factors
-    of a product are then built and multiplied from the left.
+    of a product are then built and multiplied from the left.  Every
+    product the description asks for is capped at ``max_order``.
     """
     text = text.strip()
     if not text:
         raise ParseError("empty group description")
     if text.startswith(("@", "{")):
-        return _group_from_json(_read_json(text))
+        payload = _read_json(text)
+        try:
+            return _group_from_json(payload, max_order)
+        except RecursionError:
+            raise ParseError("group spec is nested too deeply") from None
     factors = []
     for token in (token.strip() for token in text.split("x")):
         m = _SHORTHAND.fullmatch(token)
@@ -109,11 +127,12 @@ def load_group(text: str) -> FiniteGroup:
             raise ParseError(f"unknown group shorthand {token!r}")
         args = tuple(int(x) for x in m.groups()[m.lastindex:] if x)
         factors.append((m.lastgroup, args, token))
-    return functools.reduce(lambda a, b: direct_product(a, b).group,
-                            (_preset(*factor) for factor in factors))
+    return functools.reduce(
+        lambda a, b: direct_product(a, b, max_order=max_order).group,
+        (_preset(*factor) for factor in factors))
 
 
-def _group_from_json(payload) -> FiniteGroup:
+def _group_from_json(payload, max_order: int) -> FiniteGroup:
     if not isinstance(payload, dict):
         raise ParseError("group spec must be a JSON object")
     kind = payload.get("kind")
@@ -147,15 +166,17 @@ def _group_from_json(payload) -> FiniteGroup:
     for side in ("left", "right"):  # a product; its name is not used
         if side not in data:
             raise ParseError(f"product spec is missing {side!r}")
-    return direct_product(_factor(data["left"]), _factor(data["right"])).group
+    return direct_product(_factor(data["left"], max_order),
+                          _factor(data["right"], max_order),
+                          max_order=max_order).group
 
 
-def _factor(value) -> FiniteGroup:
+def _factor(value, max_order: int) -> FiniteGroup:
     """A product factor: a description string or a JSON spec object."""
     if isinstance(value, str):
-        return load_group(value)
+        return load_group(value, max_order=max_order)
     if isinstance(value, dict):
-        return _group_from_json(value)
+        return _group_from_json(value, max_order)
     raise ParseError("product factors must be specs or shorthand strings")
 
 

@@ -12,7 +12,11 @@ batched ``compose_relations`` replaced; each is kept as the reference
 for its replacement.  Likewise :func:`squaring_closure` and
 :func:`greedy_generating_sequence` are the set-squaring closure and the
 greedy generator loop that the incremental closure in
-``subdirect.groups`` replaced.
+``subdirect.groups`` replaced, and :func:`recursive_value_tables`,
+:func:`maximal_order_invariants` and :func:`unique_row_kernel_image` /
+:func:`unique_row_fibers` are the hom-table recursion, the divisor
+chain by quotients and the sorting row count that the array code in
+``subdirect.homoracle`` and ``subdirect.groups`` replaced.
 """
 
 from __future__ import annotations
@@ -243,3 +247,97 @@ def greedy_generating_sequence(G) -> tuple:
         chosen.append(next(i for i in range(1, G.order) if i not in have))
         have = set(squaring_closure(G, chosen))
     return tuple(chosen)
+
+
+def recursive_value_tables(A, m: int) -> list:
+    """Hom value tables A -> C_m for abelian A, one recursion branch and
+    one array copy per congruence solution, sorted as tuples."""
+    import math
+
+    import numpy as np
+
+    from subdirect.groups import generating_sequence
+
+    n = A.order
+    if m == 1 or n == 1:
+        return [np.zeros(n, dtype=np.int64)]
+    schedule = []
+    current = np.array([0], dtype=np.int64)
+    have = {0}
+    for g in generating_sequence(A):
+        powers = []
+        e = int(g)
+        while e not in have:
+            powers.append(e)
+            e = int(A.product[e, g])
+        t0 = len(powers) + 1
+        layers = [(A.product[current, powers[t - 1]], current.copy(), t)
+                  for t in range(1, t0)]
+        schedule.append((t0, e, layers))
+        current = np.sort(np.concatenate([current] + [lay[0] for lay in layers]))
+        have = set(int(x) for x in current)
+
+    results: list = []
+
+    def rec(j, vals):
+        if j == len(schedule):
+            results.append(vals)
+            return
+        t0, closing, layers = schedule[j]
+        target = int(vals[closing])
+        d = math.gcd(t0, m)
+        if target % d:
+            return
+        step = m // d
+        v0 = (target // d) * pow(t0 // d, -1, step) % step
+        for k in range(d):
+            v = v0 + k * step
+            grown = vals.copy()
+            for targets, sources, t in layers:
+                grown[targets] = (vals[sources] + t * v) % m
+            rec(j + 1, grown)
+
+    start = np.full(n, -1, dtype=np.int64)
+    start[0] = 0
+    rec(0, start)
+    return sorted(results, key=lambda a: tuple(a))
+
+
+def maximal_order_invariants(G) -> tuple:
+    """Divisor chain of an abelian group: split off a cyclic subgroup of
+    maximal order and recurse on the quotient."""
+    from subdirect.groups import quotient_group, subgroup_generated
+
+    chain = []
+    cur = G
+    while cur.order > 1:
+        orders = cur.element_orders()
+        x = int(orders.argmax())
+        chain.append(int(orders[x]))
+        cur, _ = quotient_group(cur, subgroup_generated(cur, (x,)))
+    return tuple(reversed(chain))
+
+
+def unique_row_kernel_image(U, m: int) -> tuple:
+    """(kernel, image) of the restriction map by sorting the rows of its
+    matrix with ``np.unique(axis=0)``."""
+    import numpy as np
+
+    from subdirect.homoracle import _restriction_matrix
+
+    flat = _restriction_matrix(U, m)
+    kernel = int((flat == 0).all(axis=1).sum())
+    return kernel, int(np.unique(flat, axis=0).shape[0])
+
+
+def unique_row_fibers(U, m: int) -> tuple:
+    """(kernel, sorted fiber sizes) of the restriction map by
+    ``np.unique(axis=0, return_counts=True)``."""
+    import numpy as np
+
+    from subdirect.homoracle import _restriction_matrix
+
+    flat = _restriction_matrix(U, m)
+    kernel = int((flat == 0).all(axis=1).sum())
+    _, counts = np.unique(flat, axis=0, return_counts=True)
+    return kernel, tuple(sorted(int(c) for c in counts))

@@ -1,7 +1,11 @@
 """Homomorphism enumeration into cyclic groups and the extension oracle."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import helpers
 
@@ -11,8 +15,11 @@ from subdirect import (
     NotSubdirect,
     OrderLimitExceeded,
     Subgroup,
+    abelian_invariants,
     abelianization,
     alternating,
+    catalog_group,
+    catalog_names,
     coefficient_modulus,
     cyclic,
     diagonal,
@@ -35,6 +42,7 @@ from subdirect import (
     symmetric,
 )
 from subdirect.presets import _small_registry
+from subdirect.products import DEFAULT_PRODUCT_CAP
 
 A3 = (0, 3, 4)
 
@@ -307,3 +315,67 @@ def test_extension_witness_consistency():
         assert all(results) == extendable
         # The zero hom always extends.
         assert results[0]
+
+
+# -- array routines against the loops they replaced --------------------------
+
+MODULI = (1, 2, 3, 4, 6, 8, 9, 12)
+
+
+@functools.cache
+def catalog_subdirects() -> tuple:
+    """Every subdirect product of two catalog groups within the default cap."""
+    catalog = [catalog_group(name) for name in catalog_names()]
+    return tuple(U for G in catalog for H in catalog
+                 if G.order * H.order <= DEFAULT_PRODUCT_CAP
+                 for U in enumerate_subdirect(G, H))
+
+
+def abelian_quotient(U):
+    """The abelianization of U as a group."""
+    return abelianization(U.as_group()[0])[1].codomain
+
+
+def assert_value_tables_match(A, m):
+    tables = homoracle._abelian_value_tables(A, m)
+    assert tables.dtype == np.int64
+    assert tables.tolist() == [t.tolist()
+                               for t in helpers.recursive_value_tables(A, m)]
+
+
+def test_value_tables_match_recursion_on_catalog_subdirects():
+    for U in catalog_subdirects():
+        A = abelian_quotient(U)
+        for m in MODULI:
+            assert_value_tables_match(A, m)
+
+
+def test_abelian_invariants_match_quotient_loop_on_catalog_subdirects():
+    for U in catalog_subdirects():
+        A = abelian_quotient(U)
+        assert (abelian_invariants(A).divisors
+                == helpers.maximal_order_invariants(A))
+
+
+def test_restriction_counts_match_unique_rows_on_catalog_subdirects():
+    for U in catalog_subdirects():
+        for m in MODULI:
+            assert (restriction_kernel_image_sizes(U, m)
+                    == helpers.unique_row_kernel_image(U, m))
+            assert (restriction_kernel_fibers(U, m)
+                    == helpers.unique_row_fibers(U, m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(orders=st.lists(st.integers(1, 16), min_size=1, max_size=4),
+       m=st.sampled_from(MODULI))
+def test_array_routines_match_references_on_cyclic_products(orders, m):
+    assume(math.prod(orders) <= 400)
+    A = functools.reduce(lambda a, b: direct_product(a, b).group,
+                         map(cyclic, orders))
+    assert abelian_invariants(A).divisors == helpers.maximal_order_invariants(A)
+    assert_value_tables_match(A, m)
+    if A.order <= 36:
+        U = diagonal(A)
+        assert (restriction_kernel_fibers(U, m)
+                == helpers.unique_row_fibers(U, m))

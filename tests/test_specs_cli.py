@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import re
 import types
@@ -15,6 +16,7 @@ import subdirect
 import subdirect.verification as verification
 from subdirect import (
     CheckContext,
+    OrderLimitExceeded,
     ParseError,
     SubdirectError,
     analyze_subgroup,
@@ -96,6 +98,51 @@ def test_load_group_from_file(tmp_path):
     }))
     G = load_group(f"@{path}")
     assert G.order == 6
+
+
+def test_load_group_caps_every_product_at_max_order():
+    assert load_group("C37xC37", max_order=2000).order == 1369
+    with pytest.raises(OrderLimitExceeded):
+        load_group("C37xC37")
+    spec = json.dumps({"kind": "product",
+                       "data": {"left": "C37", "right": {
+                           "kind": "preset",
+                           "data": {"id": "cyclic", "n": 37}}}})
+    assert load_group(spec, max_order=2000).order == 1369
+    with pytest.raises(OrderLimitExceeded):
+        load_group(spec)
+    with pytest.raises(OrderLimitExceeded):
+        load_group("C2xC3", max_order=5)
+
+
+def test_cayley_entry_outside_int32_is_named():
+    with pytest.raises(ParseError, match="cayley entry 99999999999"):
+        load_group(_cayley([[0, 99999999999]]))
+    with pytest.raises(ParseError, match="cayley entry -2147483649"):
+        load_group(_cayley([[0, -2 ** 31 - 1]]))
+
+
+def _nested_product(depth: int) -> str:
+    return ('{"kind":"product","data":{"left":' * depth + '"C1"'
+            + ',"right":"C1"}}' * depth)
+
+
+def test_nested_product_specs_raise_only_parse_errors():
+    """Specs nested just below the parser's depth limit can still run out
+    of stack while their groups are built; that too is an input error."""
+    def parses(depth):
+        try:
+            json.loads(_nested_product(depth))
+        except RecursionError:
+            return False
+        return True
+
+    limit = next(d for d in itertools.count(1) if not parses(d))
+    for depth in range(max(1, limit - 20), limit + 2):
+        try:
+            assert load_group(_nested_product(depth)).order == 1
+        except ParseError:
+            pass
 
 
 def test_parse_permutation_forms():
@@ -277,6 +324,57 @@ def test_write_and_read_records(tmp_path):
     header, loaded = read_records(path)
     assert header["source"] == "test"
     assert loaded == recs
+
+
+def _report(directory, *record_lines):
+    """A report file with a real header line and these record lines."""
+    path = directory / "report.jsonl"
+    write_records(path, [])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in record_lines))
+    return path
+
+
+@pytest.mark.parametrize("line", ["5", "null", "[[1]]", '"text"', "true"])
+def test_read_records_rejects_non_object_lines(tmp_path, line):
+    with pytest.raises(ParseError, match="line 2 is not a JSON object"):
+        read_records(_report(tmp_path, line))
+
+
+def test_read_records_rejects_undecodable_files(tmp_path):
+    path = _report(tmp_path)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        read_records(path)
+
+
+_RECORD_FIELDS = sorted(AnalysisRecord.__dataclass_fields__)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=5),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=5), children,
+                                        max_size=3)),
+    max_leaves=8)
+_RECORD_LIKE = st.dictionaries(
+    st.sampled_from(_RECORD_FIELDS) | st.text(max_size=3),
+    st.just(RECORD_SCHEMA) | _JSON_VALUES, max_size=len(_RECORD_FIELDS) + 1)
+_REPORT_LINES = (_JSON_VALUES.map(json.dumps) | _RECORD_LIKE.map(json.dumps)
+                 | st.text(max_size=12) | st.just('{"a":' * 5000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_REPORT_LINES, max_size=4), junk_header=st.booleans())
+def test_read_records_raises_only_parse_errors(tmp_path_factory, lines,
+                                               junk_header):
+    path = _report(tmp_path_factory.getbasetemp(), *lines)
+    if junk_header:
+        path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        read_records(path)
+    except ParseError:
+        pass
 
 
 def test_star_analysis_fields():
@@ -644,7 +742,9 @@ def test_cli_diagonal_on_mixed_factors_exits_2(capsys):
     (("subdirects", "--G", "C37"), "1400", 37),
     (("star", "--G", "C37", "--H", "C1", "--U", "full", "--V", "full"),
      "1400", None),
-], ids=["analyze-diagonal", "subdirects", "star-composite"])
+    (("analyze", "--G", "C28xC49", "--H", "C1", "--U", "full"), "1400",
+     None),
+], ids=["analyze-diagonal", "subdirects", "star-composite", "product-spec"])
 def test_cli_max_order_raises_every_product_cap(capsys, argv, cap, count):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
@@ -674,9 +774,10 @@ def _permutations(generators) -> str:
     ("--G", _permutations(["(0 a)"]), "--U", "full"),
     ("--G", _permutations([[1.7, 0, 2]]), "--U", "full"),
     ("--G", _permutations([[True, 0, 2]]), "--U", "full"),
+    ("--G", _cayley([[0, 99999999999]]), "--U", "full"),
 ], ids=["pairs-not-a-list", "pair-float", "cayley-ragged", "cayley-string",
         "cayley-float", "image-string", "cycle-string", "image-float",
-        "image-bool"])
+        "image-bool", "cayley-int64"])
 def test_cli_malformed_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, "analyze", *argv)
     assert code == 2
@@ -688,13 +789,24 @@ def test_cli_malformed_input_exits_2(capsys, argv):
     ("missing-file", "cannot read"),
     ("bad-file-json", "bad JSON in"),
     ("bad-inline-json", "bad inline JSON"),
+    ("deep-file-json", "bad JSON in"),
+    ("deep-inline-json", "bad inline JSON"),
+    ("binary-file", "bad JSON in"),
 ])
 def test_cli_unreadable_json_exits_2(capsys, tmp_path, flag, kind, message):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": ')
+    deep_text = '{"a":' * 100_000 + "1" + "}" * 100_000
+    deep = tmp_path / "deep.json"
+    deep.write_text(deep_text)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'\xff{"kind": "preset"}')
     value = {"missing-file": f"@{tmp_path / 'absent.json'}",
              "bad-file-json": f"@{bad}",
-             "bad-inline-json": '{"kind": '}[kind]
+             "bad-inline-json": '{"kind": ',
+             "deep-file-json": f"@{deep}",
+             "deep-inline-json": deep_text,
+             "binary-file": f"@{binary}"}[kind]
     argv = {"--G": ("--G", value, "--U", "full"),
             "--U": ("--G", "S3", "--U", value)}[flag]
     code, out, err = run_cli(capsys, "analyze", *argv)
