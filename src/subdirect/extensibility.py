@@ -27,6 +27,7 @@ from .groups import (
     center,
     commutator_subgroup,
     has_cyclic_sylows,
+    interned,
     is_normal,
     memoised,
     mutual_commutator,
@@ -79,8 +80,9 @@ def kernel_commutator_data(U: Subgroup) -> KernelCommutatorData:
     dd = projections_kernels(derived)
     c1 = mutual_commutator(d.k1, d.p1)
     c2 = mutual_commutator(d.k2, d.p2)
-    cap1 = mutual_commutator(d.p1, d.p1).intersection(d.k1)
-    cap2 = mutual_commutator(d.p2, d.p2).intersection(d.k2)
+    info = product_of(U)
+    cap1 = interned(info.left, mutual_commutator(d.p1, d.p1).mask & d.k1.mask)
+    cap2 = interned(info.right, mutual_commutator(d.p2, d.p2).mask & d.k2.mask)
     if not (c1.is_subset_of(dd.k1) and dd.k1.is_subset_of(cap1)):
         raise InternalInconsistency("kernel chain fails on the left")
     if not (c2.is_subset_of(dd.k2) and dd.k2.is_subset_of(cap2)):
@@ -151,8 +153,15 @@ class ObstructionQuotient:
 
 
 def obstruction_quotient(G: FiniteGroup, K: Subgroup) -> ObstructionQuotient:
+    """The obstruction quotient of K in G, memoised on K."""
     if K.parent is not G:
         raise ValueError("subgroup of a different parent")
+    return _obstruction_of(K)
+
+
+@memoised("obstruction")
+def _obstruction_of(K: Subgroup) -> ObstructionQuotient:
+    G = K.parent
     if not is_normal(K):
         raise NotNormal("obstruction quotient needs a normal subgroup")
     base = K.intersection(commutator_subgroup(G))

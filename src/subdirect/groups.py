@@ -15,6 +15,17 @@ Derived data such as element orders, conjugacy classes and the full
 subgroup lattice is memoised in the ``_cache`` dict of the instance that
 owns it.  :func:`memoised` is the one helper that reads and writes those
 dicts, in every module of the package.
+
+Ownership rule: factor subgroups are interned on their group.  The
+projections and kernels of a product subgroup, and the intersections
+built from them, belong to a factor group, not to the one product
+subgroup that produced them; :func:`interned` keeps one object per
+mask on the factor, so their commutators and quotients, memoised on
+them, are computed once per factor.  Memo keys are masks or ints, never
+a ``Subgroup`` or group object, so nothing memoised on a product
+subgroup refers back to it and a dropped one is freed by reference
+counting alone.  The one exception is ``direct_product``, keyed on its
+right factor, which the product refers to anyway.
 """
 
 from __future__ import annotations
@@ -349,6 +360,25 @@ def subgroup_generated(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     return Subgroup(G, _closure(G, seed)[0], check=False)
 
 
+@memoised("interned")
+def _interned_table(G: FiniteGroup) -> dict:
+    return {S.mask: S for S in (G.trivial(), G.full())}
+
+
+def interned(G: FiniteGroup, mask: int) -> Subgroup:
+    """The one shared subgroup of G with this element mask.
+
+    The mask must describe a subgroup; it is not checked.  The table is
+    seeded with ``G.full()`` and ``G.trivial()``, so those come back as
+    themselves.
+    """
+    table = _interned_table(G)
+    S = table.get(mask)
+    if S is None:
+        S = table[mask] = Subgroup(G, _mask_elements(mask), check=False)
+    return S
+
+
 def set_product(A: Subgroup, B: Subgroup, *, check: bool = True) -> Subgroup:
     """The product set {a*b}; a subgroup whenever one factor is normal."""
     if A.parent is not B.parent:
@@ -358,10 +388,18 @@ def set_product(A: Subgroup, B: Subgroup, *, check: bool = True) -> Subgroup:
 
 
 def mutual_commutator(X: Subgroup, Y: Subgroup) -> Subgroup:
-    """Subgroup generated by all commutators [x, y] with x in X, y in Y."""
-    G = X.parent
-    if Y.parent is not G:
+    """Subgroup generated by all commutators [x, y] with x in X, y in Y,
+    memoised on X."""
+    if Y.parent is not X.parent:
         raise ValueError("subgroups of different parents")
+    return _commutator_with(X, Y.mask, Y=Y)
+
+
+# The mask of Y is the memo key; Y itself rides along as a keyword,
+# which memoised leaves out of the key.
+@memoised("commutator")
+def _commutator_with(X: Subgroup, mask: int, *, Y: Subgroup) -> Subgroup:
+    G = X.parent
     xa = np.array(X.elements)
     ya = np.array(Y.elements)
     t = G.product[G.inverse[xa][:, None], G.inverse[ya]]
@@ -415,6 +453,7 @@ def _quotient(P: Subgroup, K: Subgroup, name: str) -> tuple[FiniteGroup, np.ndar
     reps, coset = np.unique(least, return_inverse=True)
     to_q = np.full(P.parent.order, -1, dtype=_DTYPE)
     to_q[np.array(P.elements)] = coset
+    to_q.setflags(write=False)
     qtable = to_q[P.parent.product[reps[:, None], reps]]
     return FiniteGroup(qtable, label=f"{name}/{K.order}", validate=False), to_q
 
@@ -431,12 +470,20 @@ def subgroup_quotient(P: Subgroup, K: Subgroup) -> tuple[FiniteGroup, np.ndarray
     """P/K for K normal in P, plus the parent-index to coset-index map.
 
     The returned array has one entry per element of the ambient group,
-    -1 outside P.
+    -1 outside P, and is read-only: both are memoised on P and shared by
+    every caller.
     """
     if K.parent is not P.parent:
         raise ValueError("subgroups of different parents")
     if not K.is_subset_of(P):
         raise ValueError("kernel must sit inside the projection")
+    return _quotient_by(P, K.mask, K=K)
+
+
+# Keyed by the mask of K, as _commutator_with is by the mask of Y.
+@memoised("quotient")
+def _quotient_by(P: Subgroup, mask: int, *,
+                 K: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
     return _quotient(P, K, f"{P.parent.label}[{P.order}]")
 
 
@@ -544,6 +591,7 @@ class AbelianInvariants:
         return " x ".join(f"C{d}" for d in self.divisors) or "1"
 
 
+@memoised("invariants")
 def abelian_invariants(G: FiniteGroup) -> AbelianInvariants:
     """Divisor chain of an abelian group, read from its element orders.
 

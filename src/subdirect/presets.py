@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import FiniteGroup, find_isomorphism, from_permutations
+from .groups import FiniteGroup, find_isomorphism, from_permutations, memoised
 from .products import direct_product
 
 
@@ -198,8 +198,9 @@ def _small_registry() -> list:
     return [(name, builder()) for name, builder in _REGISTRY_BUILDERS]
 
 
+@memoised("small_group")
 def identify_small_group(G: FiniteGroup) -> Optional[str]:
-    """Name of G up to isomorphism, for orders at most 12."""
+    """Name of G up to isomorphism, for orders at most 12, memoised on G."""
     if G.order > 12:
         return None
     for name, rep in _small_registry():

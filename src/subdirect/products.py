@@ -26,9 +26,12 @@ from .groups import (
     GroupHom,
     Subgroup,
     _coset_minima,
+    _mask_of,
+    _quotient,
     all_subgroups,
     automorphisms,
     identity_hom,
+    interned,
     is_isomorphic,
     isomorphisms_iter,
     memoised,
@@ -102,13 +105,18 @@ class ProjectionData:
 
 @memoised("projections")
 def projections_kernels(U: Subgroup) -> ProjectionData:
+    """The four factor subgroups of U, interned on their factor, so
+    subgroups with a common section share them and their memos."""
     info = product_of(U)
     gs, hs = info.split(U.elements)
-    p1 = Subgroup(info.left, np.unique(gs), check=False)
-    p2 = Subgroup(info.right, np.unique(hs), check=False)
-    k1 = Subgroup(info.left, gs[hs == 0], check=False)
-    k2 = Subgroup(info.right, hs[gs == 0], check=False)
-    return ProjectionData(p1, k1, p2, k2)
+
+    def factor_subgroup(F: FiniteGroup, elements: np.ndarray) -> Subgroup:
+        return interned(F, _mask_of(np.unique(elements)))
+
+    return ProjectionData(factor_subgroup(info.left, gs),
+                          factor_subgroup(info.left, gs[hs == 0]),
+                          factor_subgroup(info.right, hs),
+                          factor_subgroup(info.right, hs[gs == 0]))
 
 
 def is_subdirect(U: Subgroup) -> bool:
@@ -374,7 +382,9 @@ def _section_catalogue(G: FiniteGroup) -> dict:
         for N in subgroups:
             if not (N.is_subset_of(S) and _coset_minima(S, N)[1]):
                 continue
-            quot, _ = subgroup_quotient(S, N)
+            # not the memoised subgroup_quotient: only one quotient per
+            # class is kept, so the others must not stay alive on S
+            quot, _ = _quotient(S, N, G.label)
             bucket = catalogue.setdefault(quot.order, [])
             if not any(is_isomorphic(quot, R) for R in bucket):
                 bucket.append(quot)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
@@ -96,7 +97,26 @@ class AnalysisRecord:
             raise ParseError(f"record is missing fields {sorted(missing)}")
         if data.get("schema") != RECORD_SCHEMA:
             raise ParseError(f"unsupported record schema {data.get('schema')!r}")
+        for name, types in _FIELD_TYPES.items():
+            if not _is_a(data[name], types):
+                want = " or ".join("null" if t is type(None) else t.__name__
+                                   for t in types)
+                raise ParseError(f"record field {name!r} must be {want}, "
+                                 f"got {json.dumps(data[name])[:40]}")
         return cls(**data)
+
+
+# The JSON types each record field admits, from its annotation.
+_FIELD_TYPES = {name: typing.get_args(hint) or (hint,)
+                for name, hint in typing.get_type_hints(AnalysisRecord).items()}
+
+
+def _is_a(value, types: tuple) -> bool:
+    """isinstance for JSON values: a bool is no number, an int is a float."""
+    if isinstance(value, bool):
+        return bool in types
+    return isinstance(value, types) or (float in types
+                                        and isinstance(value, int))
 
 
 def _group_summary(G: FiniteGroup) -> dict:
@@ -287,5 +307,8 @@ def read_records(path: Union[str, Path]) -> tuple[dict, list]:
             raise ParseError(f"bad record on line {i}: {exc}") from exc
         if not isinstance(payload, dict):
             raise ParseError(f"record on line {i} is not a JSON object")
-        records.append(AnalysisRecord.from_dict(payload))
+        try:
+            records.append(AnalysisRecord.from_dict(payload))
+        except ParseError as exc:
+            raise ParseError(f"record on line {i}: {exc}") from exc
     return header, records

@@ -52,7 +52,8 @@ from subdirect import (
     symmetric,
 )
 from subdirect.groups import Subgroup, all_subgroups, \
-    conjugacy_class_sizes, memoised, normal_subgroups
+    conjugacy_class_sizes, interned, memoised, normal_subgroups
+from subdirect.extensibility import obstruction_quotient
 from subdirect.presets import _small_registry
 from subdirect.products import projections_kernels
 
@@ -494,6 +495,7 @@ def test_memoised_stores_none_and_keys_extra_arguments():
 
 
 _S3 = symmetric(3)
+_C6 = cyclic(6)
 _DIAG = diagonal(_S3)
 _MEMOISED_CALLS = {
     "element_orders": lambda: _S3.element_orders(),
@@ -509,6 +511,12 @@ _MEMOISED_CALLS = {
     "abelianization": lambda: abelianization(_S3),
     "conjugacy_class_sizes": lambda: conjugacy_class_sizes(_S3),
     "automorphisms": lambda: automorphisms(_S3),
+    "mutual_commutator": lambda: mutual_commutator(_DIAG, _DIAG),
+    "subgroup_quotient": lambda: subgroup_quotient(_S3.full(),
+                                                   commutator_subgroup(_S3)),
+    "abelian_invariants": lambda: abelian_invariants(_C6),
+    "obstruction_quotient": lambda: obstruction_quotient(_S3, _S3.full()),
+    "interned": lambda: interned(_S3, 0b11001),  # A3 = {0, 3, 4}
     "all_subgroups": lambda: all_subgroups(_S3),
     "normal_subgroups": lambda: normal_subgroups(_S3),
     "projections_kernels": lambda: projections_kernels(_DIAG),

@@ -18,6 +18,7 @@ from subdirect import (
     quaternion8,
     symmetric,
 )
+import subdirect.presets as presets
 from subdirect.presets import preset_descriptions
 
 
@@ -110,6 +111,23 @@ def test_identify_small_group():
     assert identify_small_group(alternating(4)) == "A4"
     assert identify_small_group(dicyclic12()) == "Dic12"
     assert identify_small_group(symmetric(4)) is None
+
+
+def test_identify_small_group_searches_once_per_group(monkeypatch):
+    search = presets.find_isomorphism
+    searched = []
+
+    def counting(G, rep):
+        searched.append(rep)
+        return search(G, rep)
+
+    monkeypatch.setattr(presets, "find_isomorphism", counting)
+    G = quaternion8()
+    assert identify_small_group(G) == "Q8"
+    first = len(searched)
+    assert first > 0
+    assert identify_small_group(G) == "Q8"
+    assert len(searched) == first
 
 
 def test_identify_covers_products():

@@ -1,8 +1,11 @@
 """Direct products, Goursat data, composition, and diagonals."""
 
+import functools
+import gc
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 
@@ -12,6 +15,7 @@ from subdirect import (
     NotAutomorphism,
     OrderLimitExceeded,
     Subgroup,
+    analyze_subgroup,
     automorphisms,
     center,
     certify,
@@ -30,7 +34,9 @@ from subdirect import (
     is_isomorphic,
     is_section,
     is_subdirect,
+    kernel_commutator_data,
     make_quintuple,
+    mutual_commutator,
     quaternion8,
     star_product,
     subdirect_by_scan,
@@ -40,9 +46,10 @@ from subdirect import (
     twisted_diagonal,
 )
 import subdirect.products as products
-from subdirect.groups import all_subgroups
+from subdirect.groups import _interned_table, all_subgroups
 from subdirect.presets import _small_registry
 from subdirect.products import product_of, projections_kernels
+from subdirect.specs import load_group
 
 
 def pair_subgroup(info, pairs):
@@ -364,3 +371,89 @@ def test_product_of_requires_product_parent():
     G = symmetric(3)
     with pytest.raises(ValueError):
         product_of(G.full())
+
+
+# -- factor data shared across subgroups ------------------------------------------
+
+
+def test_subdirects_with_one_section_share_factor_data():
+    G = dihedral(8)
+    by_kernel: dict = {}
+    for U in enumerate_subdirect(G, G):
+        by_kernel.setdefault(projections_kernels(U).k1.mask, []).append(U)
+    shared = [Us[:2] for Us in by_kernel.values() if len(Us) > 1]
+    assert shared
+    for U, V in shared:
+        dU, dV = projections_kernels(U), projections_kernels(V)
+        assert dU.p1 is dV.p1 is G.full()
+        assert dU.k1 is dV.k1
+        qU, qV = goursat_quintuple(U), goursat_quintuple(V)
+        assert qU.q1 is qV.q1
+        assert qU.to_q1 is qV.to_q1 and not qU.to_q1.flags.writeable
+        assert (kernel_commutator_data(U).p1_derived_cap_k1
+                is kernel_commutator_data(V).p1_derived_cap_k1)
+    assert mutual_commutator(G.full(), G.full()) is commutator_subgroup(G)
+
+
+def test_interned_factor_subgroups_stay_within_the_lattice():
+    G = load_group("D8xC2")
+    subdirects = enumerate_subdirect(G, G)
+    assert len(subdirects) == 608
+    for U in subdirects:
+        analyze_subgroup(U)
+    lattice = {S.mask for S in all_subgroups(G)}
+    table = _interned_table(G)
+    assert set(table) <= lattice
+    assert len(table) <= len(lattice)
+    assert all(S.mask == mask for mask, S in table.items())
+
+
+def test_analysis_leaves_no_reference_cycle_through_the_subgroup():
+    G = dihedral(8)
+    info = direct_product(G, G)
+    subdirects = enumerate_subdirect(G, G)
+    analyze_subgroup(subdirects[0])  # fill the factor and product memos
+
+    def live_in_product():
+        return sum(1 for obj in gc.get_objects()
+                   if isinstance(obj, Subgroup) and obj.parent is info.group)
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_in_product()
+        U = Subgroup(info.group, subdirects[-1].elements)
+        analyze_subgroup(U)
+        del U
+        after = live_in_product()
+    finally:
+        gc.enable()
+    assert after == before
+
+
+def _fresh_pair(left: str, right: str) -> tuple:
+    G = load_group(left)
+    return G, (G if left == right else load_group(right))
+
+
+_ORDER_PAIRS = (("C2xC2", "C2xC2"), ("S3", "S3"), ("C4", "D8"),
+                ("D8", "D8"), ("D8", "Q8"), ("Q8", "Q8"))
+
+
+@functools.cache
+def _cold_records(left: str, right: str) -> list:
+    """Each subdirect's record, analysed first on freshly built groups."""
+    count = len(enumerate_subdirect(*_fresh_pair(left, right)))
+    return [analyze_subgroup(enumerate_subdirect(*_fresh_pair(left, right))[i])
+            for i in range(count)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_analysis_does_not_depend_on_earlier_analyses(data):
+    left, right = data.draw(st.sampled_from(_ORDER_PAIRS))
+    cold = _cold_records(left, right)
+    order = data.draw(st.permutations(range(len(cold))))
+    subdirects = enumerate_subdirect(*_fresh_pair(left, right))
+    for i in order:
+        assert analyze_subgroup(subdirects[i]) == cold[i]

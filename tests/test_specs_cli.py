@@ -349,6 +349,47 @@ def test_read_records_rejects_undecodable_files(tmp_path):
         read_records(path)
 
 
+# The JSON type of each record field, written out independently of the
+# annotations that records.py checks against.
+_FIELD_JSON_TYPES = {
+    "schema": (str,), "left": (dict,), "right": (dict,), "pairs": (list,),
+    "subdirect": (bool,), "projections": (dict,),
+    "quotient": (dict, type(None)), "contains_diagonal": (bool, type(None)),
+    "primes": (list,), "per_prime": (dict,),
+    "extensible": (bool, type(None)),
+    "oracle_extensible": (bool, type(None)),
+    "oracle_mode": (str, type(None)), "inconsistent": (bool,),
+    "star": (dict, type(None)), "timing_ms": (int, float, type(None)),
+}
+_VALID_RECORD = json.loads(analyze_subgroup(diagonal(cyclic(2))).to_json())
+
+
+def _has_json_type(value, types) -> bool:
+    if isinstance(value, bool):
+        return bool in types
+    return isinstance(value, types)
+
+
+def test_record_field_types_cover_every_field():
+    assert set(_FIELD_JSON_TYPES) == set(AnalysisRecord.__dataclass_fields__)
+
+
+def test_read_records_rejects_a_record_of_fives(tmp_path):
+    payload = {name: 5 for name in _FIELD_JSON_TYPES}
+    payload["schema"] = RECORD_SCHEMA
+    with pytest.raises(ParseError, match="line 2: record field 'left'"):
+        read_records(_report(tmp_path, json.dumps(payload)))
+
+
+@pytest.mark.parametrize("name", sorted(set(_FIELD_JSON_TYPES) - {"schema"}))
+def test_read_records_names_a_mistyped_field(tmp_path, name):
+    wrong = "5" if int in _FIELD_JSON_TYPES[name] else 5
+    payload = {**_VALID_RECORD, name: wrong}
+    with pytest.raises(ParseError, match=f"line 3: record field '{name}'"):
+        read_records(_report(tmp_path, json.dumps(_VALID_RECORD),
+                             json.dumps(payload)))
+
+
 _RECORD_FIELDS = sorted(AnalysisRecord.__dataclass_fields__)
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
@@ -360,21 +401,31 @@ _JSON_VALUES = st.recursive(
 _RECORD_LIKE = st.dictionaries(
     st.sampled_from(_RECORD_FIELDS) | st.text(max_size=3),
     st.just(RECORD_SCHEMA) | _JSON_VALUES, max_size=len(_RECORD_FIELDS) + 1)
+# A real record with some fields swapped for arbitrary JSON values.
+_TYPE_CONFUSED = st.dictionaries(
+    st.sampled_from(_RECORD_FIELDS), _JSON_VALUES, min_size=1
+).map(lambda junk: {**_VALID_RECORD, **junk})
 _REPORT_LINES = (_JSON_VALUES.map(json.dumps) | _RECORD_LIKE.map(json.dumps)
+                 | _TYPE_CONFUSED.map(json.dumps)
                  | st.text(max_size=12) | st.just('{"a":' * 5000))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(lines=st.lists(_REPORT_LINES, max_size=4), junk_header=st.booleans())
 def test_read_records_raises_only_parse_errors(tmp_path_factory, lines,
                                                junk_header):
+    """read_records raises only ParseError, and every record it does
+    load has a value of its field's JSON type in every field."""
     path = _report(tmp_path_factory.getbasetemp(), *lines)
     if junk_header:
         path.write_text("\n".join(lines), encoding="utf-8")
     try:
-        read_records(path)
+        _, records = read_records(path)
     except ParseError:
-        pass
+        return
+    for record in records:
+        for name, types in _FIELD_JSON_TYPES.items():
+            assert _has_json_type(getattr(record, name), types), name
 
 
 def test_star_analysis_fields():
@@ -826,6 +877,8 @@ PINNED_REPORTS = {
         "65d43ce58f6db32601f88c8992be3c1e823776e082845aec97b94f1aca02126f",
     "star --G S3 --U diagonal --V full":
         "712e3fdfedac93d37ea95d826445475f6cfab6e69fa4558616ebec406ede7416",
+    "subdirects --G D8xC2 --H D8xC2":
+        "16fb63882db8b3f8500ad741845825a932d089899092ad5239ecf855db121b47",
 }
 
 
