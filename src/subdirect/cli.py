@@ -139,7 +139,7 @@ def _primes_from(args) -> Optional[list]:
                     chosen.add(int(token))
                 except ValueError as exc:
                     raise ParseError(f"bad prime {token!r}") from exc
-    if args.prime:
+    if args.prime is not None:
         chosen.add(args.prime)
     if not chosen:
         return None

@@ -25,7 +25,10 @@ them, are computed once per factor.  Memo keys are masks or ints, never
 a ``Subgroup`` or group object, so nothing memoised on a product
 subgroup refers back to it and a dropped one is freed by reference
 counting alone.  The one exception is ``direct_product``, keyed on its
-right factor, which the product refers to anyway.
+right factor, which the product refers to anyway.  The module-level
+registry of :func:`isomorphism_class` is never cleared: it gains one
+representative per new isomorphism class, sharing the first group's
+table, and searches memoise its element orders, class sizes and profile.
 """
 
 from __future__ import annotations
@@ -812,6 +815,23 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[GroupHom]:
 
 def is_isomorphic(G1: FiniteGroup, G2: FiniteGroup) -> bool:
     return find_isomorphism(G1, G2) is not None
+
+
+_class_reps: list = []  # class id -> representative, built memo-free
+_class_ids: dict = {}  # (order, sorted element profile) -> class ids
+
+
+@memoised("iso_class")
+def isomorphism_class(G: FiniteGroup) -> int:
+    """An int that two groups share exactly when they are isomorphic."""
+    bucket = _class_ids.setdefault(
+        (G.order, tuple(sorted(_element_profile(G)))), [])
+    for cid in bucket:
+        if find_isomorphism(G, _class_reps[cid]) is not None:
+            return cid
+    bucket.append(len(_class_reps))
+    _class_reps.append(FiniteGroup(G.product, G.label, validate=False))
+    return bucket[-1]
 
 
 @memoised("automorphisms")

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import FiniteGroup, find_isomorphism, from_permutations, memoised
+from .groups import FiniteGroup, from_permutations, is_prime, isomorphism_class
 from .products import direct_product
 
 
@@ -103,8 +103,6 @@ def quaternion8() -> FiniteGroup:
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
-    from .groups import is_prime
-
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 0 or p ** k > 20000:
@@ -198,12 +196,13 @@ def _small_registry() -> list:
     return [(name, builder()) for name, builder in _REGISTRY_BUILDERS]
 
 
-@memoised("small_group")
+@functools.cache
+def _small_group_names() -> dict:
+    return {isomorphism_class(rep): name for name, rep in _small_registry()}
+
+
 def identify_small_group(G: FiniteGroup) -> Optional[str]:
-    """Name of G up to isomorphism, for orders at most 12, memoised on G."""
+    """Name of G up to isomorphism, for orders at most 12."""
     if G.order > 12:
         return None
-    for name, rep in _small_registry():
-        if rep.order == G.order and find_isomorphism(G, rep) is not None:
-            return name
-    return None
+    return _small_group_names().get(isomorphism_class(G))

@@ -32,7 +32,7 @@ from .groups import (
     automorphisms,
     identity_hom,
     interned,
-    is_isomorphic,
+    isomorphism_class,
     isomorphisms_iter,
     memoised,
     normal_subgroups,
@@ -370,25 +370,14 @@ def contains_twisted_diagonal(U: Subgroup) -> Optional[GroupHom]:
 
 
 @memoised("sections")
-def _section_catalogue(G: FiniteGroup) -> dict:
-    """One quotient S/N per isomorphism class of sections of G, by order.
-
-    Built once per group from pairs N <= S of its subgroup lattice
-    (capped at DEFAULT_LATTICE_CAP) with N normal in S.
-    """
-    catalogue: dict = {}
+def _section_catalogue(G: FiniteGroup) -> set:
+    """Class ids of the sections S/N of G, from pairs N <= S of its
+    subgroup lattice (capped at DEFAULT_LATTICE_CAP) with N normal in S."""
     subgroups = all_subgroups(G)
-    for S in subgroups:
-        for N in subgroups:
-            if not (N.is_subset_of(S) and _coset_minima(S, N)[1]):
-                continue
-            # not the memoised subgroup_quotient: only one quotient per
-            # class is kept, so the others must not stay alive on S
-            quot, _ = _quotient(S, N, G.label)
-            bucket = catalogue.setdefault(quot.order, [])
-            if not any(is_isomorphic(quot, R) for R in bucket):
-                bucket.append(quot)
-    return catalogue
+    # unmemoised _quotient: the quotients must not stay alive on S
+    return {isomorphism_class(_quotient(S, N, G.label)[0])
+            for S in subgroups for N in subgroups
+            if N.is_subset_of(S) and _coset_minima(S, N)[1]}
 
 
 def is_section(Q: FiniteGroup, G: FiniteGroup) -> bool:
@@ -397,8 +386,7 @@ def is_section(Q: FiniteGroup, G: FiniteGroup) -> bool:
         return True
     if G.order % Q.order:
         return False
-    bucket = _section_catalogue(G).get(Q.order, ())
-    return any(is_isomorphic(Q, R) for R in bucket)
+    return isomorphism_class(Q) in _section_catalogue(G)
 
 
 # -- certificates --------------------------------------------------------------

@@ -36,6 +36,7 @@ from .groups import (
     all_subgroups,
     has_cyclic_sylows,
     is_isomorphic,
+    isomorphism_class,
     mutual_commutator,
     normal_subgroups,
     p_part,
@@ -322,7 +323,7 @@ def check_abelianization_order(ctx: CheckContext) -> CheckResult:
 
 def check_isomorphism_equivalence(ctx: CheckContext) -> CheckResult:
     """Cases (a,), (a, b) and (a, b, c) test reflexivity, symmetry and
-    transitivity."""
+    transitivity; (a, b) also tests that class ids match the search."""
     groups = ctx.groups
     rel = {}
     for a in groups:
@@ -341,6 +342,9 @@ def check_isomorphism_equivalence(ctx: CheckContext) -> CheckResult:
         if c is None:
             if rel[(id(a), id(b))] != rel[(id(b), id(a))]:
                 return "not symmetric"
+            same = isomorphism_class(a) == isomorphism_class(b)
+            if same != rel[(id(a), id(b))]:
+                return "class ids disagree with the isomorphism search"
             return None
         if rel[(id(a), id(b))] and rel[(id(b), id(c))] \
                 and not rel[(id(a), id(c))]:

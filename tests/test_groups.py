@@ -52,7 +52,9 @@ from subdirect import (
     symmetric,
 )
 from subdirect.groups import Subgroup, all_subgroups, \
-    conjugacy_class_sizes, interned, memoised, normal_subgroups
+    conjugacy_class_sizes, interned, isomorphism_class, memoised, \
+    normal_subgroups
+import subdirect.groups as groups
 from subdirect.extensibility import obstruction_quotient
 from subdirect.presets import _small_registry
 from subdirect.products import projections_kernels
@@ -418,6 +420,34 @@ def test_find_isomorphism_is_homomorphism():
     g = find_isomorphism(symmetric(3), dihedral(6))
     assert g is not None
     assert g.is_bijective
+
+
+def test_small_registry_groups_get_distinct_class_ids():
+    registry = _small_registry()
+    assert len(registry) == 24
+    assert len({isomorphism_class(G) for _, G in registry}) == 24
+
+
+def _relabelled(data, G: FiniteGroup) -> FiniteGroup:
+    """A copy of G under a random relabelling that fixes the identity."""
+    perm = np.array([0] + data.draw(st.permutations(range(1, G.order))))
+    inv = np.argsort(perm)
+    return from_cayley_table(perm[G.product[inv[:, None], inv]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_isomorphism_class_is_the_isomorphism_relation(data):
+    registry = [G for _, G in _small_registry()]
+    G = data.draw(st.sampled_from(registry))
+    H = data.draw(st.sampled_from(registry))
+    copy = _relabelled(data, G)
+    known = isomorphism_class(G)
+    classes = len(groups._class_reps)
+    assert isomorphism_class(copy) == known
+    assert len(groups._class_reps) == classes  # no new class, no new entry
+    same = isomorphism_class(copy) == isomorphism_class(H)
+    assert same == is_isomorphic(copy, H)
 
 
 def test_automorphism_counts_match_brute():

@@ -18,7 +18,7 @@ from subdirect import (
     quaternion8,
     symmetric,
 )
-import subdirect.presets as presets
+import subdirect.groups as groups
 from subdirect.presets import preset_descriptions
 
 
@@ -114,14 +114,14 @@ def test_identify_small_group():
 
 
 def test_identify_small_group_searches_once_per_group(monkeypatch):
-    search = presets.find_isomorphism
+    search = groups.find_isomorphism
     searched = []
 
     def counting(G, rep):
         searched.append(rep)
         return search(G, rep)
 
-    monkeypatch.setattr(presets, "find_isomorphism", counting)
+    monkeypatch.setattr(groups, "find_isomorphism", counting)
     G = quaternion8()
     assert identify_small_group(G) == "Q8"
     first = len(searched)

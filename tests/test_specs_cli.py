@@ -16,6 +16,7 @@ import subdirect
 import subdirect.verification as verification
 from subdirect import (
     CheckContext,
+    FiniteGroup,
     OrderLimitExceeded,
     ParseError,
     SubdirectError,
@@ -648,6 +649,21 @@ def test_cli_products_do_not_outlive_their_factors(capsys):
     assert [obj for obj in live_products() if id(obj) not in known] == []
 
 
+def test_cli_repeated_star_runs_keep_the_live_groups_steady(capsys):
+    # the isomorphism-class registry may grow on the first run only
+    def live_groups() -> int:
+        gc.collect()
+        return sum(isinstance(obj, FiniteGroup) for obj in gc.get_objects())
+
+    counts = []
+    for _ in range(3):
+        code, out, err = run_cli(capsys, "star", "--G", "D8", "--H", "Q8",
+                                 "--U", "full", "--V", "full")
+        assert code == 0, err
+        counts.append(live_groups())
+    assert counts[1] == counts[0] and counts[2] == counts[0]
+
+
 def test_cli_verify_rejects_bad_table(capsys, tmp_path):
     table = [[(i + j) % 6 for j in range(6)] for i in range(6)]
     table[3][4] = table[3][3]
@@ -761,7 +777,8 @@ def test_cli_bad_prime_exits_2(capsys):
     ("analyze", "--G", "S3", "--U", "full", "--prime", "4"),
     ("analyze", "--G", "S3", "--U", "full", "--pi", "4"),
     ("subdirects", "--G", "S3", "--pi", "2,9"),
-], ids=["prime-4", "pi-4", "pi-2-9"])
+    ("analyze", "--G", "S3", "--U", "full", "--prime", "0"),
+], ids=["prime-4", "pi-4", "pi-2-9", "prime-0"])
 def test_cli_composite_prime_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
