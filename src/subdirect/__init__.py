@@ -97,8 +97,6 @@ from .presets import (
 from .products import (
     GoursatQuintuple,
     ProductGroup,
-    SubdirectCertificate,
-    certify,
     compose_relations,
     contains_twisted_diagonal,
     diagonal,

@@ -252,11 +252,34 @@ def cmd_subdirects(args) -> int:
     return EXIT_OK
 
 
+def _selection(text: str) -> list:
+    """The entries of a verify --G list: split at the commas that lie
+    outside JSON brackets and strings."""
+    entries, start, depth, in_string, escaped = [], 0, 0, False, False
+    for i, ch in enumerate(text):
+        if escaped:
+            escaped = False
+        elif in_string:
+            escaped = ch == "\\"
+            in_string = ch != '"'
+        elif ch == '"':
+            in_string = True
+        elif ch in "{[":
+            depth += 1
+        elif ch in "}]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            entries.append(text[start:i])
+            start = i + 1
+    entries.append(text[start:])
+    return [e.strip() for e in entries if e.strip()]
+
+
 def cmd_verify(args) -> int:
     if args.G is None:
         names = list(catalog_names())
     else:
-        names = [tok.strip() for tok in args.G.split(",") if tok.strip()]
+        names = _selection(args.G)
     groups = []
     for name in names:
         try:
@@ -323,6 +346,13 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except OSError as exc:
+        # spec files are read as ParseError: a named file is the report
+        if exc.filename is None:
+            raise
+        print(f"input error: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

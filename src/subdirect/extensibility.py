@@ -37,8 +37,6 @@ from .groups import (
     subgroup_quotient,
 )
 from .products import (
-    SubdirectCertificate,
-    certify,
     contains_twisted_diagonal,
     diagonal,
     goursat_quotient,
@@ -335,7 +333,6 @@ class PrimeVerdict:
 
 @dataclass(frozen=True)
 class ExtensibilityReport:
-    certificate: SubdirectCertificate
     primes: tuple
     per_prime: dict
 
@@ -347,10 +344,9 @@ def build_report(U: Subgroup, primes=None) -> ExtensibilityReport:
     """Per-prime verdicts for a subdirect subgroup.
 
     Raises NotSubdirect when the projections are not onto; callers that
-    want a soft failure should certify first.
+    want a soft failure should test ``is_subdirect`` first.
     """
     require_subdirect(U)
-    cert = certify(U)
     info = product_of(U)
     if primes is None:
         primes = prime_factors(info.group.order)
@@ -359,7 +355,7 @@ def build_report(U: Subgroup, primes=None) -> ExtensibilityReport:
     obstruction = obstruction_quotient(info.left, data.k1)
     cyclic_ok = cyclic_sylow_sufficient(U)
     central_primes: tuple = ()
-    if cert.diagonal_witness is not None:
+    if info.left is info.right and contains_twisted_diagonal(U) is not None:
         central_primes = _central_kernel_primes(U)
     witnesses_base = {
         "k1_derived_order": data.k1_of_derived.order,
@@ -382,4 +378,4 @@ def build_report(U: Subgroup, primes=None) -> ExtensibilityReport:
                     f"central shortcut contradicts the criterion at p={p}")
             methods.append(METHOD_CENTRAL)
         per_prime[p] = PrimeVerdict(exact, tuple(methods), dict(witnesses_base))
-    return ExtensibilityReport(cert, primes, per_prime)
+    return ExtensibilityReport(primes, per_prime)

@@ -748,65 +748,59 @@ def isomorphisms_iter(G1: FiniteGroup, G2: FiniteGroup) -> Iterator[GroupHom]:
     """All isomorphisms G1 -> G2 by pruned generator-image backtracking.
 
     Deterministic: generators are the greedy sequence of G1 and image
-    candidates are tried in ascending index order.
+    candidates are tried in ascending index order.  Each new generator
+    image grows the partial map along the walk of :func:`_closure`:
+    every step x -> x*g must land on img(x)*img(g), and no image is used
+    twice.  A map that keeps every generator step is a homomorphism.
     """
     if G1.order != G2.order:
         return
-    if sorted(_element_profile(G1)) != sorted(_element_profile(G2)):
+    prof1, prof2 = _element_profile(G1), _element_profile(G2)
+    if sorted(prof1) != sorted(prof2):
         return
     gens = generating_sequence(G1)
-    prof1 = _element_profile(G1)
-    prof2 = _element_profile(G2)
+    cols1 = [G1.product[:, g].tolist() for g in gens]
     n = G1.order
-    t1, t2 = G1.product, G2.product
 
-    def propagate(mapping, used, support, new):
-        """Extend by products; returns the grown support or None."""
-        processed = []
-        frontier = list(support) + [new]
-        mapping_local = mapping
+    def grow(img, used, support, steps):
+        """Copies of img and used, grown over <support, the generator of
+        steps[-1]>, and the grown support; None when a step breaks."""
+        img, used, grown = img[:], used[:], support[:]
+        frontier, todo = support, steps[-1:]
         while frontier:
-            a = frontier.pop(0)
-            for b in processed + [a]:
-                for x, y in ((a, b), (b, a)):
-                    c = int(t1[x, y])
-                    img = int(t2[mapping_local[x], mapping_local[y]])
-                    if mapping_local[c] == -1:
-                        if used[img] != -1:
+            fresh = []
+            for col1, col2 in todo:
+                for x in frontier:
+                    z, w = col1[x], col2[img[x]]
+                    if img[z] < 0:
+                        if used[w]:
                             return None
-                        mapping_local[c] = img
-                        used[img] = c
-                        frontier.append(c)
-                    elif mapping_local[c] != img:
+                        img[z] = w
+                        used[w] = True
+                        fresh.append(z)
+                    elif img[z] != w:
                         return None
-            processed.append(a)
-        return processed
+            grown += fresh
+            frontier, todo = fresh, steps
+        return img, used, grown
 
-    def rec(j, mapping, used, support):
+    def rec(img, used, support, steps):
+        j = len(steps)
         if j == len(gens):
-            hom = GroupHom(G1, G2, mapping, check=False)
-            # cheap final guard; propagation already enforced the table
-            if len(np.unique(hom.image)) == n:
-                yield hom
+            # cheap final guard; the walk already kept every step
+            if len(set(img)) == n:
+                yield GroupHom(G1, G2, img, check=False)
             return
-        g = gens[j]
+        want = prof1[gens[j]]
         for y in range(n):
-            if prof2[y] != prof1[g] or used[y] != -1:
+            if prof2[y] != want or used[y]:
                 continue
-            m2 = mapping.copy()
-            u2 = used.copy()
-            m2[g] = y
-            u2[y] = g
-            grown = propagate(m2, u2, support, g)
-            if grown is None:
-                continue
-            yield from rec(j + 1, m2, u2, grown)
+            tried = steps + [(cols1[j], G2.product[:, y].tolist())]
+            grown = grow(img, used, support, tried)
+            if grown is not None:
+                yield from rec(*grown, tried)
 
-    mapping0 = np.full(n, -1, dtype=np.int64)
-    used0 = np.full(n, -1, dtype=np.int64)
-    mapping0[0] = 0
-    used0[0] = 0
-    yield from rec(0, mapping0, used0, [0])
+    yield from rec([0] + [-1] * (n - 1), [True] + [False] * (n - 1), [0], [])
 
 
 def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[GroupHom]:

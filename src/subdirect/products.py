@@ -388,27 +388,3 @@ def is_section(Q: FiniteGroup, G: FiniteGroup) -> bool:
         return False
     return isomorphism_class(Q) in _section_catalogue(G)
 
-
-# -- certificates --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubdirectCertificate:
-    """Outcome of checking a product subgroup's projections."""
-
-    subgroup: Subgroup
-    is_subdirect: bool
-    diagonal_witness: Optional[GroupHom]
-
-
-# Cache the findings, not the certificate: it refers back to U, and
-# that cycle would keep U alive until the cyclic collector runs.
-@memoised("certificate")
-def _certificate_findings(U: Subgroup) -> tuple:
-    info = product_of(U)
-    witness = contains_twisted_diagonal(U) if info.left is info.right else None
-    return is_subdirect(U), witness
-
-
-def certify(U: Subgroup) -> SubdirectCertificate:
-    return SubdirectCertificate(U, *_certificate_findings(U))

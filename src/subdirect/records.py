@@ -31,7 +31,7 @@ from .homoracle import (
 )
 from .presets import identify_small_group
 from .products import (
-    certify,
+    contains_twisted_diagonal,
     diagonal,
     goursat_quintuple,
     goursat_quotient,
@@ -141,7 +141,7 @@ def analyze_subgroup(U: Subgroup, primes=None, *,
     """
     start = time.perf_counter()
     info = product_of(U)
-    cert = certify(U)
+    subdirect = is_subdirect(U)
     proj = projections_kernels(U)
     projections = {
         "p1_order": proj.p1.order,
@@ -150,11 +150,11 @@ def analyze_subgroup(U: Subgroup, primes=None, *,
         "k2_order": proj.k2.order,
     }
     quotient = None
-    if cert.is_subdirect:
+    if subdirect:
         quotient = _quotient_summary(goursat_quintuple(U).q1)
     contains_diag = None
     if info.left is info.right:
-        contains_diag = cert.diagonal_witness is not None
+        contains_diag = contains_twisted_diagonal(U) is not None
     if primes is None:
         primes = prime_factors(info.group.order)
     primes = sorted(set(int(p) for p in primes))
@@ -164,7 +164,7 @@ def analyze_subgroup(U: Subgroup, primes=None, *,
     oracle_overall = None
     inconsistent = False
     mode = None
-    if cert.is_subdirect:
+    if subdirect:
         report = build_report(U, primes)
         extensible = report.overall()
         mode = ORACLE_RAW if raw_oracle else ORACLE_ABELIANIZATION
@@ -189,7 +189,7 @@ def analyze_subgroup(U: Subgroup, primes=None, *,
         left=_group_summary(info.left),
         right=_group_summary(info.right),
         pairs=info.pairs(U.elements),
-        subdirect=cert.is_subdirect,
+        subdirect=subdirect,
         projections=projections,
         quotient=quotient,
         contains_diagonal=contains_diag,

@@ -16,7 +16,9 @@ greedy generator loop that the incremental closure in
 :func:`maximal_order_invariants` and :func:`unique_row_kernel_image` /
 :func:`unique_row_fibers` are the hom-table recursion, the divisor
 chain by quotients and the sorting row count that the array code in
-``subdirect.homoracle`` and ``subdirect.groups`` replaced.
+``subdirect.homoracle`` and ``subdirect.groups`` replaced, and
+:func:`pairwise_isomorphisms` is the pairwise product closure that the
+generator-step walk of ``groups.isomorphisms_iter`` replaced.
 """
 
 from __future__ import annotations
@@ -341,3 +343,70 @@ def unique_row_fibers(U, m: int) -> tuple:
     kernel = int((flat == 0).all(axis=1).sum())
     _, counts = np.unique(flat, axis=0, return_counts=True)
     return kernel, tuple(sorted(int(c) for c in counts))
+
+
+def pairwise_isomorphisms(G1, G2):
+    """Image tables of all isomorphisms G1 -> G2, in search order.
+
+    The same backtracking as ``groups.isomorphisms_iter`` (greedy
+    generators, ascending candidates, element-profile filter), but each
+    new generator image is propagated by multiplying every newly mapped
+    element with every mapped one, in both orders.
+    """
+    import numpy as np
+
+    from subdirect.groups import _element_profile, generating_sequence
+
+    if G1.order != G2.order:
+        return
+    prof1 = _element_profile(G1)
+    prof2 = _element_profile(G2)
+    if sorted(prof1) != sorted(prof2):
+        return
+    gens = generating_sequence(G1)
+    n = G1.order
+    t1, t2 = G1.product, G2.product
+
+    def propagate(mapping, used, support, new):
+        """Extend by products; returns the grown support or None."""
+        processed = []
+        frontier = list(support) + [new]
+        while frontier:
+            a = frontier.pop(0)
+            for b in processed + [a]:
+                for x, y in ((a, b), (b, a)):
+                    c = int(t1[x, y])
+                    img = int(t2[mapping[x], mapping[y]])
+                    if mapping[c] == -1:
+                        if used[img] != -1:
+                            return None
+                        mapping[c] = img
+                        used[img] = c
+                        frontier.append(c)
+                    elif mapping[c] != img:
+                        return None
+            processed.append(a)
+        return processed
+
+    def rec(j, mapping, used, support):
+        if j == len(gens):
+            if len(np.unique(mapping)) == n:
+                yield tuple(int(x) for x in mapping)
+            return
+        g = gens[j]
+        for y in range(n):
+            if prof2[y] != prof1[g] or used[y] != -1:
+                continue
+            m2 = mapping.copy()
+            u2 = used.copy()
+            m2[g] = y
+            u2[y] = g
+            grown = propagate(m2, u2, support, g)
+            if grown is not None:
+                yield from rec(j + 1, m2, u2, grown)
+
+    mapping0 = np.full(n, -1, dtype=np.int64)
+    used0 = np.full(n, -1, dtype=np.int64)
+    mapping0[0] = 0
+    used0[0] = 0
+    yield from rec(0, mapping0, used0, [0])

@@ -51,9 +51,9 @@ from subdirect import (
     sylow_subgroup,
     symmetric,
 )
-from subdirect.groups import Subgroup, all_subgroups, \
-    conjugacy_class_sizes, interned, isomorphism_class, memoised, \
-    normal_subgroups
+from subdirect.groups import GroupHom, Subgroup, all_subgroups, \
+    conjugacy_class_sizes, interned, isomorphism_class, isomorphisms_iter, \
+    memoised, normal_subgroups
 import subdirect.groups as groups
 from subdirect.extensibility import obstruction_quotient
 from subdirect.presets import _small_registry
@@ -457,6 +457,52 @@ def test_automorphism_counts_match_brute():
         assert len(auts) == count
         assert len(helpers.brute_automorphisms(G)) == count
         assert auts[0].is_identity
+    # too large for the brute-force relabelling scan
+    for G, count in ((alternating(5), 120), (symmetric(5), 120),
+                     (elementary_abelian(2, 4), 20160)):
+        auts = automorphisms(G)
+        assert len(auts) == count
+        assert auts[0].is_identity
+
+
+# The small registry plus larger groups with many automorphisms; E2^4
+# (20 160 of them) is left out, as the pairwise reference needs seconds.
+_SEARCH_GROUPS = [G for _, G in _small_registry()] + [
+    symmetric(4), alternating(5), dihedral(16), cyclic(16),
+    direct_product(dihedral(8), cyclic(2)).group,
+    direct_product(quaternion8(), cyclic(2)).group,
+    direct_product(cyclic(4), cyclic(4)).group,
+]
+
+
+def _fresh(G: FiniteGroup) -> FiniteGroup:
+    return FiniteGroup(G.product, G.label, validate=False)
+
+
+def _same_search(G1: FiniteGroup, G2: FiniteGroup) -> None:
+    found = [tuple(h.image.tolist()) for h in isomorphisms_iter(G1, G2)]
+    assert found == list(helpers.pairwise_isomorphisms(G1, G2))
+
+
+@pytest.mark.parametrize("G", _SEARCH_GROUPS, ids=lambda G: G.label)
+def test_isomorphism_search_matches_the_pairwise_reference(G):
+    for H in _SEARCH_GROUPS:
+        if H.order == G.order:
+            _same_search(_fresh(G), _fresh(H))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabelled_isomorphism_search_matches_the_pairwise_reference(data):
+    registry = [G for _, G in _small_registry()]
+    G = data.draw(st.sampled_from(registry))
+    H = data.draw(st.sampled_from([H for H in registry
+                                   if H.order == G.order]))
+    copy = _relabelled(data, G)
+    _same_search(copy, H)
+    _same_search(H, copy)
+    for hom in isomorphisms_iter(copy, H):
+        GroupHom(copy, H, hom.image)  # checks every product
 
 
 def test_p_part():

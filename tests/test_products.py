@@ -18,7 +18,6 @@ from subdirect import (
     analyze_subgroup,
     automorphisms,
     center,
-    certify,
     commutator_subgroup,
     compose_relations,
     contains_twisted_diagonal,
@@ -343,14 +342,13 @@ def test_is_section_matches_lattice_walk():
 
 def test_certify():
     G = symmetric(3)
-    cert = certify(diagonal(G))
-    assert cert.is_subdirect
-    assert cert.diagonal_witness is not None
+    assert is_subdirect(diagonal(G))
+    assert contains_twisted_diagonal(diagonal(G)) is not None
     info = direct_product(G, cyclic(2))
     sub = pair_subgroup(info, [(0, 1)])
-    cert2 = certify(sub)
-    assert not cert2.is_subdirect
-    assert cert2.diagonal_witness is None
+    assert not is_subdirect(sub)
+    with pytest.raises(ValueError):
+        contains_twisted_diagonal(sub)
 
 
 def test_projection_commutator_identities():

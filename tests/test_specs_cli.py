@@ -882,6 +882,42 @@ def test_cli_unreadable_json_exits_2(capsys, tmp_path, flag, kind, message):
     assert f"input error: {message}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--G", "C2", "--U", "full"),
+    ("subdirects", "--G", "C2"),
+    ("star", "--G", "C2", "--U", "full", "--V", "full"),
+    ("verify", "--G", "C2"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_cli_unwritable_out_exits_2(capsys, tmp_path, argv, where):
+    path = {"missing-dir": tmp_path / "absent" / "report.jsonl",
+            "directory": tmp_path}[where]
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert f"input error: cannot write {path}: " in err
+
+
+_Q8_JSON = '{"kind":"preset","data":{"id":"quaternion8"}}'
+
+
+def test_cli_verify_splits_the_selection_outside_json(capsys):
+    code, out, err = run_cli(capsys, "verify", "--G", f"C2,{_Q8_JSON}")
+    assert code == 0
+    code, shorthand, err = run_cli(capsys, "verify", "--G", "C2,Q8")
+    assert code == 0
+    assert out == shorthand
+
+
+@pytest.mark.parametrize("selection, exit_code", [
+    ('{"kind":"preset","data":{"id":"cyclic","n":4}}', 0),
+    ('C2,{"kind":', 2),
+], ids=["json-with-commas", "malformed-json"])
+def test_cli_verify_json_entries(capsys, selection, exit_code):
+    code, out, err = run_cli(capsys, "verify", "--G", selection)
+    assert code == exit_code
+    assert ("input error" in err) == (exit_code == 2)
+
+
 # sha256 of the --out files of fixed commands.  Report bytes are part of
 # the interface: a refactor must leave them unchanged.  Q8 and D8 cover
 # the central shortcut and inextensible verdicts.
