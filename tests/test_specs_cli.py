@@ -897,11 +897,10 @@ def test_cli_unwritable_out_exits_2(capsys, tmp_path, argv, where):
     assert f"input error: cannot write {path}: " in err
 
 
-_Q8_JSON = '{"kind":"preset","data":{"id":"quaternion8"}}'
-
-
 def test_cli_verify_splits_the_selection_outside_json(capsys):
-    code, out, err = run_cli(capsys, "verify", "--G", f"C2,{_Q8_JSON}")
+    code, out, err = run_cli(
+        capsys, "verify", "--G",
+        'C2,{"kind":"preset","data":{"id":"quaternion8"}}')
     assert code == 0
     code, shorthand, err = run_cli(capsys, "verify", "--G", "C2,Q8")
     assert code == 0
