@@ -6,13 +6,14 @@ the library's invariant sweeps, or list the built-in groups.  Reports
 are line-oriented JSON (see records); human summaries go to stdout.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 cap
-exceeded.
+exceeded, 141 (128 + SIGPIPE) standard output closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -336,7 +337,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # As the Python signal docs advise for SIGPIPE: point stdout at
+        # devnull, so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a killed writer
     except OrderLimitExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -275,7 +275,7 @@ def star_preservation_condition(U: Subgroup, V: Subgroup, side: int = 1, *,
     kU, kV, kW = ((dU.k1, dV.k1, dW.k1) if side == 1
                   else (dU.k2, dV.k2, dW.k2))
     lhs = kW.intersection(Gp)
-    rhs = set_product(kU.intersection(Gp), kV.intersection(Gp), check=True)
+    rhs = set_product(kU.intersection(Gp), kV.intersection(Gp))
     return lhs == rhs
 
 

@@ -129,11 +129,12 @@ class FiniteGroup:
 
     @memoised("full")
     def full(self) -> "Subgroup":
-        return Subgroup(self, range(self.order), check=False)
+        return Subgroup._trusted(self, tuple(range(self.order)),
+                                 (1 << self.order) - 1)
 
     @memoised("trivial")
     def trivial(self) -> "Subgroup":
-        return Subgroup(self, (0,), check=False)
+        return Subgroup._trusted(self, (0,), 1)
 
     # -- validation --------------------------------------------------------
 
@@ -255,12 +256,15 @@ def from_permutation_generators(degree: int, generators: Sequence[Sequence[int]]
 
 
 class Subgroup:
-    """A subgroup stored as a sorted element tuple plus a bitmask."""
+    """A subgroup stored as a sorted element tuple plus a bitmask.
+
+    The constructor checks elements from outside the library; the
+    library's own builds go through :meth:`_trusted`.
+    """
 
     __slots__ = ("parent", "elements", "mask", "_cache")
 
-    def __init__(self, parent: FiniteGroup, elements: Iterable[int], *,
-                 check: bool = True):
+    def __init__(self, parent: FiniteGroup, elements: Iterable[int]):
         elems = tuple(sorted({int(x) for x in elements}))
         if not elems or elems[0] < 0 or elems[-1] >= parent.order:
             raise ValueError("subgroup elements out of range or empty")
@@ -270,13 +274,26 @@ class Subgroup:
         self.elements = elems
         self.mask = _mask_of(elems)
         self._cache = {}
-        if check:
-            arr = np.array(elems)
-            prods = parent.product[arr[:, None], arr]
-            if _mask_of(np.unique(prods)) | self.mask != self.mask:
-                raise ValueError("element set is not closed under products")
-            if _mask_of(np.unique(parent.inverse[arr])) | self.mask != self.mask:
-                raise ValueError("element set is not closed under inverses")
+        arr = np.array(elems)
+        member = np.zeros(parent.order, dtype=bool)
+        member[arr] = True
+        if not member[parent.product[arr[:, None], arr]].all():
+            raise ValueError("element set is not closed under products")
+        if not member[parent.inverse[arr]].all():
+            raise ValueError("element set is not closed under inverses")
+
+    @classmethod
+    def _trusted(cls, parent: FiniteGroup, elements: tuple,
+                 mask: int) -> "Subgroup":
+        """A subgroup of the library's own construction, unchecked:
+        ``elements`` is the sorted tuple of Python ints whose bitmask is
+        ``mask``, and together they form a subgroup of ``parent``."""
+        S = cls.__new__(cls)
+        S.parent = parent
+        S.elements = elements
+        S.mask = mask
+        S._cache = {}
+        return S
 
     @property
     def order(self) -> int:
@@ -306,7 +323,7 @@ class Subgroup:
         if other.parent is not self.parent:
             raise ValueError("subgroups of different parents")
         m = self.mask & other.mask
-        return Subgroup(self.parent, _mask_elements(m), check=False)
+        return Subgroup._trusted(self.parent, _mask_elements(m), m)
 
     @memoised("as_group")
     def as_group(self) -> tuple[FiniteGroup, "GroupHom"]:
@@ -322,10 +339,17 @@ class Subgroup:
 
 
 def _mask_of(elems) -> int:
-    m = 0
-    for e in elems:
-        m |= 1 << int(e)
-    return m
+    """The bitmask of distinct Python ints."""
+    return sum(map((1).__lshift__, elems))
+
+
+def _index_mask(n: int, indices: np.ndarray) -> int:
+    """The mask of an index array below n, repeats allowed, or of a
+    boolean row of length n, packed in one numpy pass: ``_mask_of``
+    adds one power of two per element, quadratic on long inputs."""
+    row = np.zeros(n, dtype=bool)
+    row[indices] = True
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 def _mask_elements(mask: int) -> tuple:
@@ -360,7 +384,8 @@ def _closure(G: FiniteGroup, seed: Iterable[int]) -> tuple[tuple, tuple]:
 
 
 def subgroup_generated(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    return Subgroup(G, _closure(G, seed)[0], check=False)
+    elems = _closure(G, seed)[0]
+    return Subgroup._trusted(G, elems, _mask_of(elems))
 
 
 @memoised("interned")
@@ -378,16 +403,17 @@ def interned(G: FiniteGroup, mask: int) -> Subgroup:
     table = _interned_table(G)
     S = table.get(mask)
     if S is None:
-        S = table[mask] = Subgroup(G, _mask_elements(mask), check=False)
+        S = table[mask] = Subgroup._trusted(G, _mask_elements(mask), mask)
     return S
 
 
-def set_product(A: Subgroup, B: Subgroup, *, check: bool = True) -> Subgroup:
-    """The product set {a*b}; a subgroup whenever one factor is normal."""
+def set_product(A: Subgroup, B: Subgroup) -> Subgroup:
+    """The product set {a*b}, checked to be a subgroup: it is one
+    whenever one factor is normal."""
     if A.parent is not B.parent:
         raise ValueError("subgroups of different parents")
     prods = A.parent.product[np.array(A.elements)[:, None], np.array(B.elements)]
-    return Subgroup(A.parent, np.unique(prods), check=check)
+    return Subgroup(A.parent, np.unique(prods))
 
 
 def mutual_commutator(X: Subgroup, Y: Subgroup) -> Subgroup:
@@ -419,7 +445,8 @@ def commutator_subgroup(G: FiniteGroup) -> Subgroup:
 @memoised("center")
 def center(G: FiniteGroup) -> Subgroup:
     central = (G.product == G.product.T).all(axis=1)
-    return Subgroup(G, np.flatnonzero(central), check=False)
+    elems = tuple(np.flatnonzero(central).tolist())
+    return Subgroup._trusted(G, elems, _mask_of(elems))
 
 
 @memoised("gens")
@@ -542,7 +569,8 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
             o = int(orders[x])
             if x in P or p_part(o, (p,)) != o:
                 continue
-            if _mask_of(G.product[G.product[G.inverse[x], arr], x]) == P.mask:
+            conjugate = G.product[G.product[G.inverse[x], arr], x]
+            if _mask_of(conjugate.tolist()) == P.mask:
                 P = subgroup_generated(G, (*P.elements, x))
                 break
         else:
@@ -702,13 +730,15 @@ class GroupHom:
         return GroupHom(self.codomain, self.domain, inv, check=False)
 
     def kernel(self) -> Subgroup:
-        return Subgroup(self.domain, np.flatnonzero(self.image == 0), check=False)
+        elems = tuple(np.flatnonzero(self.image == 0).tolist())
+        return Subgroup._trusted(self.domain, elems, _mask_of(elems))
 
     def map_subgroup(self, sub: Subgroup) -> Subgroup:
         if sub.parent is not self.domain:
             raise ValueError("subgroup of a different parent")
-        return Subgroup(self.codomain, np.unique(self.image[np.array(sub.elements)]),
-                        check=False)
+        images = self.image[np.array(sub.elements)]
+        m = _index_mask(self.codomain.order, images)
+        return Subgroup._trusted(self.codomain, _mask_elements(m), m)
 
 
 def identity_hom(G: FiniteGroup) -> GroupHom:
@@ -830,45 +860,37 @@ def isomorphism_class(G: FiniteGroup) -> int:
 
 @memoised("automorphisms")
 def automorphisms(G: FiniteGroup) -> list:
-    """All automorphisms, identity first, then discovery order."""
+    """All automorphisms in discovery order, which puts the identity
+    first: every candidate below the next greedy generator is used."""
     found = list(isomorphisms_iter(G, G))
-    ident = [a for a in found if a.is_identity]
-    if len(ident) != 1:
-        raise InternalInconsistency("automorphism scan missed the identity")
-    return ident + [a for a in found if not a.is_identity]
+    images = np.array([a.image for a in found]).reshape(len(found), G.order)
+    fixed = (images == np.arange(G.order)).all(axis=1)
+    if np.flatnonzero(fixed).tolist() != [0]:
+        raise InternalInconsistency(
+            "automorphism scan did not find the identity once, first")
+    return found
 
 
 # -- subgroup lattice --------------------------------------------------------
 
 
-@memoised("lattice")
-def all_subgroups(G: FiniteGroup) -> list:
-    """Every subgroup, by closing joins of cyclic subgroups.
-
-    Kept as the exhaustive cross-check for the targeted constructions;
-    capped at DEFAULT_LATTICE_CAP because the lattice grows quickly.
-    """
-    if G.order > DEFAULT_LATTICE_CAP:
-        raise OrderLimitExceeded(
-            f"subgroup scan above cap {DEFAULT_LATTICE_CAP} (order {G.order})")
-    cyclics = {}
-    for x in range(G.order):
-        sub = subgroup_generated(G, (x,))
-        cyclics.setdefault(sub.mask, sub)
-    cyclics = [cyclics[m] for m in sorted(cyclics)]
+def _joins(G: FiniteGroup, atoms: Iterable[Subgroup]) -> list:
+    """The trivial subgroup and every join of atoms, sorted by order,
+    then elements: each subgroup found is joined with every atom."""
+    atoms = sorted({S.mask: S for S in atoms}.items())
     found = {G.trivial().mask: G.trivial()}
-    for c in cyclics:
-        found.setdefault(c.mask, c)
+    for m, c in atoms:
+        found.setdefault(m, c)
     queue = sorted(found.values(), key=lambda s: (s.order, s.elements))
     join_memo: dict = {}
     i = 0
     while i < len(queue):
         current = queue[i]
         i += 1
-        for c in cyclics:
-            if c.mask | current.mask == current.mask:
+        for m, c in atoms:
+            key = m | current.mask
+            if key == current.mask:
                 continue
-            key = c.mask | current.mask
             joined = join_memo.get(key)
             if joined is None:
                 joined = subgroup_generated(G, current.elements + c.elements)
@@ -879,6 +901,29 @@ def all_subgroups(G: FiniteGroup) -> list:
     return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 
+@memoised("lattice")
+def all_subgroups(G: FiniteGroup) -> list:
+    """Every subgroup, as joins of cyclic subgroups.
+
+    Kept as the exhaustive cross-check for the targeted constructions;
+    capped at DEFAULT_LATTICE_CAP because the lattice grows quickly.
+    """
+    if G.order > DEFAULT_LATTICE_CAP:
+        raise OrderLimitExceeded(
+            f"subgroup scan above cap {DEFAULT_LATTICE_CAP} (order {G.order})")
+    return _joins(G, (subgroup_generated(G, (x,)) for x in range(G.order)))
+
+
 @memoised("normals")
 def normal_subgroups(G: FiniteGroup) -> list:
-    return [s for s in all_subgroups(G) if is_normal(s)]
+    """Every normal subgroup, as joins of the normal closures <x^G>, one
+    per conjugacy class: no lattice scan, so no cap."""
+    everyone = np.arange(G.order)
+    seen = np.zeros(G.order, dtype=bool)
+    closures = []
+    for x in range(G.order):
+        if not seen[x]:
+            conjugates = G.product[G.product[G.inverse, x], everyone]
+            seen[conjugates] = True
+            closures.append(subgroup_generated(G, conjugates.tolist()))
+    return _joins(G, closures)

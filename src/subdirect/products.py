@@ -26,7 +26,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _coset_minima,
-    _mask_of,
+    _index_mask,
     _quotient,
     all_subgroups,
     automorphisms,
@@ -111,7 +111,7 @@ def projections_kernels(U: Subgroup) -> ProjectionData:
     gs, hs = info.split(U.elements)
 
     def factor_subgroup(F: FiniteGroup, elements: np.ndarray) -> Subgroup:
-        return interned(F, _mask_of(np.unique(elements)))
+        return interned(F, _index_mask(F.order, elements))
 
     return ProjectionData(factor_subgroup(info.left, gs),
                           factor_subgroup(info.left, gs[hs == 0]),
@@ -224,8 +224,10 @@ def subgroup_from_quintuple(quint: GoursatQuintuple) -> Subgroup:
     hs = np.array(quint.p2.elements)
     want = quint.phi.image[quint.to_q1[gs]]
     match = want[:, None] == quint.to_q2[hs][None, :]
+    # row-major over sorted gs and hs, so sorted
     elements = info.encode(gs[:, None], hs[None, :])[match]
-    U = Subgroup(info.group, elements, check=False)
+    U = Subgroup._trusted(info.group, tuple(elements.tolist()),
+                          _index_mask(info.group.order, elements))
     if U.order != quint.p1.order * quint.k2.order:
         raise InvalidQuintuple("order bookkeeping failed")
     return U
@@ -251,10 +253,11 @@ def enumerate_subdirect(G: FiniteGroup, H: FiniteGroup, *,
             if G.order * L.order != H.order * K.order:
                 continue
             for iso in isomorphisms_iter(QG, QH):
-                match = iso.image[projG.image][:, None] == projH.image[None, :]
-                elements = np.flatnonzero(match.ravel())
-                U = Subgroup(info.group, elements, check=False)
-                out.setdefault(U.mask, U)
+                match = (iso.image[projG.image][:, None]
+                         == projH.image[None, :]).ravel()
+                mask = _index_mask(info.group.order, match)
+                out.setdefault(mask, Subgroup._trusted(
+                    info.group, tuple(np.flatnonzero(match).tolist()), mask))
     return sorted(out.values(), key=lambda s: s.elements)
 
 
@@ -326,7 +329,7 @@ def compose_relations(Us: Sequence[Subgroup],
 def composite_subgroup(group: FiniteGroup, row: np.ndarray) -> Subgroup:
     """The subgroup whose packed membership row is row, closure checked."""
     elements = np.flatnonzero(np.unpackbits(row, bitorder="little"))
-    return Subgroup(group, elements, check=True)
+    return Subgroup(group, elements)
 
 
 def star_product(U: Subgroup, V: Subgroup) -> Subgroup:
@@ -342,7 +345,8 @@ def twisted_diagonal(G: FiniteGroup, phi: GroupHom) -> Subgroup:
         raise NotAutomorphism("twist must be an automorphism of G")
     info = direct_product(G, G)
     coded = info.encode(np.arange(G.order, dtype=np.int64), phi.image)
-    return Subgroup(info.group, coded, check=False)
+    return Subgroup._trusted(info.group, tuple(coded.tolist()),
+                             _index_mask(info.group.order, coded))
 
 
 def diagonal(G: FiniteGroup) -> Subgroup:

@@ -275,7 +275,7 @@ def check_normal_product_commutator(ctx: CheckContext) -> CheckResult:
         for G in ctx.groups:
             for X in normal_subgroups(G):
                 for Y in normal_subgroups(G):
-                    if set_product(X, Y, check=False).order == G.order:
+                    if set_product(X, Y).order == G.order:
                         yield G, X, Y
 
     def probe(G, X, Y) -> Optional[str]:
@@ -481,9 +481,8 @@ def check_twisted_kernel_transport(ctx: CheckContext) -> CheckResult:
             return None
         dV = projections_kernels(V)
         dW = projections_kernels(W)
-        want1 = set_product(dU.k1, phi.inverted().map_subgroup(dV.k1),
-                            check=False)
-        want2 = set_product(dV.k2, psi.map_subgroup(dU.k2), check=False)
+        want1 = set_product(dU.k1, phi.inverted().map_subgroup(dV.k1))
+        want2 = set_product(dV.k2, psi.map_subgroup(dU.k2))
         if dW.k1 != want1:
             return "k1(U*V) != k1(U) phi^-1(k1(V))"
         if dW.k2 != want2:

@@ -18,7 +18,9 @@ greedy generator loop that the incremental closure in
 chain by quotients and the sorting row count that the array code in
 ``subdirect.homoracle`` and ``subdirect.groups`` replaced, and
 :func:`pairwise_isomorphisms` is the pairwise product closure that the
-generator-step walk of ``groups.isomorphisms_iter`` replaced.
+generator-step walk of ``groups.isomorphisms_iter`` replaced, and
+:func:`lattice_normal_subgroups` is the lattice filter that the joins of
+normal closures in ``groups.normal_subgroups`` replaced.
 """
 
 from __future__ import annotations
@@ -150,12 +152,7 @@ def lattice_walk_is_section(Q, G) -> bool:
     Walks the subgroup lattice of G and each subgroup's normal subgroups
     of the right index, testing every quotient against Q.
     """
-    from subdirect.groups import (
-        all_subgroups,
-        is_isomorphic,
-        normal_subgroups,
-        quotient_group,
-    )
+    from subdirect.groups import all_subgroups, is_isomorphic, quotient_group
 
     if Q.order == 1:
         return True
@@ -165,13 +162,21 @@ def lattice_walk_is_section(Q, G) -> bool:
         if S.order % Q.order:
             continue
         Sg, _ = S.as_group()
-        for N in normal_subgroups(Sg):
+        for N in lattice_normal_subgroups(Sg):
             if N.order * Q.order != Sg.order:
                 continue
             quot, _ = quotient_group(Sg, N)
             if is_isomorphic(quot, Q):
                 return True
     return False
+
+
+def lattice_normal_subgroups(G) -> list:
+    """The normal subgroups of G, filtered from its whole subgroup
+    lattice, in lattice order."""
+    from subdirect.groups import all_subgroups, is_normal
+
+    return [S for S in all_subgroups(G) if is_normal(S)]
 
 
 def materialised_quotient(P, K):

@@ -315,9 +315,8 @@ def test_10_kernel_transport_identities(capsys):
             dV = projections_kernels(V)
             dW = projections_kernels(W)
             assert dW.k1 == set_product(
-                dU.k1, phi.inverted().map_subgroup(dV.k1), check=False)
-            assert dW.k2 == set_product(
-                dV.k2, psi.map_subgroup(dU.k2), check=False)
+                dU.k1, phi.inverted().map_subgroup(dV.k1))
+            assert dW.k2 == set_product(dV.k2, psi.map_subgroup(dU.k2))
             cases += 1
     report(capsys, "10 kernel transport under twists", cases)
 

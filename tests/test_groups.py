@@ -11,9 +11,11 @@ import helpers
 
 from subdirect import (
     FiniteGroup,
+    InternalInconsistency,
     InvalidQuintuple,
     NotAGroup,
     NotNormal,
+    OrderLimitExceeded,
     abelian_invariants,
     abelianization,
     alternating,
@@ -326,6 +328,17 @@ def test_automorphisms_above_order_64():
     assert len(automorphisms(cyclic(65))) == 48
 
 
+def test_automorphisms_need_the_identity_once_and_first(monkeypatch):
+    G = _fresh(symmetric(3))
+    found = list(isomorphisms_iter(G, G))
+    assert automorphisms(G) == found
+    for bad in (found[1:] + found[:1], found + found[:1], found[1:]):
+        monkeypatch.setattr(groups, "isomorphisms_iter",
+                            lambda G1, G2, bad=bad: iter(bad))
+        with pytest.raises(InternalInconsistency):
+            automorphisms(_fresh(G))
+
+
 def test_set_product_orders():
     G = dihedral(8)
     A = subgroup_generated(G, [2, 4])
@@ -529,6 +542,24 @@ def test_normal_subgroups_of_s3():
     G = symmetric(3)
     got = {S.order for S in normal_subgroups(G)}
     assert got == {1, 3, 6}
+
+
+@pytest.mark.parametrize("G", [G for _, G in _small_registry()] + [
+    symmetric(4), alternating(5), dihedral(16),
+    direct_product(dihedral(8), dihedral(8)).group,
+    direct_product(symmetric(3), symmetric(3)).group,
+], ids=lambda G: G.label)
+def test_normal_subgroups_match_the_lattice_filter(G):
+    got = normal_subgroups(_fresh(G))
+    want = helpers.lattice_normal_subgroups(G)
+    assert [S.elements for S in got] == [S.elements for S in want]
+
+
+def test_normal_subgroups_above_the_lattice_cap():
+    G = cyclic(257)
+    with pytest.raises(OrderLimitExceeded):
+        all_subgroups(G)
+    assert [S.order for S in normal_subgroups(G)] == [1, 257]
 
 
 def test_subgroup_membership_and_equality():

@@ -17,6 +17,8 @@ from subdirect import (
     Subgroup,
     analyze_subgroup,
     automorphisms,
+    catalog_group,
+    catalog_names,
     center,
     commutator_subgroup,
     compose_relations,
@@ -37,6 +39,7 @@ from subdirect import (
     make_quintuple,
     mutual_commutator,
     quaternion8,
+    quotient_group,
     star_product,
     subdirect_by_scan,
     subgroup_from_quintuple,
@@ -45,7 +48,8 @@ from subdirect import (
     twisted_diagonal,
 )
 import subdirect.products as products
-from subdirect.groups import _interned_table, all_subgroups
+from subdirect.groups import _interned_table, all_subgroups, interned, \
+    normal_subgroups
 from subdirect.presets import _small_registry
 from subdirect.products import product_of, projections_kernels
 from subdirect.specs import load_group
@@ -65,7 +69,7 @@ def s3_a3_diagonal():
     info = direct_product(S3, S3)
     elems = [info.encode(g, h) for g in range(6) for h in range(6)
              if (g in A3_INDICES) == (h in A3_INDICES)]
-    return info, Subgroup(info.group, elems, check=True)
+    return info, Subgroup(info.group, elems)
 
 
 def test_direct_product_with_trivial_factor():
@@ -455,3 +459,66 @@ def test_analysis_does_not_depend_on_earlier_analyses(data):
     subdirects = enumerate_subdirect(*_fresh_pair(left, right))
     for i in order:
         assert analyze_subgroup(subdirects[i]) == cold[i]
+
+
+# -- trusted subgroup builds ----------------------------------------------------
+
+
+def _assert_trusted(S: Subgroup) -> None:
+    """S, built unchecked by the library, is what the checked constructor
+    builds from its elements, which are sorted Python ints."""
+    assert all(type(e) is int for e in S.elements)
+    assert list(S.elements) == sorted(set(S.elements))
+    checked = Subgroup(S.parent, S.elements)
+    assert checked.elements == S.elements and checked.mask == S.mask
+
+
+_REGISTRY = [G for _, G in _small_registry()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_internal_builds_match_the_checked_constructor(data):
+    G = data.draw(st.sampled_from(_REGISTRY))
+    seeds = st.lists(st.integers(0, G.order - 1), max_size=4)
+    seed_a, seed_b = data.draw(seeds), data.draw(seeds)
+    A, B = subgroup_generated(G, seed_a), subgroup_generated(G, seed_b)
+    mul = helpers.mul_table(G)
+    assert set(A.elements) == helpers.brute_closure(mul, seed_a)
+    assert set(B.elements) == helpers.brute_closure(mul, seed_b)
+    N = data.draw(st.sampled_from(normal_subgroups(G)))
+    _, proj = quotient_group(G, N)
+    phi = data.draw(st.sampled_from(automorphisms(G)))
+    assert proj.kernel() == N
+    built = [G.full(), G.trivial(), A, B, A.intersection(B),
+             interned(G, A.mask), center(G), proj.kernel(),
+             proj.map_subgroup(A), phi.map_subgroup(B)]
+    for S in built:
+        _assert_trusted(S)
+
+    F, H = (catalog_group(data.draw(st.sampled_from(catalog_names())))
+            for _ in range(2))
+    U = data.draw(st.sampled_from(enumerate_subdirect(F, H)))
+    W = subgroup_from_quintuple(goursat_quintuple(U))
+    assert W == U
+    d = projections_kernels(U)
+    phi = data.draw(st.sampled_from(automorphisms(F)))
+    for S in (U, W, d.p1, d.k1, d.p2, d.k2, twisted_diagonal(F, phi)):
+        _assert_trusted(S)
+
+
+def test_subdirect_analysis_builds_no_checked_subgroup(monkeypatch):
+    checked = []
+    real_init = Subgroup.__init__
+
+    def init(self, parent, elements):
+        checked.append(parent)
+        real_init(self, parent, elements)
+
+    monkeypatch.setattr(Subgroup, "__init__", init)
+    S4 = load_group("S4")
+    subdirects = enumerate_subdirect(S4, S4)
+    assert len(subdirects) == 32
+    for U in subdirects:
+        analyze_subgroup(U)
+    assert checked == []

@@ -4,7 +4,11 @@ import gc
 import hashlib
 import itertools
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import types
 
 import pytest
@@ -610,6 +614,34 @@ def test_cli_verify_above_order_64_exits_0(capsys):
     code, out, err = run_cli(capsys, "verify", "--G", "C66")
     assert code == 0, err
     assert "cap exceeded" not in err
+
+
+def test_cli_subdirects_of_a_factor_above_the_lattice_cap(capsys):
+    # The normal subgroups of C257 come from normal closures, not from a
+    # subgroup lattice scan, which stops above order 256.
+    code, out, err = run_cli(capsys, "subdirects", "--G", "C257", "--H", "C2",
+                             "--max-order", "1000")
+    assert code == 0, err
+    assert json.loads(out.strip().splitlines()[-1])["count"] == 1
+
+
+def test_cli_closed_stdout_exits_141_without_a_traceback():
+    src = pathlib.Path(subdirect.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from subdirect.cli import main; sys.exit(main())",
+         "subdirects", "--G", "S4", "--H", "S4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert len(proc.stdout.read(50)) == 50
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141, err
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err
 
 
 def test_cli_verify_caps_the_composite_home(capsys):

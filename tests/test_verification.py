@@ -137,9 +137,9 @@ def test_composing_checks_compose_once_per_block(monkeypatch):
     checked = []
     real_init = Subgroup.__init__
 
-    def init(self, parent, elements, *, check=True):
-        real_init(self, parent, elements, check=check)
-        if check and parent.product_info is not None:
+    def init(self, parent, elements):
+        real_init(self, parent, elements)
+        if parent.product_info is not None:
             checked.append(self)
 
     monkeypatch.setattr(verification, "compose_relations", compose)
