@@ -284,14 +284,15 @@ class Subgroup:
 
     @classmethod
     def _trusted(cls, parent: FiniteGroup, elements: tuple,
-                 mask: int) -> "Subgroup":
+                 mask: Optional[int] = None) -> "Subgroup":
         """A subgroup of the library's own construction, unchecked:
         ``elements`` is the sorted tuple of Python ints whose bitmask is
-        ``mask``, and together they form a subgroup of ``parent``."""
+        ``mask`` (computed when not given), and together they form a
+        subgroup of ``parent``."""
         S = cls.__new__(cls)
         S.parent = parent
         S.elements = elements
-        S.mask = mask
+        S.mask = _mask_of(elements) if mask is None else mask
         S._cache = {}
         return S
 
@@ -339,17 +340,10 @@ class Subgroup:
 
 
 def _mask_of(elems) -> int:
-    """The bitmask of distinct Python ints."""
-    return sum(map((1).__lshift__, elems))
-
-
-def _index_mask(n: int, indices: np.ndarray) -> int:
-    """The mask of an index array below n, repeats allowed, or of a
-    boolean row of length n, packed in one numpy pass: ``_mask_of``
-    adds one power of two per element, quadratic on long inputs."""
-    row = np.zeros(n, dtype=bool)
-    row[indices] = True
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+    m = 0
+    for e in elems:
+        m |= 1 << int(e)
+    return m
 
 
 def _mask_elements(mask: int) -> tuple:
@@ -384,8 +378,7 @@ def _closure(G: FiniteGroup, seed: Iterable[int]) -> tuple[tuple, tuple]:
 
 
 def subgroup_generated(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    elems = _closure(G, seed)[0]
-    return Subgroup._trusted(G, elems, _mask_of(elems))
+    return Subgroup._trusted(G, _closure(G, seed)[0])
 
 
 @memoised("interned")
@@ -445,8 +438,7 @@ def commutator_subgroup(G: FiniteGroup) -> Subgroup:
 @memoised("center")
 def center(G: FiniteGroup) -> Subgroup:
     central = (G.product == G.product.T).all(axis=1)
-    elems = tuple(np.flatnonzero(central).tolist())
-    return Subgroup._trusted(G, elems, _mask_of(elems))
+    return Subgroup._trusted(G, tuple(np.flatnonzero(central).tolist()))
 
 
 @memoised("gens")
@@ -569,8 +561,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
             o = int(orders[x])
             if x in P or p_part(o, (p,)) != o:
                 continue
-            conjugate = G.product[G.product[G.inverse[x], arr], x]
-            if _mask_of(conjugate.tolist()) == P.mask:
+            if _mask_of(G.product[G.product[G.inverse[x], arr], x]) == P.mask:
                 P = subgroup_generated(G, (*P.elements, x))
                 break
         else:
@@ -730,14 +721,13 @@ class GroupHom:
         return GroupHom(self.codomain, self.domain, inv, check=False)
 
     def kernel(self) -> Subgroup:
-        elems = tuple(np.flatnonzero(self.image == 0).tolist())
-        return Subgroup._trusted(self.domain, elems, _mask_of(elems))
+        return Subgroup._trusted(
+            self.domain, tuple(np.flatnonzero(self.image == 0).tolist()))
 
     def map_subgroup(self, sub: Subgroup) -> Subgroup:
         if sub.parent is not self.domain:
             raise ValueError("subgroup of a different parent")
-        images = self.image[np.array(sub.elements)]
-        m = _index_mask(self.codomain.order, images)
+        m = _mask_of(self.image[np.array(sub.elements)].tolist())
         return Subgroup._trusted(self.codomain, _mask_elements(m), m)
 
 
@@ -874,10 +864,17 @@ def automorphisms(G: FiniteGroup) -> list:
 # -- subgroup lattice --------------------------------------------------------
 
 
-def _joins(G: FiniteGroup, atoms: Iterable[Subgroup]) -> list:
+def _joins(G: FiniteGroup, atoms: Iterable[Subgroup],
+           limit: Optional[int] = None) -> list:
     """The trivial subgroup and every join of atoms, sorted by order,
-    then elements: each subgroup found is joined with every atom."""
-    atoms = sorted({S.mask: S for S in atoms}.items())
+    then elements: each subgroup found is joined with every atom.
+
+    Every subgroup comes from G's interned table, so the lattice and the
+    normal subgroups share their objects and memos.  Finding more than
+    ``limit`` subgroups raises OrderLimitExceeded.
+    """
+    table = _interned_table(G)
+    atoms = sorted({S.mask: table.setdefault(S.mask, S) for S in atoms}.items())
     found = {G.trivial().mask: G.trivial()}
     for m, c in atoms:
         found.setdefault(m, c)
@@ -885,6 +882,10 @@ def _joins(G: FiniteGroup, atoms: Iterable[Subgroup]) -> list:
     join_memo: dict = {}
     i = 0
     while i < len(queue):
+        if limit is not None and len(queue) > limit:
+            raise OrderLimitExceeded(
+                f"subgroup join scan above cap {limit} subgroups "
+                f"(order {G.order})")
         current = queue[i]
         i += 1
         for m, c in atoms:
@@ -893,8 +894,8 @@ def _joins(G: FiniteGroup, atoms: Iterable[Subgroup]) -> list:
                 continue
             joined = join_memo.get(key)
             if joined is None:
-                joined = subgroup_generated(G, current.elements + c.elements)
-                join_memo[key] = joined
+                S = subgroup_generated(G, current.elements + c.elements)
+                joined = join_memo[key] = table.setdefault(S.mask, S)
             if joined.mask not in found:
                 found[joined.mask] = joined
                 queue.append(joined)
@@ -917,7 +918,9 @@ def all_subgroups(G: FiniteGroup) -> list:
 @memoised("normals")
 def normal_subgroups(G: FiniteGroup) -> list:
     """Every normal subgroup, as joins of the normal closures <x^G>, one
-    per conjugacy class: no lattice scan, so no cap."""
+    per conjugacy class.  Up to order DEFAULT_LATTICE_CAP there is no
+    limit, as the whole lattice may be scanned there; above it the scan
+    stops after DEFAULT_LATTICE_CAP normal subgroups."""
     everyone = np.arange(G.order)
     seen = np.zeros(G.order, dtype=bool)
     closures = []
@@ -926,4 +929,5 @@ def normal_subgroups(G: FiniteGroup) -> list:
             conjugates = G.product[G.product[G.inverse, x], everyone]
             seen[conjugates] = True
             closures.append(subgroup_generated(G, conjugates.tolist()))
-    return _joins(G, closures)
+    return _joins(G, closures, None if G.order <= DEFAULT_LATTICE_CAP
+                  else DEFAULT_LATTICE_CAP)

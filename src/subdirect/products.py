@@ -26,7 +26,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _coset_minima,
-    _index_mask,
+    _mask_of,
     _quotient,
     all_subgroups,
     automorphisms,
@@ -111,7 +111,7 @@ def projections_kernels(U: Subgroup) -> ProjectionData:
     gs, hs = info.split(U.elements)
 
     def factor_subgroup(F: FiniteGroup, elements: np.ndarray) -> Subgroup:
-        return interned(F, _index_mask(F.order, elements))
+        return interned(F, _mask_of(elements.tolist()))
 
     return ProjectionData(factor_subgroup(info.left, gs),
                           factor_subgroup(info.left, gs[hs == 0]),
@@ -226,8 +226,7 @@ def subgroup_from_quintuple(quint: GoursatQuintuple) -> Subgroup:
     match = want[:, None] == quint.to_q2[hs][None, :]
     # row-major over sorted gs and hs, so sorted
     elements = info.encode(gs[:, None], hs[None, :])[match]
-    U = Subgroup._trusted(info.group, tuple(elements.tolist()),
-                          _index_mask(info.group.order, elements))
+    U = Subgroup._trusted(info.group, tuple(elements.tolist()))
     if U.order != quint.p1.order * quint.k2.order:
         raise InvalidQuintuple("order bookkeeping failed")
     return U
@@ -253,11 +252,10 @@ def enumerate_subdirect(G: FiniteGroup, H: FiniteGroup, *,
             if G.order * L.order != H.order * K.order:
                 continue
             for iso in isomorphisms_iter(QG, QH):
-                match = (iso.image[projG.image][:, None]
-                         == projH.image[None, :]).ravel()
-                mask = _index_mask(info.group.order, match)
-                out.setdefault(mask, Subgroup._trusted(
-                    info.group, tuple(np.flatnonzero(match).tolist()), mask))
+                match = iso.image[projG.image][:, None] == projH.image[None, :]
+                elements = np.flatnonzero(match.ravel())
+                U = Subgroup._trusted(info.group, tuple(elements.tolist()))
+                out.setdefault(U.mask, U)
     return sorted(out.values(), key=lambda s: s.elements)
 
 
@@ -345,8 +343,7 @@ def twisted_diagonal(G: FiniteGroup, phi: GroupHom) -> Subgroup:
         raise NotAutomorphism("twist must be an automorphism of G")
     info = direct_product(G, G)
     coded = info.encode(np.arange(G.order, dtype=np.int64), phi.image)
-    return Subgroup._trusted(info.group, tuple(coded.tolist()),
-                             _index_mask(info.group.order, coded))
+    return Subgroup._trusted(info.group, tuple(coded.tolist()))
 
 
 def diagonal(G: FiniteGroup) -> Subgroup:

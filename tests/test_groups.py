@@ -560,6 +560,14 @@ def test_normal_subgroups_above_the_lattice_cap():
     with pytest.raises(OrderLimitExceeded):
         all_subgroups(G)
     assert [S.order for S in normal_subgroups(G)] == [1, 257]
+    with pytest.raises(OrderLimitExceeded):
+        normal_subgroups(elementary_abelian(2, 9))
+
+
+def test_normal_subgroups_are_the_lattice_objects():
+    G = _fresh(symmetric(4))
+    lattice = {S.mask: S for S in all_subgroups(G)}
+    assert all(lattice[N.mask] is N for N in normal_subgroups(G))
 
 
 def test_subgroup_membership_and_equality():

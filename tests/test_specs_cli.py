@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -623,6 +624,16 @@ def test_cli_subdirects_of_a_factor_above_the_lattice_cap(capsys):
                              "--max-order", "1000")
     assert code == 0, err
     assert json.loads(out.strip().splitlines()[-1])["count"] == 1
+
+
+def test_cli_subdirects_of_many_normal_subgroups_above_the_cap_exits_3(capsys):
+    # E2^9 (order 512) has millions of subgroups, all normal: above
+    # order 256 the normal subgroup scan stops at 256 of them.
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "subdirects", "--G", "E2^9", "--H", "C2")
+    assert code == 3
+    assert "cap exceeded" in err
+    assert time.perf_counter() - start < 30
 
 
 def test_cli_closed_stdout_exits_141_without_a_traceback():
