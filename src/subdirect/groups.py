@@ -11,6 +11,13 @@ Conventions used throughout the package:
 * every choice (coset representatives, generator order, search order)
   is deterministic, so repeated runs give identical objects.
 
+Construction rule: the public constructors of ``FiniteGroup``,
+``Subgroup``, ``GroupHom`` and ``CyclicHom`` check their input; the
+library's own builds use ``_trusted``, the same fill with no check.
+Checks stay at ``from_cayley_table``, ``specs`` and ``make_quintuple``
+quintuples, ``goursat_quintuple``'s induced map, composite misses and
+``set_product`` (AB = BA).
+
 Derived data such as element orders, conjugacy classes and the full
 subgroup lattice is memoised in the ``_cache`` dict of the instance that
 owns it.  :func:`memoised` is the one helper that reads and writes those
@@ -71,6 +78,13 @@ def memoised(key: str):
     return wrap
 
 
+def _unchecked(cls, *args):
+    """``cls._trusted``: the public constructor's fill, with no check."""
+    obj = cls.__new__(cls)
+    obj._fill(*args)
+    return obj
+
+
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
@@ -82,9 +96,13 @@ class FiniteGroup:
 
     __slots__ = ("order", "product", "inverse", "identity", "label",
                  "product_info", "_cache")
+    _trusted = classmethod(_unchecked)
 
-    def __init__(self, product: np.ndarray, label: str = "G", *,
-                 validate: bool = True):
+    def __init__(self, product: np.ndarray, label: str = "G"):
+        self._fill(product, label)
+        self.validate()
+
+    def _fill(self, product: np.ndarray, label: str) -> None:
         table = np.ascontiguousarray(np.asarray(product, dtype=_DTYPE))
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise NotAGroup("multiplication table must be square")
@@ -97,8 +115,6 @@ class FiniteGroup:
         self.label = label
         self.product_info = None
         self._cache: dict = {}
-        if validate:
-            self.validate()
         self.inverse = _inverse_table(table)
 
     def element_order(self, a: int) -> int:
@@ -198,7 +214,7 @@ def from_cayley_table(table: Sequence[Sequence[int]], label: str = "G") -> Finit
         sigma[0], sigma[identity] = identity, 0
         relabel = sigma  # involution, so sigma doubles as its inverse
         arr = relabel[arr[sigma[:, None], sigma]]
-    return FiniteGroup(arr, label=label, validate=True)
+    return FiniteGroup(arr, label)
 
 
 # -- permutation groups ----------------------------------------------------
@@ -215,7 +231,7 @@ def from_permutations(perms: Sequence[tuple], label: str) -> FiniteGroup:
     index = {p: k for k, p in enumerate(perms)}
     table = np.array([[index[perm_product(p, q)] for q in perms]
                       for p in perms], dtype=_DTYPE)
-    return FiniteGroup(table, label=label, validate=False)
+    return FiniteGroup._trusted(table, label)
 
 
 def from_permutation_generators(degree: int, generators: Sequence[Sequence[int]],
@@ -263,6 +279,7 @@ class Subgroup:
     """
 
     __slots__ = ("parent", "elements", "mask", "_cache")
+    _trusted = classmethod(_unchecked)
 
     def __init__(self, parent: FiniteGroup, elements: Iterable[int]):
         elems = tuple(sorted({int(x) for x in elements}))
@@ -270,10 +287,7 @@ class Subgroup:
             raise ValueError("subgroup elements out of range or empty")
         if elems[0] != 0:
             raise ValueError("subgroup must contain the identity")
-        self.parent = parent
-        self.elements = elems
-        self.mask = _mask_of(elems)
-        self._cache = {}
+        self._fill(parent, elems)
         arr = np.array(elems)
         member = np.zeros(parent.order, dtype=bool)
         member[arr] = True
@@ -282,19 +296,13 @@ class Subgroup:
         if not member[parent.inverse[arr]].all():
             raise ValueError("element set is not closed under inverses")
 
-    @classmethod
-    def _trusted(cls, parent: FiniteGroup, elements: tuple,
-                 mask: Optional[int] = None) -> "Subgroup":
-        """A subgroup of the library's own construction, unchecked:
-        ``elements`` is the sorted tuple of Python ints whose bitmask is
-        ``mask`` (computed when not given), and together they form a
-        subgroup of ``parent``."""
-        S = cls.__new__(cls)
-        S.parent = parent
-        S.elements = elements
-        S.mask = _mask_of(elements) if mask is None else mask
-        S._cache = {}
-        return S
+    def _fill(self, parent, elements, mask=None) -> None:
+        """``elements`` is a sorted tuple of Python ints and ``mask``
+        its bitmask, computed when not given."""
+        self.parent = parent
+        self.elements = elements
+        self.mask = _mask_of(elements) if mask is None else mask
+        self._cache = {}
 
     @property
     def order(self) -> int:
@@ -334,9 +342,8 @@ class Subgroup:
         pos = np.full(parent.order, -1, dtype=_DTYPE)
         pos[arr] = np.arange(len(arr))
         table = pos[parent.product[arr[:, None], arr]]
-        grp = FiniteGroup(table, label=f"{parent.label}[{self.order}]",
-                          validate=False)
-        return grp, GroupHom(grp, parent, arr, check=False)
+        grp = FiniteGroup._trusted(table, f"{parent.label}[{self.order}]")
+        return grp, GroupHom._trusted(grp, parent, arr)
 
 
 def _mask_of(elems) -> int:
@@ -401,12 +408,16 @@ def interned(G: FiniteGroup, mask: int) -> Subgroup:
 
 
 def set_product(A: Subgroup, B: Subgroup) -> Subgroup:
-    """The product set {a*b}, checked to be a subgroup: it is one
-    whenever one factor is normal."""
+    """The product set AB, checked to be a subgroup: it is one exactly
+    when AB = BA, as whenever one factor is normal."""
     if A.parent is not B.parent:
         raise ValueError("subgroups of different parents")
-    prods = A.parent.product[np.array(A.elements)[:, None], np.array(B.elements)]
-    return Subgroup(A.parent, np.unique(prods))
+    G, a, b = A.parent, np.array(A.elements), np.array(B.elements)
+    ab, ba = np.zeros((2, G.order), dtype=bool)
+    ab[G.product[a[:, None], b]] = ba[G.product[b[:, None], a]] = True
+    if not (ab == ba).all():
+        raise ValueError("product set is not a subgroup: AB != BA")
+    return Subgroup._trusted(G, tuple(np.flatnonzero(ab).tolist()))
 
 
 def mutual_commutator(X: Subgroup, Y: Subgroup) -> Subgroup:
@@ -477,7 +488,7 @@ def _quotient(P: Subgroup, K: Subgroup, name: str) -> tuple[FiniteGroup, np.ndar
     to_q[np.array(P.elements)] = coset
     to_q.setflags(write=False)
     qtable = to_q[P.parent.product[reps[:, None], reps]]
-    return FiniteGroup(qtable, label=f"{name}/{K.order}", validate=False), to_q
+    return FiniteGroup._trusted(qtable, f"{name}/{K.order}"), to_q
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, "GroupHom"]:
@@ -485,7 +496,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, "GroupHom"
     if N.parent is not G:
         raise ValueError("subgroup of a different parent")
     Q, to_q = _quotient(G.full(), N, G.label)
-    return Q, GroupHom(G, Q, to_q, check=False)
+    return Q, GroupHom._trusted(G, Q, to_q)
 
 
 def subgroup_quotient(P: Subgroup, K: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
@@ -661,9 +672,23 @@ class GroupHom:
     """A homomorphism stored as the full image table."""
 
     __slots__ = ("domain", "codomain", "image")
+    _trusted = classmethod(_unchecked)
 
     def __init__(self, domain: FiniteGroup, codomain: FiniteGroup,
-                 image: np.ndarray, *, check: bool = True):
+                 image: np.ndarray):
+        self._fill(domain, codomain, image)
+        arr = self.image
+        if arr.min() < 0 or arr.max() >= codomain.order:
+            raise ValueError("image table out of range")
+        if arr[0] != 0:
+            raise ValueError("identity must map to identity")
+        lhs = arr[domain.product]
+        rhs = codomain.product[arr[:, None], arr[None, :]]
+        if not (lhs == rhs).all():
+            a, b = (int(x) for x in np.argwhere(lhs != rhs)[0])
+            raise ValueError(f"not a homomorphism at pair ({a}, {b})")
+
+    def _fill(self, domain, codomain, image) -> None:
         arr = np.ascontiguousarray(np.asarray(image, dtype=_DTYPE))
         if arr.shape != (domain.order,):
             raise ValueError("image table has the wrong length")
@@ -671,16 +696,6 @@ class GroupHom:
         self.codomain = codomain
         arr.setflags(write=False)
         self.image = arr
-        if check:
-            if arr.min() < 0 or arr.max() >= codomain.order:
-                raise ValueError("image table out of range")
-            if arr[0] != 0:
-                raise ValueError("identity must map to identity")
-            lhs = arr[domain.product]
-            rhs = codomain.product[arr[:, None], arr[None, :]]
-            if not (lhs == rhs).all():
-                a, b = (int(x) for x in np.argwhere(lhs != rhs)[0])
-                raise ValueError(f"not a homomorphism at pair ({a}, {b})")
 
     def __call__(self, a: int) -> int:
         return int(self.image[a])
@@ -701,8 +716,8 @@ class GroupHom:
         """self after other."""
         if other.codomain is not self.domain:
             raise ValueError("composition factors do not line up")
-        return GroupHom(other.domain, self.codomain,
-                        self.image[other.image], check=False)
+        return GroupHom._trusted(other.domain, self.codomain,
+                                 self.image[other.image])
 
     @property
     def is_bijective(self) -> bool:
@@ -718,7 +733,7 @@ class GroupHom:
             raise ValueError("only bijections can be inverted")
         inv = np.empty(self.domain.order, dtype=_DTYPE)
         inv[self.image] = np.arange(self.domain.order)
-        return GroupHom(self.codomain, self.domain, inv, check=False)
+        return GroupHom._trusted(self.codomain, self.domain, inv)
 
     def kernel(self) -> Subgroup:
         return Subgroup._trusted(
@@ -732,7 +747,7 @@ class GroupHom:
 
 
 def identity_hom(G: FiniteGroup) -> GroupHom:
-    return GroupHom(G, G, np.arange(G.order), check=False)
+    return GroupHom._trusted(G, G, np.arange(G.order))
 
 
 # -- conjugacy data ----------------------------------------------------------
@@ -809,7 +824,7 @@ def isomorphisms_iter(G1: FiniteGroup, G2: FiniteGroup) -> Iterator[GroupHom]:
         if j == len(gens):
             # cheap final guard; the walk already kept every step
             if len(set(img)) == n:
-                yield GroupHom(G1, G2, img, check=False)
+                yield GroupHom._trusted(G1, G2, img)
             return
         want = prof1[gens[j]]
         for y in range(n):
@@ -844,7 +859,7 @@ def isomorphism_class(G: FiniteGroup) -> int:
         if find_isomorphism(G, _class_reps[cid]) is not None:
             return cid
     bucket.append(len(_class_reps))
-    _class_reps.append(FiniteGroup(G.product, G.label, validate=False))
+    _class_reps.append(FiniteGroup._trusted(G.product, G.label))
     return bucket[-1]
 
 

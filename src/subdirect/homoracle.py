@@ -20,6 +20,7 @@ from .errors import InternalInconsistency, OrderLimitExceeded
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _unchecked,
     abelianization,
     generating_sequence,
     memoised,
@@ -34,9 +35,22 @@ class CyclicHom:
     """A homomorphism into C_m stored as a residue per element."""
 
     __slots__ = ("domain", "modulus", "values")
+    _trusted = classmethod(_unchecked)
 
-    def __init__(self, domain: FiniteGroup, modulus: int, values, *,
-                 check: bool = True):
+    def __init__(self, domain: FiniteGroup, modulus: int, values):
+        if not isinstance(modulus, (int, np.integer)) or modulus < 1:
+            raise ValueError(f"modulus must be a positive integer: {modulus!r}")
+        self._fill(domain, modulus, values)
+        arr = self.values
+        if arr[0] != 0:
+            raise ValueError("identity must map to 0")
+        lhs = arr[domain.product]
+        rhs = (arr[:, None] + arr[None, :]) % modulus
+        if not (lhs == rhs).all():
+            a, b = (int(x) for x in np.argwhere(lhs != rhs)[0])
+            raise ValueError(f"not a homomorphism at pair ({a}, {b})")
+
+    def _fill(self, domain: FiniteGroup, modulus: int, values) -> None:
         arr = np.ascontiguousarray(np.asarray(values, dtype=np.int64)) % modulus
         if arr.shape != (domain.order,):
             raise ValueError("value table has the wrong length")
@@ -44,14 +58,6 @@ class CyclicHom:
         self.domain = domain
         self.modulus = modulus
         self.values = arr
-        if check:
-            if arr[0] != 0:
-                raise ValueError("identity must map to 0")
-            lhs = arr[domain.product]
-            rhs = (arr[:, None] + arr[None, :]) % modulus
-            if not (lhs == rhs).all():
-                a, b = (int(x) for x in np.argwhere(lhs != rhs)[0])
-                raise ValueError(f"not a homomorphism at pair ({a}, {b})")
 
     def key(self) -> tuple:
         return tuple(int(v) for v in self.values)
@@ -130,13 +136,12 @@ def enumerate_homs(K: Union[FiniteGroup, Subgroup], m: int) -> list:
 @memoised("cyclic_homs")
 def _cyclic_homs(grp: FiniteGroup, m: int) -> list:
     if m == 1:
-        return [CyclicHom(grp, 1, np.zeros(grp.order, dtype=np.int64),
-                          check=False)]
+        return [CyclicHom._trusted(grp, 1, np.zeros(grp.order, dtype=np.int64))]
     _, proj = abelianization(grp)
     # Cosets are numbered by their least elements, so pulling the sorted
     # tables back along proj keeps them sorted.
     tables = _abelian_value_tables(proj.codomain, m)[:, proj.image]
-    return [CyclicHom(grp, m, t, check=False) for t in tables]
+    return [CyclicHom._trusted(grp, m, t) for t in tables]
 
 
 def hom_count_formula(divisors, m: int) -> int:
@@ -160,7 +165,7 @@ def raw_enumerate_homs(K: Union[FiniteGroup, Subgroup], m: int) -> list:
     for tail in itertools.product(range(m), repeat=n - 1):
         vals = np.array((0, *tail), dtype=np.int64)
         if (vals[grp.product] == (vals[:, None] + vals[None, :]) % m).all():
-            out.append(CyclicHom(grp, m, vals, check=False))
+            out.append(CyclicHom._trusted(grp, m, vals))
     return out
 
 
@@ -173,7 +178,7 @@ def restriction_map(big: CyclicHom, U: Subgroup) -> CyclicHom:
         raise ValueError("hom is not defined on the subgroup's parent")
     sub_grp, _ = U.as_group()
     vals = big.values[np.array(U.elements)]
-    return CyclicHom(sub_grp, big.modulus, vals, check=False)
+    return CyclicHom._trusted(sub_grp, big.modulus, vals)
 
 
 def _hom_value_matrix(G: FiniteGroup, m: int) -> np.ndarray:
@@ -301,5 +306,5 @@ def extend_hom(phi: CyclicHom, U: Subgroup) -> Optional[CyclicHom]:
                 continue
             gi, hi = info.split(np.arange(info.group.order))
             vals = (hl.values[gi] + hr.values[hi]) % m
-            return CyclicHom(info.group, m, vals, check=False)
+            return CyclicHom._trusted(info.group, m, vals)
     return None

@@ -28,7 +28,7 @@ def cyclic(n: int) -> FiniteGroup:
         raise ValueError("order must be positive")
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(table, label=f"C{n}", validate=False)
+    return FiniteGroup._trusted(table, f"C{n}")
 
 
 def dihedral(order: int) -> FiniteGroup:
@@ -43,7 +43,7 @@ def dihedral(order: int) -> FiniteGroup:
     ri = (i[:, None] + sign[:, None] * i[None, :]) % n
     rj = (j[:, None] + j[None, :]) % 2
     table = ri + n * rj
-    return FiniteGroup(table, label=f"D{order}", validate=False)
+    return FiniteGroup._trusted(table, f"D{order}")
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -99,7 +99,7 @@ def quaternion8() -> FiniteGroup:
         return x
 
     table = [[mul(a, b) for b in range(8)] for a in range(8)]
-    return FiniteGroup(np.array(table), label="Q8", validate=False)
+    return FiniteGroup._trusted(np.array(table), "Q8")
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
@@ -115,7 +115,7 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     weights = p ** np.arange(k - 1, -1, -1) if k else np.empty(0, dtype=np.int64)
     summed = (digits[:, None, :] + digits[None, :, :]) % p
     table = summed @ weights if k else np.zeros((1, 1), dtype=np.int64)
-    return FiniteGroup(table.reshape(n, n), label=f"E{p}^{k}", validate=False)
+    return FiniteGroup._trusted(table.reshape(n, n), f"E{p}^{k}")
 
 
 def dicyclic12() -> FiniteGroup:
@@ -130,7 +130,7 @@ def dicyclic12() -> FiniteGroup:
         return (i1 - i2 + 3) % 6
 
     table = [[mul(x, y) for y in range(12)] for x in range(12)]
-    return FiniteGroup(np.array(table), label="Dic12", validate=False)
+    return FiniteGroup._trusted(np.array(table), "Dic12")
 
 
 # -- catalog and identification ----------------------------------------------

@@ -80,7 +80,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, *,
     left = G.product[gi[:, None], gi[None, :]]
     right = H.product[hi[:, None], hi[None, :]]
     table = left.astype(np.int64) * hn + right
-    group = FiniteGroup(table, label=f"{G.label}x{H.label}", validate=False)
+    group = FiniteGroup._trusted(table, f"{G.label}x{H.label}")
     product = ProductGroup(G, H, group)
     group.product_info = product
     return product
@@ -165,7 +165,7 @@ def goursat_quintuple(U: Subgroup) -> GoursatQuintuple:
     image = np.full(q1.order, -1, dtype=np.int64)
     image[to_q1[gs]] = to_q2[hs]
     try:
-        phi = GroupHom(q1, q2, image, check=True)
+        phi = GroupHom(q1, q2, image)
     except ValueError as exc:  # pragma: no cover - guarded by group laws
         raise InvalidQuintuple(str(exc)) from exc
     if not phi.is_bijective:
@@ -207,7 +207,7 @@ def make_quintuple(p1: Subgroup, k1: Subgroup, p2: Subgroup, k2: Subgroup,
     if (image == -1).any():
         raise InvalidQuintuple("coset map does not cover every coset")
     try:
-        phi = GroupHom(q1, q2, image, check=True)
+        phi = GroupHom(q1, q2, image)
     except ValueError as exc:
         raise InvalidQuintuple(str(exc)) from exc
     if not phi.is_bijective:

@@ -1,5 +1,6 @@
 """Core group machinery: tables, subgroups, quotients, invariants."""
 
+import inspect
 import itertools
 import types
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import helpers
 
 from subdirect import (
+    CyclicHom,
     FiniteGroup,
     InternalInconsistency,
     InvalidQuintuple,
@@ -347,6 +349,38 @@ def test_set_product_orders():
     assert P.order == (A.order * B.order) // A.intersection(B).order
 
 
+def _checked_set_product(A: Subgroup, B: Subgroup):
+    """The checked constructor on the product set, or None if it raises."""
+    prods = A.parent.product[np.array(A.elements)[:, None],
+                             np.array(B.elements)]
+    try:
+        return Subgroup(A.parent, prods.ravel().tolist())
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("G", [G for _, G in _small_registry()]
+                         + [symmetric(4)], ids=lambda G: G.label)
+def test_set_product_matches_the_checked_constructor(G):
+    for A, B in itertools.product(all_subgroups(G), repeat=2):
+        want = _checked_set_product(A, B)
+        if want is None:
+            with pytest.raises(ValueError):
+                set_product(A, B)
+        else:
+            got = set_product(A, B)
+            assert got.elements == want.elements and got.mask == want.mask
+            assert all(type(e) is int for e in got.elements)
+
+
+@pytest.mark.parametrize("cls", [FiniteGroup, Subgroup, GroupHom, CyclicHom])
+def test_value_types_have_no_check_flag(cls):
+    """Checking is chosen by constructor, public or ``_trusted``."""
+    params = inspect.signature(cls.__init__).parameters
+    assert not {"check", "validate"} & set(params)
+    assert callable(cls._trusted)
+
+
 def test_sylow_subgroups():
     G = symmetric(3)
     assert sylow_subgroup(G, 3).order == 3
@@ -489,7 +523,7 @@ _SEARCH_GROUPS = [G for _, G in _small_registry()] + [
 
 
 def _fresh(G: FiniteGroup) -> FiniteGroup:
-    return FiniteGroup(G.product, G.label, validate=False)
+    return FiniteGroup._trusted(G.product, G.label)
 
 
 def _same_search(G1: FiniteGroup, G2: FiniteGroup) -> None:

@@ -139,6 +139,12 @@ def test_cyclic_hom_validation():
         CyclicHom(G, 4, [0, 1, 2])
 
 
+@pytest.mark.parametrize("modulus", [0, -4, 2.5, 4.0, "4"])
+def test_cyclic_hom_needs_a_positive_integer_modulus(modulus):
+    with pytest.raises(ValueError, match="modulus must be a positive integer"):
+        CyclicHom(cyclic(4), modulus, [0, 1, 2, 3])
+
+
 def test_restriction_map_zero_and_identity():
     G = cyclic(2)
     info = direct_product(G, G)

@@ -3,6 +3,7 @@
 import functools
 import gc
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +11,15 @@ from hypothesis import given, settings, strategies as st
 import helpers
 
 from subdirect import (
+    CyclicHom,
     FactorMismatch,
+    FiniteGroup,
+    GroupHom,
     InvalidQuintuple,
     NotAutomorphism,
     OrderLimitExceeded,
     Subgroup,
+    alternating,
     analyze_subgroup,
     automorphisms,
     catalog_group,
@@ -25,10 +30,13 @@ from subdirect import (
     contains_twisted_diagonal,
     cyclic,
     diagonal,
+    dicyclic12,
     dihedral,
     direct_product,
     elementary_abelian,
+    enumerate_homs,
     enumerate_subdirect,
+    extend_hom,
     goursat_quintuple,
     goursat_quotient,
     identity_hom,
@@ -40,16 +48,20 @@ from subdirect import (
     mutual_commutator,
     quaternion8,
     quotient_group,
+    raw_enumerate_homs,
+    restriction_map,
     star_product,
     subdirect_by_scan,
     subgroup_from_quintuple,
     subgroup_generated,
+    subgroup_quotient,
     symmetric,
     twisted_diagonal,
 )
+import subdirect.groups as groups
 import subdirect.products as products
 from subdirect.groups import _interned_table, all_subgroups, interned, \
-    normal_subgroups
+    isomorphism_class, isomorphisms_iter, normal_subgroups
 from subdirect.presets import _small_registry
 from subdirect.products import product_of, projections_kernels
 from subdirect.specs import load_group
@@ -507,18 +519,86 @@ def test_internal_builds_match_the_checked_constructor(data):
         _assert_trusted(S)
 
 
+def _assert_checked_group(G: FiniteGroup) -> None:
+    """G, built unchecked by the library, passes the checked constructor."""
+    checked = FiniteGroup(G.product, G.label)
+    assert (checked.inverse == G.inverse).all()
+
+
+def _assert_checked_hom(f) -> None:
+    """f, built unchecked by the library, passes its checked constructor."""
+    if isinstance(f, CyclicHom):
+        assert CyclicHom(f.domain, f.modulus, f.values) == f
+    else:
+        assert GroupHom(f.domain, f.codomain, f.image) == f
+
+
+_PRESETS = [
+    (cyclic, st.tuples(st.integers(1, 12))),
+    (dihedral, st.tuples(st.integers(1, 6).map(lambda n: 2 * n))),
+    (symmetric, st.tuples(st.integers(1, 4))),
+    (alternating, st.tuples(st.integers(1, 5))),
+    (quaternion8, st.tuples()),
+    (elementary_abelian, st.tuples(st.sampled_from([2, 3]),
+                                   st.integers(0, 3))),
+    (dicyclic12, st.tuples()),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_internal_group_and_hom_builds_pass_the_checked_constructors(data):
+    build, args = data.draw(st.sampled_from(_PRESETS))
+    G = build(*data.draw(args))
+    seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    A = subgroup_generated(G, seed)
+    N = data.draw(st.sampled_from(normal_subgroups(G)))
+    Q, proj = quotient_group(G, N)
+    sub_grp, embedding = A.as_group()
+    autos = automorphisms(G)
+    phi, psi = (data.draw(st.sampled_from(autos)) for _ in range(2))
+    m = data.draw(st.integers(1, 6))
+    for K in (G, groups._class_reps[isomorphism_class(G)], Q, sub_grp,
+              subgroup_quotient(A, mutual_commutator(A, A))[0]):
+        _assert_checked_group(K)
+    for f in (proj, embedding, phi, psi, phi.compose(psi), phi.inverted(),
+              identity_hom(G), *enumerate_homs(G, m), *enumerate_homs(A, m)):
+        _assert_checked_hom(f)
+    assert autos == list(isomorphisms_iter(G, G))
+
+    F, H = (catalog_group(data.draw(st.sampled_from(catalog_names())))
+            for _ in range(2))
+    info = direct_product(F, H)
+    _assert_checked_group(info.group)
+    U = data.draw(st.sampled_from(enumerate_subdirect(F, H)))
+    m = data.draw(st.integers(1, 4))
+    raw = raw_enumerate_homs(F, m) if m ** (F.order - 1) <= 4096 else []
+    restricted = [restriction_map(big, U)
+                  for big in enumerate_homs(info.group, m)]
+    extended = [extend_hom(chi, U) for chi in enumerate_homs(U, m)]
+    for f in (*raw, *restricted, *(e for e in extended if e is not None)):
+        _assert_checked_hom(f)
+
+
 def test_subdirect_analysis_builds_no_checked_subgroup(monkeypatch):
+    """Only goursat_quintuple's induced-map cross-check builds a checked
+    object on the analysis path."""
     checked = []
-    real_init = Subgroup.__init__
 
-    def init(self, parent, elements):
-        checked.append(parent)
-        real_init(self, parent, elements)
+    def spy(cls, name):
+        real = getattr(cls, name)
 
-    monkeypatch.setattr(Subgroup, "__init__", init)
+        def wrapped(self, *args, **kwargs):
+            checked.append((cls.__name__, sys._getframe(1).f_code.co_name))
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapped)
+
+    for cls in (Subgroup, GroupHom, CyclicHom):
+        spy(cls, "__init__")
+    spy(FiniteGroup, "validate")
     S4 = load_group("S4")
     subdirects = enumerate_subdirect(S4, S4)
     assert len(subdirects) == 32
     for U in subdirects:
         analyze_subgroup(U)
-    assert checked == []
+    assert set(checked) == {("GroupHom", "goursat_quintuple")}
