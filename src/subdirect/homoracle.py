@@ -9,7 +9,6 @@ information as any larger p-power coefficient.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from typing import Optional, Union
@@ -24,11 +23,15 @@ from .groups import (
     abelianization,
     generating_sequence,
     memoised,
+    mutual_commutator,
     p_part,
+    subgroup_quotient,
 )
 from .products import product_of, require_subdirect
 
 RAW_SEARCH_LIMIT = 1 << 22
+# Entries of the n x n hom test per block of raw candidate tables.
+RAW_BLOCK_ENTRIES = 1 << 14
 
 
 class CyclicHom:
@@ -161,11 +164,16 @@ def raw_enumerate_homs(K: Union[FiniteGroup, Subgroup], m: int) -> list:
     if total > RAW_SEARCH_LIMIT:
         raise OrderLimitExceeded(
             f"{m}**{n - 1} value tables exceed {RAW_SEARCH_LIMIT}")
+    rows = max(1, RAW_BLOCK_ENTRIES // (n * n))
     out = []
-    for tail in itertools.product(range(m), repeat=n - 1):
-        vals = np.array((0, *tail), dtype=np.int64)
-        if (vals[grp.product] == (vals[:, None] + vals[None, :]) % m).all():
-            out.append(CyclicHom._trusted(grp, m, vals))
+    for start in range(0, total, rows):
+        code = np.arange(start, min(start + rows, total), dtype=np.int64)
+        block = np.zeros((code.size, n), dtype=np.int64)
+        for j in range(n - 1, 0, -1):  # base-m digits, the last fastest
+            code, block[:, j] = np.divmod(code, m)
+        ok = (block[:, grp.product]
+              == (block[:, :, None] + block[:, None, :]) % m).all(axis=(1, 2))
+        out.extend(CyclicHom._trusted(grp, m, vals) for vals in block[ok])
     return out
 
 
@@ -245,12 +253,21 @@ def coefficient_modulus(U: Subgroup, p: int) -> int:
 
 
 def oracle_is_extensible_for_modulus(U: Subgroup, m: int) -> bool:
-    """Do all homs U -> C_m extend to the ambient product?"""
+    """Do all homs U -> C_m extend to the ambient product?  No decision
+    logic is shared with the criterion, only its memoised G', H', [U, U]."""
     require_subdirect(U)
     if m == 1:
         return True
     _, image = restriction_kernel_image_sizes(U, m)
-    return image == len(enumerate_homs(U, m))
+    return image == _hom_count(U, m)
+
+
+@memoised("hom_count")
+def _hom_count(U: Subgroup, m: int) -> int:
+    """|Hom(U, C_m)| = |Hom(U/[U, U], C_m)|, as C_m is abelian, with the
+    quotient built in the parent's table."""
+    Q, _ = subgroup_quotient(U, mutual_commutator(U, U))
+    return len(_abelian_value_tables(Q, m))
 
 
 def oracle_is_p_extensible(U: Subgroup, p: int) -> bool:

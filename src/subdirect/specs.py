@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import OrderLimitExceeded, ParseError
 from .groups import FiniteGroup, Subgroup, from_cayley_table, \
     from_permutation_generators, subgroup_generated
 from .presets import alternating, cyclic, dihedral, elementary_abelian, \
@@ -35,14 +36,19 @@ from .products import (
     subgroup_from_quintuple,
 )
 
-# preset id -> (builder, the integer fields a JSON preset spec passes it)
+# preset id -> (builder, the integer fields a JSON preset spec passes it,
+# the order they give, with degrees and exponents clipped to 0..64: past
+# 64 any order exceeds 2**63)
 PRESETS = {
-    "cyclic": (cyclic, ("n",)),
-    "dihedral": (dihedral, ("order",)),
-    "symmetric": (symmetric, ("n",)),
-    "alternating": (alternating, ("n",)),
-    "quaternion8": (quaternion8, ()),
-    "elementary_abelian": (elementary_abelian, ("p", "k")),
+    "cyclic": (cyclic, ("n",), lambda n: n),
+    "dihedral": (dihedral, ("order",), lambda order: order),
+    "symmetric": (symmetric, ("n",),
+                  lambda n: math.prod(range(2, min(n, 64) + 1))),
+    "alternating": (alternating, ("n",),
+                    lambda n: math.prod(range(3, min(n, 64) + 1))),
+    "quaternion8": (quaternion8, (), lambda: 8),
+    "elementary_abelian": (elementary_abelian, ("p", "k"),
+                           lambda p, k: max(p, 0) ** min(max(k, 0), 64)),
 }
 
 # One alternative per preset, named after its id, capturing its arguments.
@@ -71,10 +77,15 @@ def _int_field(data: dict, key: str) -> int:
     return _as_int(data[key], f"field {key!r}")
 
 
-def _preset(preset_id: str, args: tuple, name: str) -> FiniteGroup:
-    """A preset group; any name but its own label or 'preset' relabels it."""
+def _preset(preset_id: str, args: tuple, name: str,
+            max_order: int) -> FiniteGroup:
+    """A preset group; any name but its own label or 'preset' relabels it.
+    Its order is checked against ``max_order`` before any table is built."""
+    build, _, order = PRESETS[preset_id]
+    if order(*args) > max_order:
+        raise OrderLimitExceeded(f"order of {name} above cap {max_order}")
     try:
-        group = PRESETS[preset_id][0](*args)
+        group = build(*args)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     if name not in ("preset", group.label):
@@ -109,7 +120,8 @@ def load_group(text: str, *,
 
     Every shorthand factor is checked before any is built; the factors
     of a product are then built and multiplied from the left.  Every
-    product the description asks for is capped at ``max_order``.
+    preset and every product the description asks for is capped at
+    ``max_order``.
     """
     text = text.strip()
     if not text:
@@ -129,7 +141,7 @@ def load_group(text: str, *,
         factors.append((m.lastgroup, args, token))
     return functools.reduce(
         lambda a, b: direct_product(a, b, max_order=max_order).group,
-        (_preset(*factor) for factor in factors))
+        (_preset(*factor, max_order) for factor in factors))
 
 
 def _group_from_json(payload, max_order: int) -> FiniteGroup:
@@ -147,7 +159,7 @@ def _group_from_json(payload, max_order: int) -> FiniteGroup:
         if not isinstance(preset_id, str) or preset_id not in PRESETS:
             raise ParseError(f"unknown preset {preset_id!r}")
         args = tuple(_int_field(data, key) for key in PRESETS[preset_id][1])
-        return _preset(preset_id, args, name)
+        return _preset(preset_id, args, name, max_order)
     if kind == "cayley":
         table = data.get("table")
         if not isinstance(table, list) or not all(

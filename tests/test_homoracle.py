@@ -18,6 +18,7 @@ from subdirect import (
     abelian_invariants,
     abelianization,
     alternating,
+    analyze_subgroup,
     catalog_group,
     catalog_names,
     coefficient_modulus,
@@ -30,8 +31,10 @@ from subdirect import (
     enumerate_subdirect,
     extend_hom,
     hom_count_formula,
+    mutual_commutator,
     oracle_is_extensible_for_modulus,
     oracle_is_p_extensible,
+    prime_factors,
     quaternion8,
     raw_enumerate_homs,
     raw_oracle_is_p_extensible,
@@ -39,10 +42,11 @@ from subdirect import (
     restriction_kernel_image_sizes,
     restriction_map,
     subgroup_generated,
+    subgroup_quotient,
     symmetric,
 )
 from subdirect.presets import _small_registry
-from subdirect.products import DEFAULT_PRODUCT_CAP
+from subdirect.products import DEFAULT_PRODUCT_CAP, SCAN_CAP
 
 A3 = (0, 3, 4)
 
@@ -98,11 +102,16 @@ def test_enumerate_homs_sorted_and_deterministic():
 
 
 def test_raw_enumerator_agrees():
-    for G in (cyclic(6), symmetric(3), dihedral(8)):
-        for m in (2, 3, 4):
-            fast = {h.key() for h in enumerate_homs(G, m)}
-            slow = {h.key() for h in raw_enumerate_homs(G, m)}
-            assert fast == slow
+    # The raw search visits value tables in lexicographic order, which is
+    # the sorted order of enumerate_homs.  D8 x C2 at m = 2 is 2**15
+    # candidates, spread over many blocks.
+    cases = [(G, m) for G in (cyclic(6), symmetric(3), dihedral(8))
+             for m in (2, 3, 4)]
+    cases.append((direct_product(dihedral(8), cyclic(2)).group, 2))
+    for G, m in cases:
+        fast = [h.key() for h in enumerate_homs(G, m)]
+        slow = [h.key() for h in raw_enumerate_homs(G, m)]
+        assert fast == slow, (G, m)
 
 
 def test_raw_enumerator_cap(monkeypatch):
@@ -321,6 +330,27 @@ def test_extension_witness_consistency():
         assert all(results) == extendable
         # The zero hom always extends.
         assert results[0]
+
+
+def test_oracle_hom_count_on_the_abelianization():
+    for U in catalog_subdirects():
+        assert U.parent.order <= SCAN_CAP
+        Q, _ = subgroup_quotient(U, mutual_commutator(U, U))
+        divisors = abelian_invariants(Q).divisors
+        for p in prime_factors(U.parent.order):
+            m = coefficient_modulus(U, p)
+            for k in (m, m * p):
+                count = homoracle._hom_count(U, k)
+                assert U._cache[("hom_count", k)] == count
+                assert count == len(enumerate_homs(U, k)), (U, k)
+                assert count == hom_count_formula(divisors, k), (U, k)
+
+
+def test_analysis_makes_no_copy_of_the_subgroup():
+    for F in (symmetric(4), direct_product(dihedral(8), cyclic(2)).group):
+        for U in enumerate_subdirect(F, F):
+            analyze_subgroup(U)
+            assert "as_group" not in U._cache, U
 
 
 # -- array routines against the loops they replaced --------------------------

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import helpers
 
 import subdirect
+import subdirect.specs as specs
 import subdirect.verification as verification
 from subdirect import (
     CheckContext,
@@ -119,6 +120,31 @@ def test_load_group_caps_every_product_at_max_order():
         load_group(spec)
     with pytest.raises(OrderLimitExceeded):
         load_group("C2xC3", max_order=5)
+
+
+def test_presets_above_max_order_stop_before_any_table(monkeypatch, capsys):
+    def refuse(*args):
+        pytest.fail(f"a preset table was built for {args}")
+
+    for preset_id, (_, fields, order) in list(specs.PRESETS.items()):
+        monkeypatch.setitem(specs.PRESETS, preset_id, (refuse, fields, order))
+    for text in ("C100000", "D4000", "S8", "A8", "E2^11", "C4000xC2",
+                 "S2147483647", "E2^2147483647"):
+        with pytest.raises(OrderLimitExceeded, match="above cap 1296"):
+            load_group(text)
+    with pytest.raises(OrderLimitExceeded, match="order of V above cap 7"):
+        load_group('{"name": "V", "kind": "preset", '
+                   '"data": {"id": "quaternion8"}}', max_order=7)
+    for argv in (("analyze", "--G", "C100000", "--H", "C2", "--U", "full"),
+                 ("verify", "--G", "C4000")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and "cap exceeded" in err, err
+
+
+def test_max_order_raises_the_preset_cap():
+    assert load_group("C1500", max_order=1500).order == 1500
+    with pytest.raises(OrderLimitExceeded):
+        load_group("C1500", max_order=1499)
 
 
 def test_cayley_entry_outside_int32_is_named():
@@ -964,6 +990,8 @@ def test_cli_verify_json_entries(capsys, selection, exit_code):
 # the interface: a refactor must leave them unchanged.  Q8 and D8 cover
 # the central shortcut and inextensible verdicts.
 PINNED_REPORTS = {
+    "analyze --G S4 --U full":
+        "87da8555e9217a664d6985762ae382ab8b4b25b462431c7f50f1887a2c47788b",
     "subdirects --G S3":
         "82921ccb842e8df4b89a15344f4b21c540c3c4753ec82fd37a2c79cfdaadb34e",
     "subdirects --G Q8":
