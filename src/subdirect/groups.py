@@ -23,19 +23,22 @@ subgroup lattice is memoised in the ``_cache`` dict of the instance that
 owns it.  :func:`memoised` is the one helper that reads and writes those
 dicts, in every module of the package.
 
-Ownership rule: factor subgroups are interned on their group.  The
+Ownership rule: subgroups are interned on their group.  The
 projections and kernels of a product subgroup, and the intersections
 built from them, belong to a factor group, not to the one product
 subgroup that produced them; :func:`interned` keeps one object per
 mask on the factor, so their commutators and quotients, memoised on
-them, are computed once per factor.  Memo keys are masks or ints, never
-a ``Subgroup`` or group object, so nothing memoised on a product
-subgroup refers back to it and a dropped one is freed by reference
-counting alone.  The one exception is ``direct_product``, keyed on its
-right factor, which the product refers to anyway.  The module-level
-registry of :func:`isomorphism_class` is never cleared: it gains one
-representative per new isomorphism class, sharing the first group's
-table, and searches memoise its element orders, class sizes and profile.
+them, are computed once per factor.  The lattice, the subdirect
+enumeration and the Goursat construction intern product subgroups on
+the product group, which keeps them; checked builds are fresh.  Memo
+keys are masks or ints, never a ``Subgroup`` or group object, so
+nothing memoised on a product subgroup refers back to it and a fresh
+one is freed by reference counting alone.  The one exception is
+``direct_product``, keyed on its right factor, which the product
+refers to anyway.  The module-level registry of
+:func:`isomorphism_class` is never cleared: it gains one representative
+per new isomorphism class, sharing the first group's table, and
+searches memoise its element orders, class sizes and profile.
 """
 
 from __future__ import annotations
@@ -235,12 +238,14 @@ def from_permutations(perms: Sequence[tuple], label: str) -> FiniteGroup:
 
 
 def from_permutation_generators(degree: int, generators: Sequence[Sequence[int]],
-                                label: str = "G") -> FiniteGroup:
+                                label: str = "G", *,
+                                max_order: int = DEFAULT_CLOSURE_CAP
+                                ) -> FiniteGroup:
     """Close a generator set under composition, breadth first.
 
     Elements are indexed in discovery order starting from the identity,
-    which therefore gets index 0.  Closures above DEFAULT_CLOSURE_CAP
-    elements raise OrderLimitExceeded.
+    which therefore gets index 0.  Closures above ``max_order`` elements
+    raise OrderLimitExceeded before any table is built.
     """
     gens = []
     for g in generators:
@@ -258,9 +263,9 @@ def from_permutation_generators(degree: int, generators: Sequence[Sequence[int]]
             for g in gens:
                 y = perm_product(x, g)
                 if y not in index:
-                    if len(elems) >= DEFAULT_CLOSURE_CAP:
+                    if len(elems) >= max_order:
                         raise OrderLimitExceeded(
-                            f"closure exceeds max_order={DEFAULT_CLOSURE_CAP}")
+                            f"closure exceeds max_order={max_order}")
                     index[y] = len(elems)
                     elems.append(y)
                     nxt.append(y)

@@ -20,7 +20,6 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _unchecked,
-    abelianization,
     generating_sequence,
     memoised,
     mutual_commutator,
@@ -138,12 +137,11 @@ def enumerate_homs(K: Union[FiniteGroup, Subgroup], m: int) -> list:
 
 @memoised("cyclic_homs")
 def _cyclic_homs(grp: FiniteGroup, m: int) -> list:
-    if m == 1:
-        return [CyclicHom._trusted(grp, 1, np.zeros(grp.order, dtype=np.int64))]
-    _, proj = abelianization(grp)
+    K = grp.full()
+    Q, to_q = subgroup_quotient(K, mutual_commutator(K, K))
     # Cosets are numbered by their least elements, so pulling the sorted
-    # tables back along proj keeps them sorted.
-    tables = _abelian_value_tables(proj.codomain, m)[:, proj.image]
+    # tables back along to_q keeps them sorted.
+    tables = _abelian_value_tables(Q, m)[:, to_q]
     return [CyclicHom._trusted(grp, m, t) for t in tables]
 
 

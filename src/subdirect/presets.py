@@ -108,14 +108,14 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     if k < 0 or p ** k > 20000:
         raise ValueError("rank out of supported range")
     n = p ** k
-    digits = np.empty((n, k), dtype=np.int64)
-    idx = np.arange(n)
-    for d in range(k):
-        digits[:, k - 1 - d] = (idx // p ** d) % p
-    weights = p ** np.arange(k - 1, -1, -1) if k else np.empty(0, dtype=np.int64)
-    summed = (digits[:, None, :] + digits[None, :, :]) % p
-    table = summed @ weights if k else np.zeros((1, 1), dtype=np.int64)
-    return FiniteGroup._trusted(table.reshape(n, n), f"E{p}^{k}")
+    table = np.zeros((n, n), dtype=np.int32)
+    digit = np.arange(p, dtype=np.int32)
+    digit_sum = (digit[:, None] + digit) % p
+    for d in range(k):  # add digit d, of weight w = p**d, in place
+        w = p ** d
+        blocks = table.reshape(n // (w * p), p, w, n // (w * p), p, w)
+        blocks += (digit_sum * w)[:, None, None, :, None]
+    return FiniteGroup._trusted(table, f"E{p}^{k}")
 
 
 def dicyclic12() -> FiniteGroup:

@@ -26,6 +26,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _coset_minima,
+    _interned_table,
     _mask_of,
     _quotient,
     all_subgroups,
@@ -36,7 +37,6 @@ from .groups import (
     isomorphisms_iter,
     memoised,
     normal_subgroups,
-    quotient_group,
     subgroup_quotient,
 )
 
@@ -75,12 +75,13 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, *,
     n = G.order * H.order
     if n > max_order:
         raise OrderLimitExceeded(f"product order {n} above cap {max_order}")
-    hn = H.order
-    gi, hi = np.divmod(np.arange(n), hn)
-    left = G.product[gi[:, None], gi[None, :]]
-    right = H.product[hi[:, None], hi[None, :]]
-    table = left.astype(np.int64) * hn + right
-    group = FiniteGroup._trusted(table, f"{G.label}x{H.label}")
+    gn, hn = G.order, H.order
+    # (g, h) * (g', h') at [g, h, g', h'], filled in place: no n x n
+    # intermediate besides the table itself
+    table = np.empty((gn, hn, gn, hn), dtype=G.product.dtype)
+    np.multiply(G.product[:, None, :, None], hn, out=table)
+    table += H.product[None, :, None, :]
+    group = FiniteGroup._trusted(table.reshape(n, n), f"{G.label}x{H.label}")
     product = ProductGroup(G, H, group)
     group.product_info = product
     return product
@@ -216,7 +217,8 @@ def make_quintuple(p1: Subgroup, k1: Subgroup, p2: Subgroup, k2: Subgroup,
 
 
 def subgroup_from_quintuple(quint: GoursatQuintuple) -> Subgroup:
-    """The subgroup {(g, h) : phi(g k1) = h k2} of the factor product."""
+    """The subgroup {(g, h) : phi(g k1) = h k2}, interned on the factor
+    product once its order checks out."""
     G = quint.p1.parent
     H = quint.p2.parent
     info = direct_product(G, H)
@@ -224,12 +226,10 @@ def subgroup_from_quintuple(quint: GoursatQuintuple) -> Subgroup:
     hs = np.array(quint.p2.elements)
     want = quint.phi.image[quint.to_q1[gs]]
     match = want[:, None] == quint.to_q2[hs][None, :]
-    # row-major over sorted gs and hs, so sorted
-    elements = info.encode(gs[:, None], hs[None, :])[match]
-    U = Subgroup._trusted(info.group, tuple(elements.tolist()))
-    if U.order != quint.p1.order * quint.k2.order:
+    if np.count_nonzero(match) != quint.p1.order * quint.k2.order:
         raise InvalidQuintuple("order bookkeeping failed")
-    return U
+    elements = info.encode(gs[:, None], hs[None, :])[match]
+    return interned(info.group, _mask_of(elements.tolist()))
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -237,26 +237,23 @@ def subgroup_from_quintuple(quint: GoursatQuintuple) -> Subgroup:
 
 def enumerate_subdirect(G: FiniteGroup, H: FiniteGroup, *,
                         max_order: int = DEFAULT_PRODUCT_CAP) -> list:
-    """All subgroups of G x H with both projections surjective.
+    """All subgroups of G x H with both projections surjective, sorted by
+    element tuple: a fresh list of the product's interned objects.  The
+    cap applies when the product is first built."""
+    return list(_subdirects(direct_product(G, H, max_order=max_order).group))
 
-    Walks pairs of normal subgroups with isomorphic quotients and all
-    isomorphisms between the quotients; results are sorted by element
-    tuple.  Duplicates cannot arise but are filtered anyway.
-    """
-    info = direct_product(G, H, max_order=max_order)
-    out: dict = {}
-    quots_G = [(K, *quotient_group(G, K)) for K in normal_subgroups(G)]
-    quots_H = [(L, *quotient_group(H, L)) for L in normal_subgroups(H)]
-    for K, QG, projG in quots_G:
-        for L, QH, projH in quots_H:
-            if G.order * L.order != H.order * K.order:
-                continue
-            for iso in isomorphisms_iter(QG, QH):
-                match = iso.image[projG.image][:, None] == projH.image[None, :]
-                elements = np.flatnonzero(match.ravel())
-                U = Subgroup._trusted(info.group, tuple(elements.tolist()))
-                out.setdefault(U.mask, U)
-    return sorted(out.values(), key=lambda s: s.elements)
+
+@memoised("subdirects")
+def _subdirects(P: FiniteGroup) -> tuple:
+    """One Goursat subgroup per isomorphism between quotients G/K, H/L."""
+    G, H = P.product_info.left, P.product_info.right
+    by_K = [(K, *subgroup_quotient(G.full(), K)) for K in normal_subgroups(G)]
+    by_L = [(L, *subgroup_quotient(H.full(), L)) for L in normal_subgroups(H)]
+    subs = {subgroup_from_quintuple(GoursatQuintuple(
+                G.full(), K, L, H.full(), QG, QH, to_G, to_H, iso))
+            for K, QG, to_G in by_K for L, QH, to_H in by_L
+            if QG.order == QH.order for iso in isomorphisms_iter(QG, QH)}
+    return tuple(sorted(subs, key=lambda s: s.elements))
 
 
 def subdirect_by_scan(G: FiniteGroup, H: FiniteGroup) -> list:
@@ -325,9 +322,14 @@ def compose_relations(Us: Sequence[Subgroup],
 
 
 def composite_subgroup(group: FiniteGroup, row: np.ndarray) -> Subgroup:
-    """The subgroup whose packed membership row is row, closure checked."""
-    elements = np.flatnonzero(np.unpackbits(row, bitorder="little"))
-    return Subgroup(group, elements)
+    """The subgroup whose packed membership row is row: the group's
+    interned object, else a fresh build with its closure checked, which
+    is not interned."""
+    S = _interned_table(group).get(int.from_bytes(row, "little"))
+    if S is None:
+        S = Subgroup(group,
+                     np.flatnonzero(np.unpackbits(row, bitorder="little")))
+    return S
 
 
 def star_product(U: Subgroup, V: Subgroup) -> Subgroup:

@@ -120,8 +120,8 @@ def load_group(text: str, *,
 
     Every shorthand factor is checked before any is built; the factors
     of a product are then built and multiplied from the left.  Every
-    preset and every product the description asks for is capped at
-    ``max_order``.
+    group the description asks for, of any kind, is capped at
+    ``max_order`` before its table is built.
     """
     text = text.strip()
     if not text:
@@ -166,6 +166,8 @@ def _group_from_json(payload, max_order: int) -> FiniteGroup:
                 isinstance(row, list) and len(row) == len(table[0])
                 for row in table):
             raise ParseError("cayley spec needs a 'table' list of equal rows")
+        if len(table) > max_order:
+            raise OrderLimitExceeded(f"order of {name} above cap {max_order}")
         table = [[_as_int(x, "cayley entry") for x in row] for row in table]
         return from_cayley_table(table, label=name)
     if kind == "permutations":
@@ -174,7 +176,8 @@ def _group_from_json(payload, max_order: int) -> FiniteGroup:
         if not isinstance(gens, list) or not gens:
             raise ParseError("permutation spec needs a 'generators' list")
         perms = [parse_permutation(g, degree) for g in gens]
-        return from_permutation_generators(degree, perms, label=name)
+        return from_permutation_generators(degree, perms, label=name,
+                                           max_order=max_order)
     for side in ("left", "right"):  # a product; its name is not used
         if side not in data:
             raise ParseError(f"product spec is missing {side!r}")

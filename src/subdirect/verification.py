@@ -95,35 +95,26 @@ class CheckResult:
 
 
 class CheckContext:
-    """Shared scan state: the selection plus cached enumerations.
+    """Shared scan state: the selection and its product cap.
 
-    Every subgroup the context hands out is interned by (parent, mask),
-    and :meth:`star_block` resolves each composite to the interned
-    subgroup with the same elements, so projections, Goursat data and
-    sections are computed once per subgroup rather than once per
-    composition.
+    The subgroups the context hands out are the interned objects of
+    their product group, and :meth:`star_block` resolves each composite
+    to the interned subgroup with the same elements, so projections,
+    Goursat data and sections are computed once per subgroup rather
+    than once per composition.
     """
 
     def __init__(self, groups: Iterable[FiniteGroup], *,
                  product_cap: int = DEFAULT_PRODUCT_CAP):
         self.groups = list(groups)
         self.product_cap = product_cap
-        self._subdirects: dict = {}
-        self._lattices: dict = {}
-        self._known: dict = {}
-
-    def _intern(self, subs: list) -> list:
-        """The known subgroup for each of subs, registering new ones."""
-        known = self._known
-        return [known.setdefault((id(U.parent), U.mask), U) for U in subs]
 
     def star_block(self, Us: list, Vs: list):
         """(U, V, U*V) for every U in Us and V in Vs, row by row.
 
-        One compose_relations call makes the whole block.  Each composite
-        is the interned subgroup with its mask; on a miss it is built
-        fresh with its closure checked, and not interned.  Its home F x H
-        must fit the context's product cap on every call, built or not.
+        One compose_relations call makes the whole block, and
+        composite_subgroup resolves each row.  Its home F x H must fit
+        the context's product cap on every call, built or not.
         """
         if not Us or not Vs:
             return
@@ -133,14 +124,9 @@ class CheckContext:
                                      f"above cap {self.product_cap}")
         rows = compose_relations(Us, Vs)
         group = direct_product(F, H, max_order=self.product_cap).group
-        known = self._known
-        home = id(group)
         for U, U_rows in zip(Us, rows):
             for V, row in zip(Vs, U_rows):
-                W = known.get((home, int.from_bytes(row, "little")))
-                if W is None:
-                    W = composite_subgroup(group, row)
-                yield U, V, W
+                yield U, V, composite_subgroup(group, row)
 
     def star(self, U: Subgroup, V: Subgroup) -> Subgroup:
         """U*V, as the interned subgroup when there is one."""
@@ -159,19 +145,11 @@ class CheckContext:
                 if G.order * G.order <= self.product_cap]
 
     def subdirects(self, G: FiniteGroup, H: FiniteGroup) -> list:
-        key = (id(G), id(H))
-        if key not in self._subdirects:
-            self._subdirects[key] = self._intern(enumerate_subdirect(
-                G, H, max_order=self.product_cap))
-        return self._subdirects[key]
+        return enumerate_subdirect(G, H, max_order=self.product_cap)
 
     def lattice(self, G: FiniteGroup, H: FiniteGroup) -> list:
         """Every subgroup of G x H, in all_subgroups order."""
-        key = (id(G), id(H))
-        if key not in self._lattices:
-            info = direct_product(G, H)
-            self._lattices[key] = self._intern(all_subgroups(info.group))
-        return self._lattices[key]
+        return all_subgroups(direct_product(G, H).group)
 
     def lattice_cases(self):
         """(U,) for every subgroup U of G x H over the scan pairs."""

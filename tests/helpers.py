@@ -20,7 +20,10 @@ chain by quotients and the sorting row count that the array code in
 :func:`pairwise_isomorphisms` is the pairwise product closure that the
 generator-step walk of ``groups.isomorphisms_iter`` replaced, and
 :func:`lattice_normal_subgroups` is the lattice filter that the joins of
-normal closures in ``groups.normal_subgroups`` replaced.
+normal closures in ``groups.normal_subgroups`` replaced, and
+:func:`dense_product_table` and :func:`digit_vector_table` are the
+int64 table formulas that the in-place fills of
+``products.direct_product`` and ``presets.elementary_abelian`` replaced.
 """
 
 from __future__ import annotations
@@ -415,3 +418,30 @@ def pairwise_isomorphisms(G1, G2):
     mapping0[0] = 0
     used0[0] = 0
     yield from rec(0, mapping0, used0, [0])
+
+
+def dense_product_table(G, H) -> np.ndarray:
+    """The table of G x H from two full n x n index blocks summed in int64,
+    as int32."""
+    import numpy as np
+
+    hn = H.order
+    gi, hi = np.divmod(np.arange(G.order * hn), hn)
+    left = G.product[gi[:, None], gi[None, :]]
+    right = H.product[hi[:, None], hi[None, :]]
+    return (left.astype(np.int64) * hn + right).astype(np.int32)
+
+
+def digit_vector_table(p: int, k: int) -> np.ndarray:
+    """The table of E_p^k from the n x n x k array of digit sums, as int32."""
+    import numpy as np
+
+    n = p ** k
+    if k == 0:
+        return np.zeros((1, 1), dtype=np.int32)
+    idx = np.arange(n)
+    digits = np.stack([(idx // p ** d) % p for d in range(k - 1, -1, -1)],
+                      axis=1)
+    weights = p ** np.arange(k - 1, -1, -1)
+    summed = (digits[:, None, :] + digits[None, :, :]) % p
+    return (summed @ weights).astype(np.int32)

@@ -1,5 +1,7 @@
 """Preset builders, the named-group catalog, and small-group identification."""
 
+import tracemalloc
+
 import pytest
 
 import helpers
@@ -77,6 +79,23 @@ def test_elementary_abelian():
     assert E.exponent() == 2
     with pytest.raises(ValueError):
         elementary_abelian(4, 2)
+
+
+@pytest.mark.parametrize("p, k", [(2, 0), (2, 1), (3, 1), (2, 4), (3, 3),
+                                  (5, 2), (7, 2)])
+def test_elementary_abelian_table_matches_the_digit_sum_formula(p, k):
+    E = elementary_abelian(p, k)
+    assert E.product.tobytes() == helpers.digit_vector_table(p, k).tobytes()
+
+
+def test_elementary_abelian_builds_no_wide_intermediate():
+    tracemalloc.start()
+    try:
+        E = elementary_abelian(2, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * E.product.nbytes
 
 
 def test_dicyclic12():

@@ -1,9 +1,11 @@
 """Direct products, Goursat data, composition, and diagonals."""
 
+import dataclasses
 import functools
 import gc
 import itertools
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +108,26 @@ def test_direct_product_caching_and_cap():
         direct_product(symmetric(4), symmetric(4), max_order=500)
 
 
+@pytest.mark.parametrize("left, right", [("C1", "S3"), ("S3", "C4"),
+                                         ("D8", "Q8"), ("A4", "C3"),
+                                         ("C32", "C32")])
+def test_direct_product_table_matches_the_dense_formula(left, right):
+    G, H = load_group(left), load_group(right)
+    assert direct_product(G, H).group.product.tobytes() \
+        == helpers.dense_product_table(G, H).tobytes()
+
+
+def test_direct_product_builds_no_wide_intermediate():
+    C = cyclic(32)
+    tracemalloc.start()
+    try:
+        P = direct_product(C, C).group
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * P.product.nbytes
+
+
 def test_product_center_and_exponent():
     E = direct_product(cyclic(2), cyclic(2)).group
     assert E.order == 4
@@ -168,6 +190,20 @@ def test_make_quintuple_diagonal():
         make_quintuple(G.full(), G.full(), G.full(), G.full(), [(0, 0)]))
 
 
+def test_failed_order_check_leaves_the_intern_table_unchanged():
+    G = cyclic(4)
+    P = direct_product(G, G).group
+    one = G.trivial()
+    quint = make_quintuple(G.full(), one, G.full(), one,
+                           [(g, g) for g in range(4)])
+    before = dict(_interned_table(P))
+    with pytest.raises(InvalidQuintuple, match="order bookkeeping"):
+        subgroup_from_quintuple(dataclasses.replace(quint, k2=G.full()))
+    assert _interned_table(P) == before
+    U = subgroup_from_quintuple(quint)
+    assert U.mask not in before and U is interned(P, U.mask)
+
+
 def test_make_quintuple_rejects_bad_data():
     G = symmetric(3)
     A3 = commutator_subgroup(G).elements
@@ -193,6 +229,49 @@ def test_enumerate_subdirect_counts():
     assert len(enumerate_subdirect(cyclic(2), cyclic(3))) == 1
     S3 = symmetric(3)
     assert len(enumerate_subdirect(S3, S3)) == 8
+
+
+def test_enumerate_subdirect_returns_the_products_interned_objects():
+    G = dihedral(8)
+    P = direct_product(G, G).group
+    first = enumerate_subdirect(G, G)
+    assert first and all(U is interned(P, U.mask) for U in first)
+    second = enumerate_subdirect(G, G)
+    assert second is not first
+    assert len(second) == len(first)
+    assert all(a is b for a, b in zip(first, second))
+    second.clear()
+    assert len(enumerate_subdirect(G, G)) == len(first)
+
+
+def test_star_product_of_subdirects_is_the_enumerated_object():
+    F, G, H = cyclic(2), symmetric(3), cyclic(6)
+    targets = enumerate_subdirect(F, H)
+    for U in enumerate_subdirect(F, G):
+        for V in enumerate_subdirect(G, H):
+            W = star_product(U, V)
+            assert any(W is T for T in targets)
+
+
+def test_composite_miss_is_checked_and_not_interned(monkeypatch):
+    G = symmetric(3)
+    P = direct_product(G, G).group
+    D = diagonal(G)
+    assert D.mask not in _interned_table(P)
+    checked = []
+    init = Subgroup.__init__
+
+    def spy(self, parent, elements):
+        checked.append(parent)
+        init(self, parent, elements)
+
+    monkeypatch.setattr(Subgroup, "__init__", spy)
+    W = star_product(D, D)
+    assert W == D and W is not D and checked == [P]
+    assert D.mask not in _interned_table(P)
+    enumerate_subdirect(G, G)  # interns the diagonal
+    checked.clear()
+    assert star_product(D, D) is interned(P, D.mask) and checked == []
 
 
 def test_enumeration_agrees_with_scan():

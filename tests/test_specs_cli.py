@@ -147,6 +147,48 @@ def test_max_order_raises_the_preset_cap():
         load_group("C1500", max_order=1499)
 
 
+_A6 = json.dumps({"name": "A6", "kind": "permutations",
+                  "data": {"degree": 6,
+                           "generators": ["(0 1 2)", "(1 2 3 4 5)"]}})
+
+
+def _cyclic_cayley(n: int) -> str:
+    return _cayley([[(i + j) % n for j in range(n)] for i in range(n)])
+
+
+def test_specs_above_max_order_stop_before_any_table(monkeypatch, capsys,
+                                                     tmp_path):
+    """permutations and cayley specs are capped like presets: the closure
+    stops at the cap, and a cayley table is neither read nor validated."""
+    def refuse(*args, **kwargs):
+        pytest.fail("a table was built or validated above the cap")
+
+    monkeypatch.setattr(subdirect.groups, "from_permutations", refuse)
+    monkeypatch.setattr(FiniteGroup, "validate", refuse)
+    with pytest.raises(OrderLimitExceeded, match="max_order=300"):
+        load_group(_A6, max_order=300)
+    path = tmp_path / "c1400.json"
+    path.write_text(_cyclic_cayley(1400))
+    with pytest.raises(OrderLimitExceeded, match="above cap 1296"):
+        load_group(f"@{path}")
+    for argv in (("verify", "--G", _A6, "--max-order", "300"),
+                 ("verify", "--G", f"@{path}"),
+                 ("analyze", "--G", _A6, "--H", "C1", "--U", "full",
+                  "--max-order", "300")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and "cap exceeded" in err, err
+
+
+def test_max_order_raises_the_permutation_and_cayley_caps(capsys):
+    assert load_group(_A6, max_order=360).order == 360
+    assert load_group(_cyclic_cayley(12), max_order=12).order == 12
+    with pytest.raises(OrderLimitExceeded):
+        load_group(_cyclic_cayley(12), max_order=11)
+    code, out, err = run_cli(capsys, "verify", "--G", _A6,
+                             "--max-order", "360")
+    assert code == 0, err
+
+
 def test_cayley_entry_outside_int32_is_named():
     with pytest.raises(ParseError, match="cayley entry 99999999999"):
         load_group(_cayley([[0, 99999999999]]))
@@ -1003,6 +1045,19 @@ PINNED_REPORTS = {
     "subdirects --G D8xC2 --H D8xC2":
         "16fb63882db8b3f8500ad741845825a932d089899092ad5239ecf855db121b47",
 }
+
+
+# The whole-catalog verify --out file, pinned like the reports above.
+VERIFY_DIGEST = \
+    "d500d49c7bfa165be947d47303ee55c4250948888e9410a040934329f955ffa9"
+
+
+def test_cli_verify_whole_catalog_bytes_pinned(capsys, tmp_path):
+    path = tmp_path / "verify.jsonl"
+    code, out, err = run_cli(capsys, "verify", "--out", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "all 28 checks passed (257692 cases)"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_DIGEST
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_REPORTS))

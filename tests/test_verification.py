@@ -55,6 +55,12 @@ def test_star_of_lattice_subgroups_is_the_lattice_object(name):
             assert any(W is T for T in lattice)
 
 
+def test_context_keeps_no_subgroup_tables():
+    ctx = CheckContext([catalog_group("C2"), catalog_group("S3")])
+    assert list(ctx.composable_triples())
+    assert set(vars(ctx)) == {"groups", "product_cap"}
+
+
 def test_star_outside_the_context_is_fresh():
     ctx = CheckContext([catalog_group("C2")])
     D = diagonal(catalog_group("S3"))
