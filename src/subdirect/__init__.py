@@ -65,6 +65,7 @@ from .groups import (
     quotient_group,
     set_product,
     subgroup_generated,
+    subgroup_generators,
     subgroup_quotient,
     sylow_subgroup,
 )

@@ -157,32 +157,39 @@ class FiniteGroup:
 
     # -- validation --------------------------------------------------------
 
+    @memoised("validated")
     def validate(self) -> None:
-        """Full axiom scan; raises NotAGroup with the failing witness."""
-        table = self.product
-        n = self.order
-        if table.min() < 0 or table.max() >= n:
-            bad = np.argwhere((table < 0) | (table >= n))[0]
-            raise NotAGroup(f"entry out of range at {tuple(int(x) for x in bad)}")
-        want = np.arange(n)
-        rows_ok = (np.sort(table, axis=1) == want).all(axis=1)
-        if not rows_ok.all():
-            raise NotAGroup(f"row {int(np.flatnonzero(~rows_ok)[0])} is not a permutation")
-        cols_ok = (np.sort(table, axis=0) == want[:, None]).all(axis=0)
-        if not cols_ok.all():
-            raise NotAGroup(f"column {int(np.flatnonzero(~cols_ok)[0])} is not a permutation")
-        if not (table[0] == want).all() or not (table[:, 0] == want).all():
-            raise NotAGroup("identity is not at index 0")
-        # associativity, one defining row at a time to bound memory
-        for a in range(n):
-            left = table[table[a], :]
-            right = table[a][table]
-            if not (left == right).all():
-                b, c = (int(x) for x in np.argwhere(left != right)[0])
-                raise NotAGroup(f"associativity fails at triple ({a}, {b}, {c})")
+        """Full axiom scan; raises NotAGroup with the failing witness.
+        The table is read-only, so a passing scan is memoised; a failing
+        one raises before anything is stored."""
+        _check_axioms(self.product)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
+
+
+def _check_axioms(table: np.ndarray) -> None:
+    """The scan behind :meth:`FiniteGroup.validate`."""
+    n = table.shape[0]
+    if table.min() < 0 or table.max() >= n:
+        bad = np.argwhere((table < 0) | (table >= n))[0]
+        raise NotAGroup(f"entry out of range at {tuple(int(x) for x in bad)}")
+    want = np.arange(n)
+    rows_ok = (np.sort(table, axis=1) == want).all(axis=1)
+    if not rows_ok.all():
+        raise NotAGroup(f"row {int(np.flatnonzero(~rows_ok)[0])} is not a permutation")
+    cols_ok = (np.sort(table, axis=0) == want[:, None]).all(axis=0)
+    if not cols_ok.all():
+        raise NotAGroup(f"column {int(np.flatnonzero(~cols_ok)[0])} is not a permutation")
+    if not (table[0] == want).all() or not (table[:, 0] == want).all():
+        raise NotAGroup("identity is not at index 0")
+    # associativity, one defining row at a time to bound memory
+    for a in range(n):
+        left = table[table[a], :]
+        right = table[a][table]
+        if not (left == right).all():
+            b, c = (int(x) for x in np.argwhere(left != right)[0])
+            raise NotAGroup(f"associativity fails at triple ({a}, {b}, {c})")
 
 
 def _inverse_table(table: np.ndarray) -> np.ndarray:
@@ -301,13 +308,14 @@ class Subgroup:
         if not member[parent.inverse[arr]].all():
             raise ValueError("element set is not closed under inverses")
 
-    def _fill(self, parent, elements, mask=None) -> None:
+    def _fill(self, parent, elements, mask=None, gens=None) -> None:
         """``elements`` is a sorted tuple of Python ints and ``mask``
-        its bitmask, computed when not given."""
+        its bitmask, computed when not given; ``gens``, the generators
+        a closure walk adopted, seeds :func:`subgroup_generators`."""
         self.parent = parent
         self.elements = elements
         self.mask = _mask_of(elements) if mask is None else mask
-        self._cache = {}
+        self._cache = {} if gens is None else {"gens": gens}
 
     @property
     def order(self) -> int:
@@ -362,14 +370,17 @@ def _mask_elements(mask: int) -> tuple:
     return tuple(e for e, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
-def _closure(G: FiniteGroup, seed: Iterable[int]) -> tuple[tuple, tuple]:
-    """Sorted elements of <seed>, and the seed elements adopted as
-    generators: those not yet generated when the walk reaches them.  The
-    set stays closed under right multiplication by every generator, so
-    old elements meet only the new one and new elements meet them all."""
-    have = {0}
-    gens: list[int] = []
-    cols: list[list] = []
+def _closure(G: FiniteGroup, seed: Iterable[int], elements: tuple = (0,),
+             gens: tuple = ()) -> tuple[tuple, tuple]:
+    """Sorted elements of <elements, seed>, and ``gens`` followed by the
+    seed elements adopted as generators: those not yet generated when the
+    walk reaches them.  ``elements`` must be the subgroup that ``gens``
+    generate.  The set stays closed under right multiplication by every
+    generator, so old elements meet only the new one and new elements
+    meet them all."""
+    have = set(elements)
+    gens = list(gens)
+    cols = [G.product[:, g].tolist() for g in gens]
     for s in seed:
         s = int(s)
         if s in have:
@@ -390,7 +401,23 @@ def _closure(G: FiniteGroup, seed: Iterable[int]) -> tuple[tuple, tuple]:
 
 
 def subgroup_generated(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    return Subgroup._trusted(G, _closure(G, seed)[0])
+    elements, gens = _closure(G, seed)
+    return Subgroup._trusted(G, elements, None, gens)
+
+
+def _extended(S: Subgroup, seed: Iterable[int]) -> Subgroup:
+    """<S, seed>, walking on from S's elements and generators, so S's
+    elements step by the new generators only."""
+    elements, gens = _closure(S.parent, seed, S.elements, subgroup_generators(S))
+    return Subgroup._trusted(S.parent, elements, None, gens)
+
+
+@memoised("gens")
+def subgroup_generators(S: Subgroup) -> tuple:
+    """The generators the closure walk adopted when it built S, or, for a
+    subgroup built from its elements, the greedy ones: repeatedly the
+    smallest element not yet generated."""
+    return _closure(S.parent, S.elements)[1]
 
 
 @memoised("interned")
@@ -427,7 +454,15 @@ def set_product(A: Subgroup, B: Subgroup) -> Subgroup:
 
 def mutual_commutator(X: Subgroup, Y: Subgroup) -> Subgroup:
     """Subgroup generated by all commutators [x, y] with x in X, y in Y,
-    memoised on X."""
+    memoised on X.
+
+    Only the |X| * |gens(Y)| commutators [x, t] are formed, for the
+    generators t of Y.  Their closure N is normalised by X, as
+    [x, t]^x' = [xx', t] [x', t]^-1, and [x, yt] = [x, t] [x, y]^t, so
+    N = [X, Y] once Y also normalises N.  That holds when Y <= X, and the
+    pair is swapped when X <= Y, as [X, Y] = [Y, X]: the generators come
+    from the smaller of a nested pair.  Otherwise N is closed under
+    conjugation by the generators of Y."""
     if Y.parent is not X.parent:
         raise ValueError("subgroups of different parents")
     return _commutator_with(X, Y.mask, Y=Y)
@@ -438,12 +473,23 @@ def mutual_commutator(X: Subgroup, Y: Subgroup) -> Subgroup:
 @memoised("commutator")
 def _commutator_with(X: Subgroup, mask: int, *, Y: Subgroup) -> Subgroup:
     G = X.parent
+    if X.is_subset_of(Y):
+        X, Y = Y, X
     xa = np.array(X.elements)
-    ya = np.array(Y.elements)
-    t = G.product[G.inverse[xa][:, None], G.inverse[ya]]
-    t = G.product[t, xa[:, None]]
-    t = G.product[t, ya[None, :]]
-    return subgroup_generated(G, np.unique(t))
+    ta = np.array(subgroup_generators(Y), dtype=np.int64)
+    c = G.product[G.inverse[xa][:, None], G.inverse[ta]]
+    c = G.product[c, xa[:, None]]
+    c = G.product[c, ta[None, :]]
+    N = subgroup_generated(G, np.unique(c))
+    if Y.is_subset_of(X):
+        return N
+    while True:
+        conj = G.product[G.product[G.inverse[ta][:, None],
+                                   np.array(N.elements)], ta[:, None]]
+        fresh = [x for x in np.unique(conj).tolist() if not (N.mask >> x) & 1]
+        if not fresh:
+            return N
+        N = _extended(N, fresh)
 
 
 @memoised("derived")
@@ -457,10 +503,9 @@ def center(G: FiniteGroup) -> Subgroup:
     return Subgroup._trusted(G, tuple(np.flatnonzero(central).tolist()))
 
 
-@memoised("gens")
 def generating_sequence(G: FiniteGroup) -> tuple:
     """Greedy generators: repeatedly the smallest element not yet generated."""
-    return _closure(G, range(G.order))[1]
+    return subgroup_generators(G.full())
 
 
 def _coset_minima(P: Subgroup, K: Subgroup) -> tuple[np.ndarray, bool]:
@@ -578,7 +623,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
             if x in P or p_part(o, (p,)) != o:
                 continue
             if _mask_of(G.product[G.product[G.inverse[x], arr], x]) == P.mask:
-                P = subgroup_generated(G, (*P.elements, x))
+                P = _extended(P, (x,))
                 break
         else:
             raise InternalInconsistency("Sylow growth stalled below the p-part")
@@ -887,7 +932,8 @@ def automorphisms(G: FiniteGroup) -> list:
 def _joins(G: FiniteGroup, atoms: Iterable[Subgroup],
            limit: Optional[int] = None) -> list:
     """The trivial subgroup and every join of atoms, sorted by order,
-    then elements: each subgroup found is joined with every atom.
+    then elements: each subgroup found is joined with every atom, by
+    extending its closure walk with the atom's generators.
 
     Every subgroup comes from G's interned table, so the lattice and the
     normal subgroups share their objects and memos.  Finding more than
@@ -914,7 +960,7 @@ def _joins(G: FiniteGroup, atoms: Iterable[Subgroup],
                 continue
             joined = join_memo.get(key)
             if joined is None:
-                S = subgroup_generated(G, current.elements + c.elements)
+                S = _extended(current, subgroup_generators(c))
                 joined = join_memo[key] = table.setdefault(S.mask, S)
             if joined.mask not in found:
                 found[joined.mask] = joined

@@ -5,6 +5,12 @@ from the kernel criterion are cross-checked against literal counting of
 homomorphisms.  Coefficients are cyclic C_m written additively; a prime
 p is decided with m = p ** v_p(exponent), which carries the same
 information as any larger p-power coefficient.
+
+Homs are counted by one walk, :func:`_value_tables`: it starts on
+[U, U], where every hom into the abelian C_m vanishes, and extends the
+value tables over the cosets of [U, U] one generator of U at a time, in
+the parent's own table, so no quotient group is built.  The restriction
+image is compared on the generators of U, which fix a hom.
 """
 
 from __future__ import annotations
@@ -20,11 +26,10 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _unchecked,
-    generating_sequence,
     memoised,
     mutual_commutator,
     p_part,
-    subgroup_quotient,
+    subgroup_generators,
 )
 from .products import product_of, require_subdirect
 
@@ -86,29 +91,36 @@ def _as_plain_group(K: Union[FiniteGroup, Subgroup]) -> FiniteGroup:
     return K
 
 
-def _abelian_value_tables(A: FiniteGroup, m: int) -> np.ndarray:
-    """Every hom value table A -> C_m for abelian A, one row each, in
-    ascending lexicographic order.
+def _value_tables(P: Subgroup, D: Subgroup, m: int) -> np.ndarray:
+    """Every hom value table P -> C_m that vanishes on D, one row each,
+    over the parent's elements (0 outside P), in no fixed order.
 
-    Works generator by generator: if g has relative order t over the part
-    built so far, its value v must solve t*v = value(g**t) mod m, a linear
-    congruence with gcd(t, m) solutions (or none).  Every partial table is
+    D must be normal in P with P/D abelian, as [P, P] is.  The walk
+    starts on D and adds the generators of P one at a time: if g has
+    relative order t over the part built so far, its value v must solve
+    t*v = value(g**t) mod m, a linear congruence with gcd(t, m) solutions
+    (or none), and the layers part*g, ..., part*g**(t-1) are cosets of D
+    that get the values v, ..., (t-1)*v on top.  Every partial table is
     extended by all of its solutions at once, so every full table is
-    produced exactly once.
+    produced exactly once.  Layers that meet each other or the part built
+    so far, or a walk that does not end on |P| elements, raise
+    InternalInconsistency.  These guards catch many D that break the
+    precondition, not all: in D8 a non-normal reflection subgroup, or
+    the trivial subgroup, passes them.
     """
-    n = A.order
-    tables = np.zeros((1, n), dtype=np.int64)
-    if m == 1 or n == 1:
-        return tables
-    tables[:, 1:] = -1
-    current = np.array([0], dtype=np.int64)
-    have = {0}
-    for g in generating_sequence(A):
+    G = P.parent
+    tables = np.zeros((1, G.order), dtype=np.int64)
+    current = np.array(D.elements)
+    valued = np.zeros(G.order, dtype=bool)
+    valued[current] = True
+    for g in subgroup_generators(P):
         powers = []
-        e = int(g)
-        while e not in have:
+        e = g
+        while not valued[e]:
             powers.append(e)
-            e = int(A.product[e, g])
+            e = int(G.product[e, g])
+        if not powers:
+            continue
         t0 = len(powers) + 1  # e = g ** t0 is already valued
         d = math.gcd(t0, m)
         tables = tables[tables[:, e] % d == 0]
@@ -116,21 +128,28 @@ def _abelian_value_tables(A: FiniteGroup, m: int) -> np.ndarray:
         v0 = (tables[:, e] // d) * pow(t0 // d, -1, step) % step
         values = (v0[:, None] + step * np.arange(d)).ravel()
         tables = np.repeat(tables, d, axis=0)
-        layers = [current]
-        for t, power in enumerate(powers, start=1):
-            layer = A.product[current, power]
-            tables[:, layer] = (tables[:, current] + t * values[:, None]) % m
-            layers.append(layer)
-        current = np.sort(np.concatenate(layers))
-        have = set(current.tolist())
-    return tables[np.lexsort(tables.T[::-1])]
+        # layers[t - 1] = current * g**t, valued t * v on top of current
+        layers = G.product[current, np.array(powers)[:, None]]
+        valued[layers] = True
+        t = np.arange(1, t0)[:, None]
+        tables[:, layers] = (tables[:, None, current]
+                             + t * values[:, None, None]) % m
+        current = np.concatenate((current, layers.ravel()))
+        if np.count_nonzero(valued) != current.size:
+            raise InternalInconsistency(
+                f"coset layers overlap: order {D.order} is not normal "
+                f"with abelian quotient in order {P.order}")
+    if current.size != P.order:
+        raise InternalInconsistency(
+            f"hom walk ends on {current.size} of {P.order} elements")
+    return tables
 
 
 def enumerate_homs(K: Union[FiniteGroup, Subgroup], m: int) -> list:
     """All homomorphisms K -> C_m, sorted by value table.
 
-    Enumerated by factoring through the abelianization, which loses
-    nothing because the target is abelian.
+    Every such hom vanishes on [K, K], because the target is abelian, so
+    the value-table walk starts there.
     """
     return _cyclic_homs(_as_plain_group(K), m)
 
@@ -138,10 +157,8 @@ def enumerate_homs(K: Union[FiniteGroup, Subgroup], m: int) -> list:
 @memoised("cyclic_homs")
 def _cyclic_homs(grp: FiniteGroup, m: int) -> list:
     K = grp.full()
-    Q, to_q = subgroup_quotient(K, mutual_commutator(K, K))
-    # Cosets are numbered by their least elements, so pulling the sorted
-    # tables back along to_q keeps them sorted.
-    tables = _abelian_value_tables(Q, m)[:, to_q]
+    tables = _value_tables(K, mutual_commutator(K, K), m)
+    tables = tables[np.lexsort(tables.T[::-1])]
     return [CyclicHom._trusted(grp, m, t) for t in tables]
 
 
@@ -187,20 +204,25 @@ def restriction_map(big: CyclicHom, U: Subgroup) -> CyclicHom:
     return CyclicHom._trusted(sub_grp, big.modulus, vals)
 
 
+@memoised("hom_matrix")
 def _hom_value_matrix(G: FiniteGroup, m: int) -> np.ndarray:
-    homs = enumerate_homs(G, m)
-    return np.stack([h.values for h in homs])
+    matrix = np.stack([h.values for h in enumerate_homs(G, m)])
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _restriction_matrix(U: Subgroup, m: int) -> np.ndarray:
-    """The restriction to U of every hom G x H -> C_m, one row per hom.
+    """The restriction to U of every hom G x H -> C_m, one row per hom,
+    evaluated at the identity and the generators of U.
 
     Every hom on the product splits as a hom on G plus a hom on H, so the
-    rows are all such sums.
+    rows are all such sums.  A hom on U is fixed by its values on the
+    generators, so two rows are equal exactly when the restrictions are;
+    the identity column gives a trivial U a column.
     """
     require_subdirect(U)
     info = product_of(U)
-    gs, hs = info.split(U.elements)
+    gs, hs = info.split((0, *subgroup_generators(U)))
     vg = _hom_value_matrix(info.left, m)[:, gs]
     vh = _hom_value_matrix(info.right, m)[:, hs]
     return ((vg[:, None, :] + vh[None, :, :]) % m).reshape(-1, gs.size)
@@ -262,10 +284,9 @@ def oracle_is_extensible_for_modulus(U: Subgroup, m: int) -> bool:
 
 @memoised("hom_count")
 def _hom_count(U: Subgroup, m: int) -> int:
-    """|Hom(U, C_m)| = |Hom(U/[U, U], C_m)|, as C_m is abelian, with the
-    quotient built in the parent's table."""
-    Q, _ = subgroup_quotient(U, mutual_commutator(U, U))
-    return len(_abelian_value_tables(Q, m))
+    """|Hom(U, C_m)|: every hom vanishes on [U, U], as C_m is abelian,
+    so the value-table walk starts there, in the parent's table."""
+    return len(_value_tables(U, mutual_commutator(U, U), m))
 
 
 def oracle_is_p_extensible(U: Subgroup, p: int) -> bool:

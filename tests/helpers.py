@@ -23,7 +23,12 @@ generator-step walk of ``groups.isomorphisms_iter`` replaced, and
 normal closures in ``groups.normal_subgroups`` replaced, and
 :func:`dense_product_table` and :func:`digit_vector_table` are the
 int64 table formulas that the in-place fills of
-``products.direct_product`` and ``presets.elementary_abelian`` replaced.
+``products.direct_product`` and ``presets.elementary_abelian`` replaced,
+and :func:`all_pairs_commutator`, :func:`join_scan_lattice` and
+:func:`full_restriction_matrix` are the all-pairs commutators, the
+re-closing join scan and the all-element restriction matrix that the
+generator-based ``groups.mutual_commutator``, ``groups._joins`` and
+``homoracle._restriction_matrix`` replaced.
 """
 
 from __future__ import annotations
@@ -328,26 +333,36 @@ def maximal_order_invariants(G) -> tuple:
     return tuple(reversed(chain))
 
 
-def unique_row_kernel_image(U, m: int) -> tuple:
-    """(kernel, image) of the restriction map by sorting the rows of its
-    matrix with ``np.unique(axis=0)``."""
+def full_restriction_matrix(U, m: int):
+    """The restriction to U of every hom G x H -> C_m, one row per pair of
+    factor homs, evaluated at every element of U."""
     import numpy as np
 
-    from subdirect.homoracle import _restriction_matrix
+    from subdirect.homoracle import enumerate_homs
 
-    flat = _restriction_matrix(U, m)
+    info = U.parent.product_info
+    gs, hs = info.split(U.elements)
+    vg = np.stack([h.values for h in enumerate_homs(info.left, m)])[:, gs]
+    vh = np.stack([h.values for h in enumerate_homs(info.right, m)])[:, hs]
+    return ((vg[:, None, :] + vh[None, :, :]) % m).reshape(-1, gs.size)
+
+
+def unique_row_kernel_image(U, m: int) -> tuple:
+    """(kernel, image) of the restriction map by sorting the rows of its
+    full matrix with ``np.unique(axis=0)``."""
+    import numpy as np
+
+    flat = full_restriction_matrix(U, m)
     kernel = int((flat == 0).all(axis=1).sum())
     return kernel, int(np.unique(flat, axis=0).shape[0])
 
 
 def unique_row_fibers(U, m: int) -> tuple:
     """(kernel, sorted fiber sizes) of the restriction map by
-    ``np.unique(axis=0, return_counts=True)``."""
+    ``np.unique(axis=0, return_counts=True)`` on its full matrix."""
     import numpy as np
 
-    from subdirect.homoracle import _restriction_matrix
-
-    flat = _restriction_matrix(U, m)
+    flat = full_restriction_matrix(U, m)
     kernel = int((flat == 0).all(axis=1).sum())
     _, counts = np.unique(flat, axis=0, return_counts=True)
     return kernel, tuple(sorted(int(c) for c in counts))
@@ -445,3 +460,39 @@ def digit_vector_table(p: int, k: int) -> np.ndarray:
     weights = p ** np.arange(k - 1, -1, -1)
     summed = (digits[:, None, :] + digits[None, :, :]) % p
     return (summed @ weights).astype(np.int32)
+
+
+def all_pairs_commutator(X, Y) -> tuple:
+    """Elements of [X, Y], closed from all |X| * |Y| commutators
+    x^-1 y^-1 x y."""
+    import numpy as np
+
+    from subdirect.groups import subgroup_generated
+
+    G = X.parent
+    xa, ya = np.array(X.elements), np.array(Y.elements)
+    t = G.product[G.inverse[xa][:, None], G.inverse[ya]]
+    t = G.product[G.product[t, xa[:, None]], ya[None, :]]
+    return subgroup_generated(G, np.unique(t)).elements
+
+
+def join_scan_lattice(G) -> list:
+    """Element tuples of every subgroup of G, sorted by order, then
+    elements: every subgroup found is re-closed together with every
+    cyclic subgroup until nothing new appears."""
+    from subdirect.groups import subgroup_generated
+
+    cyclic = sorted({subgroup_generated(G, (x,)).elements
+                     for x in range(G.order)})
+    found = {(0,)} | set(cyclic)
+    queue = sorted(found, key=lambda e: (len(e), e))
+    i = 0
+    while i < len(queue):
+        current = queue[i]
+        i += 1
+        for c in cyclic:
+            joined = subgroup_generated(G, current + c).elements
+            if joined not in found:
+                found.add(joined)
+                queue.append(joined)
+    return sorted(found, key=lambda e: (len(e), e))

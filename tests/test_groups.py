@@ -51,6 +51,7 @@ from subdirect import (
     quotient_group,
     set_product,
     subgroup_generated,
+    subgroup_generators,
     subgroup_quotient,
     sylow_subgroup,
     symmetric,
@@ -61,7 +62,7 @@ from subdirect.groups import GroupHom, Subgroup, all_subgroups, \
 import subdirect.groups as groups
 from subdirect.extensibility import obstruction_quotient
 from subdirect.presets import _small_registry
-from subdirect.products import projections_kernels
+from subdirect.products import SCAN_CAP, projections_kernels
 
 
 def test_trivial_table():
@@ -289,6 +290,43 @@ def test_closure_matches_the_squaring_route(G):
             assert subgroup_generated(G, seed).elements == want
             assert mutual_commutator(X, Y).elements == want
     assert generating_sequence(G) == helpers.greedy_generating_sequence(G)
+
+
+def test_mutual_commutator_matches_all_pairs():
+    """Every ordered pair of subgroups of the registry groups, S4 and A5,
+    against the closure of all |X| * |Y| commutators; both the nested
+    pairs and pairs that need the conjugation closure occur."""
+    nested = closed = 0
+    for G in [G for _, G in _small_registry()] + [symmetric(4), alternating(5)]:
+        subgroups = all_subgroups(G)
+        for X in subgroups:
+            for Y in subgroups:
+                want = helpers.all_pairs_commutator(X, Y)
+                assert mutual_commutator(X, Y).elements == want, (G, X, Y)
+                if X.is_subset_of(Y) or Y.is_subset_of(X):
+                    nested += 1
+                    continue
+                gens = subgroup_generators(Y)
+                seed = [int(G.product[G.product[G.inverse[x], G.inverse[t]],
+                                      G.product[x, t]])
+                        for x in X.elements for t in gens]
+                closed += subgroup_generated(G, seed).elements != want
+    assert nested > 0 and closed > 0, (nested, closed)
+
+
+def _lattice_groups():
+    names = catalog_names()
+    pairs = [(catalog_group(a), catalog_group(b)) for a in names for b in names]
+    return [direct_product(G, H).group for G, H in pairs
+            if G.order * H.order <= SCAN_CAP] + [symmetric(4), alternating(5)]
+
+
+@pytest.mark.parametrize("G", _lattice_groups(), ids=lambda G: G.label)
+def test_lattice_matches_the_join_scan(G):
+    lattice = all_subgroups(G)
+    assert [S.elements for S in lattice] == helpers.join_scan_lattice(G)
+    for S in lattice:
+        assert subgroup_generated(G, subgroup_generators(S)) == S
 
 
 @settings(max_examples=200, deadline=None)
@@ -617,6 +655,17 @@ def test_subgroup_membership_and_equality():
 def test_validate_accepts_catalog():
     for G in (cyclic(5), symmetric(4), dihedral(12), alternating(4)):
         G.validate()
+
+
+def test_validate_memoises_only_a_passing_scan():
+    bad = FiniteGroup._trusted(np.array([[0, 1], [1, 1]]), "bad")
+    for _ in range(2):
+        with pytest.raises(NotAGroup, match="row 1"):
+            bad.validate()
+    assert "validated" not in bad._cache
+    G = cyclic(5)
+    G.validate()
+    assert "validated" in G._cache
 
 
 def test_group_product_array_shape():

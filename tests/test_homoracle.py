@@ -12,6 +12,7 @@ import helpers
 import subdirect.homoracle as homoracle
 from subdirect import (
     CyclicHom,
+    InternalInconsistency,
     NotSubdirect,
     OrderLimitExceeded,
     Subgroup,
@@ -31,6 +32,7 @@ from subdirect import (
     enumerate_subdirect,
     extend_hom,
     hom_count_formula,
+    is_normal,
     mutual_commutator,
     oracle_is_extensible_for_modulus,
     oracle_is_p_extensible,
@@ -45,6 +47,7 @@ from subdirect import (
     subgroup_quotient,
     symmetric,
 )
+from subdirect.groups import all_subgroups
 from subdirect.presets import _small_registry
 from subdirect.products import DEFAULT_PRODUCT_CAP, SCAN_CAP
 
@@ -353,6 +356,27 @@ def test_analysis_makes_no_copy_of_the_subgroup():
             assert "as_group" not in U._cache, U
 
 
+def test_analysis_builds_no_quotient_of_the_subgroup():
+    subgroups = [U for F in (symmetric(4),
+                             direct_product(dihedral(8), cyclic(2)).group)
+                 for U in enumerate_subdirect(F, F)]
+    A5 = alternating(5)
+    direct_product(A5, A5, max_order=3600)
+    subgroups.append(diagonal(A5))
+    for U in subgroups:
+        analyze_subgroup(U)
+        memos = {k[0] if isinstance(k, tuple) else k for k in U._cache}
+        assert "quotient" not in memos, U
+
+
+def test_value_tables_refuse_a_non_normal_start():
+    S4 = symmetric(4)
+    for D in all_subgroups(S4):
+        if not is_normal(D):
+            with pytest.raises(InternalInconsistency):
+                homoracle._value_tables(S4.full(), D, 6)
+
+
 # -- array routines against the loops they replaced --------------------------
 
 MODULI = (1, 2, 3, 4, 6, 8, 9, 12)
@@ -373,10 +397,10 @@ def abelian_quotient(U):
 
 
 def assert_value_tables_match(A, m):
-    tables = homoracle._abelian_value_tables(A, m)
+    tables = homoracle._value_tables(A.full(), A.trivial(), m)
     assert tables.dtype == np.int64
-    assert tables.tolist() == [t.tolist()
-                               for t in helpers.recursive_value_tables(A, m)]
+    assert sorted(tables.tolist()) == [
+        t.tolist() for t in helpers.recursive_value_tables(A, m)]
 
 
 def test_value_tables_match_recursion_on_catalog_subdirects():

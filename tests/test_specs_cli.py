@@ -189,6 +189,25 @@ def test_max_order_raises_the_permutation_and_cayley_caps(capsys):
     assert code == 0, err
 
 
+def test_cli_verify_scans_a_cayley_entry_once(monkeypatch, capsys, tmp_path):
+    """from_cayley_table, cmd_verify and group-axioms all validate the
+    entry; the table is read-only, so only the first scan runs."""
+    scanned = []
+    real = subdirect.groups._check_axioms
+
+    def spy(table):
+        scanned.append(table.shape[0])
+        real(table)
+
+    monkeypatch.setattr(subdirect.groups, "_check_axioms", spy)
+    path = tmp_path / "c5.json"
+    path.write_text(_cyclic_cayley(5))
+    code, out, err = run_cli(capsys, "verify", "--G", f"@{path}")
+    assert code == 0, err
+    assert "group-axioms: pass (2 cases)" in out
+    assert sorted(scanned) == [5, 25]
+
+
 def test_cayley_entry_outside_int32_is_named():
     with pytest.raises(ParseError, match="cayley entry 99999999999"):
         load_group(_cayley([[0, 99999999999]]))
@@ -1032,6 +1051,10 @@ def test_cli_verify_json_entries(capsys, selection, exit_code):
 # the interface: a refactor must leave them unchanged.  Q8 and D8 cover
 # the central shortcut and inextensible verdicts.
 PINNED_REPORTS = {
+    "analyze --G A5 --U full --max-order 5000":
+        "e71b7cd8f8eb851ce4f77abb59ae23fdeac17eff1e824bd0baf0f19ec89da3ca",
+    "analyze --G A5 --U diagonal --max-order 5000":
+        "033210d956dbd3faad516067254e0f49955aa1a72efaf2883a8e6add5a9e8cf8",
     "analyze --G S4 --U full":
         "87da8555e9217a664d6985762ae382ab8b4b25b462431c7f50f1887a2c47788b",
     "subdirects --G S3":
