@@ -218,7 +218,7 @@ def cmd_star(args) -> int:
     G, H = _load_pair(args)
     info_gh = direct_product(G, H, max_order=args.max_order)
     info_hg = direct_product(H, G, max_order=args.max_order)
-    direct_product(G, G, max_order=args.max_order)  # U*V lives in G x G
+    direct_product(G, G, max_order=args.max_order)  # caps U*V's home G x G
     U = load_product_subgroup(info_gh, args.U)
     V = load_product_subgroup(info_hg, args.V)
     primes = _primes_from(args)

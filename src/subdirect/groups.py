@@ -15,8 +15,9 @@ Construction rule: the public constructors of ``FiniteGroup``,
 ``Subgroup``, ``GroupHom`` and ``CyclicHom`` check their input; the
 library's own builds use ``_trusted``, the same fill with no check.
 Checks stay at ``from_cayley_table``, ``specs`` and ``make_quintuple``
-quintuples, ``goursat_quintuple``'s induced map, composite misses and
-``set_product`` (AB = BA).
+quintuples, every Goursat quintuple's induced map, composite misses and
+``set_product`` (AB = BA).  ``direct_product`` checks its cap on every
+call; products derived from groups the library has are uncapped.
 
 Derived data such as element orders, conjugacy classes and the full
 subgroup lattice is memoised in the ``_cache`` dict of the instance that
@@ -31,14 +32,15 @@ mask on the factor, so their commutators and quotients, memoised on
 them, are computed once per factor.  The lattice, the subdirect
 enumeration and the Goursat construction intern product subgroups on
 the product group, which keeps them; checked builds are fresh.  Memo
-keys are masks or ints, never a ``Subgroup`` or group object, so
-nothing memoised on a product subgroup refers back to it and a fresh
-one is freed by reference counting alone.  The one exception is
-``direct_product``, keyed on its right factor, which the product
-refers to anyway.  The module-level registry of
-:func:`isomorphism_class` is never cleared: it gains one representative
-per new isomorphism class, sharing the first group's table, and
-searches memoise its element orders, class sizes and profile.
+keys are masks or ints, never a ``Subgroup`` or group object:
+:func:`memoised` keys a ``Subgroup`` argument by its mask.  So nothing
+memoised on a product subgroup refers back to it, and a fresh one is
+freed by reference counting alone.  The one exception is the product
+builder, keyed on its right factor, which the product refers to
+anyway.  The module-level registry of :func:`isomorphism_class` is
+never cleared: it gains one representative per new isomorphism class,
+sharing the first group's table, and searches memoise its element
+orders, class sizes and profile.
 """
 
 from __future__ import annotations
@@ -66,16 +68,20 @@ _MISSING = object()
 
 
 def memoised(key: str):
-    """Store ``fn(obj, *args)`` in ``obj._cache`` under ``key``, or under
-    ``(key, *args)`` when there are extra arguments.  Keyword arguments
-    are not part of the key: they act only on the call that computes."""
+    """Store ``fn(obj)`` in ``obj._cache`` under ``key``, or ``fn(obj, arg)``
+    under ``(key, arg)``, a ``Subgroup`` arg keyed by its mask.  There is
+    at most one argument after ``obj``, and no keyword argument."""
     def wrap(fn):
         @functools.wraps(fn)
-        def cached(obj, *args, **options):
-            slot = (key, *args) if args else key
+        def cached(obj, arg=_MISSING, /):
+            if arg is _MISSING:
+                slot, args = key, ()
+            else:
+                slot = (key, arg.mask if type(arg) is Subgroup else arg)
+                args = (arg,)
             value = obj._cache.get(slot, _MISSING)
             if value is _MISSING:
-                value = obj._cache[slot] = fn(obj, *args, **options)
+                value = obj._cache[slot] = fn(obj, *args)
             return value
         return cached
     return wrap
@@ -92,8 +98,8 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     Instances are immutable after construction.  ``product_info`` is
-    filled in by :func:`subdirect.products.direct_product` when the
-    group is built as a direct product, so subgroups of the product
+    filled in by the product builder of :mod:`subdirect.products` when
+    the group is built as a direct product, so subgroups of the product
     can recover the two factors.
     """
 
@@ -465,13 +471,11 @@ def mutual_commutator(X: Subgroup, Y: Subgroup) -> Subgroup:
     conjugation by the generators of Y."""
     if Y.parent is not X.parent:
         raise ValueError("subgroups of different parents")
-    return _commutator_with(X, Y.mask, Y=Y)
+    return _commutator_with(X, Y)
 
 
-# The mask of Y is the memo key; Y itself rides along as a keyword,
-# which memoised leaves out of the key.
 @memoised("commutator")
-def _commutator_with(X: Subgroup, mask: int, *, Y: Subgroup) -> Subgroup:
+def _commutator_with(X: Subgroup, Y: Subgroup) -> Subgroup:
     G = X.parent
     if X.is_subset_of(Y):
         X, Y = Y, X
@@ -560,13 +564,11 @@ def subgroup_quotient(P: Subgroup, K: Subgroup) -> tuple[FiniteGroup, np.ndarray
         raise ValueError("subgroups of different parents")
     if not K.is_subset_of(P):
         raise ValueError("kernel must sit inside the projection")
-    return _quotient_by(P, K.mask, K=K)
+    return _quotient_by(P, K)
 
 
-# Keyed by the mask of K, as _commutator_with is by the mask of Y.
 @memoised("quotient")
-def _quotient_by(P: Subgroup, mask: int, *,
-                 K: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
+def _quotient_by(P: Subgroup, K: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
     return _quotient(P, K, f"{P.parent.label}[{P.order}]")
 
 

@@ -91,11 +91,11 @@ def _as_plain_group(K: Union[FiniteGroup, Subgroup]) -> FiniteGroup:
     return K
 
 
-def _value_tables(P: Subgroup, D: Subgroup, m: int) -> np.ndarray:
-    """Every hom value table P -> C_m that vanishes on D, one row each,
-    over the parent's elements (0 outside P), in no fixed order.
+def _value_tables(P: Subgroup, m: int) -> np.ndarray:
+    """Every hom value table P -> C_m, one row each, over the parent's
+    elements (0 outside P), in no fixed order.
 
-    D must be normal in P with P/D abelian, as [P, P] is.  The walk
+    Every such hom vanishes on D = [P, P], as C_m is abelian, so the walk
     starts on D and adds the generators of P one at a time: if g has
     relative order t over the part built so far, its value v must solve
     t*v = value(g**t) mod m, a linear congruence with gcd(t, m) solutions
@@ -104,11 +104,10 @@ def _value_tables(P: Subgroup, D: Subgroup, m: int) -> np.ndarray:
     extended by all of its solutions at once, so every full table is
     produced exactly once.  Layers that meet each other or the part built
     so far, or a walk that does not end on |P| elements, raise
-    InternalInconsistency.  These guards catch many D that break the
-    precondition, not all: in D8 a non-normal reflection subgroup, or
-    the trivial subgroup, passes them.
+    InternalInconsistency.
     """
     G = P.parent
+    D = mutual_commutator(P, P)
     tables = np.zeros((1, G.order), dtype=np.int64)
     current = np.array(D.elements)
     valued = np.zeros(G.order, dtype=bool)
@@ -137,8 +136,8 @@ def _value_tables(P: Subgroup, D: Subgroup, m: int) -> np.ndarray:
         current = np.concatenate((current, layers.ravel()))
         if np.count_nonzero(valued) != current.size:
             raise InternalInconsistency(
-                f"coset layers overlap: order {D.order} is not normal "
-                f"with abelian quotient in order {P.order}")
+                f"coset layers over [P, P] of order {D.order} overlap "
+                f"in order {P.order}")
     if current.size != P.order:
         raise InternalInconsistency(
             f"hom walk ends on {current.size} of {P.order} elements")
@@ -146,18 +145,13 @@ def _value_tables(P: Subgroup, D: Subgroup, m: int) -> np.ndarray:
 
 
 def enumerate_homs(K: Union[FiniteGroup, Subgroup], m: int) -> list:
-    """All homomorphisms K -> C_m, sorted by value table.
-
-    Every such hom vanishes on [K, K], because the target is abelian, so
-    the value-table walk starts there.
-    """
+    """All homomorphisms K -> C_m, sorted by value table."""
     return _cyclic_homs(_as_plain_group(K), m)
 
 
 @memoised("cyclic_homs")
 def _cyclic_homs(grp: FiniteGroup, m: int) -> list:
-    K = grp.full()
-    tables = _value_tables(K, mutual_commutator(K, K), m)
+    tables = _value_tables(grp.full(), m)
     tables = tables[np.lexsort(tables.T[::-1])]
     return [CyclicHom._trusted(grp, m, t) for t in tables]
 
@@ -284,9 +278,8 @@ def oracle_is_extensible_for_modulus(U: Subgroup, m: int) -> bool:
 
 @memoised("hom_count")
 def _hom_count(U: Subgroup, m: int) -> int:
-    """|Hom(U, C_m)|: every hom vanishes on [U, U], as C_m is abelian,
-    so the value-table walk starts there, in the parent's table."""
-    return len(_value_tables(U, mutual_commutator(U, U), m))
+    """|Hom(U, C_m)|, from the value-table walk in the parent's table."""
+    return len(_value_tables(U, m))
 
 
 def oracle_is_p_extensible(U: Subgroup, p: int) -> bool:

@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import FiniteGroup, from_permutations, is_prime, isomorphism_class
+from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, from_permutations, \
+    is_prime, isomorphism_class
 from .products import direct_product
 
 
@@ -47,7 +48,7 @@ def dihedral(order: int) -> FiniteGroup:
 
 
 def symmetric(n: int) -> FiniteGroup:
-    if n < 1 or math.factorial(n) > 5040:
+    if n < 1 or math.factorial(n) > DEFAULT_CLOSURE_CAP:
         raise ValueError("supported degrees are 1..7")
     perms = list(itertools.permutations(range(n)))
     return from_permutations(perms, f"S{n}")
@@ -70,7 +71,7 @@ def _parity(p: tuple) -> int:
 
 
 def alternating(n: int) -> FiniteGroup:
-    if n < 1 or math.factorial(n) > 10080:
+    if n < 1 or math.factorial(n) // 2 > DEFAULT_CLOSURE_CAP:
         raise ValueError("supported degrees are 1..7")
     perms = [p for p in itertools.permutations(range(n)) if _parity(p) == 0]
     return from_permutations(perms, f"A{n}")
@@ -105,7 +106,7 @@ def quaternion8() -> FiniteGroup:
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if k < 0 or p ** k > 20000:
+    if k < 0 or p ** k > DEFAULT_CLOSURE_CAP:
         raise ValueError("rank out of supported range")
     n = p ** k
     table = np.zeros((n, n), dtype=np.int32)

@@ -67,15 +67,21 @@ class ProductGroup:
         return np.stack(self.split(elements), axis=1).tolist()
 
 
-@memoised("product")
 def direct_product(G: FiniteGroup, H: FiniteGroup, *,
                    max_order: int = DEFAULT_PRODUCT_CAP) -> ProductGroup:
-    """G x H, memoised on G per right factor H, so it lives as long as G;
-    the cap applies only when it is first built."""
+    """G x H; above the cap, built or not, raises OrderLimitExceeded."""
     n = G.order * H.order
     if n > max_order:
         raise OrderLimitExceeded(f"product order {n} above cap {max_order}")
+    return _product(G, H)
+
+
+@memoised("product")
+def _product(G: FiniteGroup, H: FiniteGroup) -> ProductGroup:
+    """G x H with no cap, memoised on G per right factor H, so it lives as
+    long as G: the products the library derives from groups it has."""
     gn, hn = G.order, H.order
+    n = gn * hn
     # (g, h) * (g', h') at [g, h, g', h'], filled in place: no n x n
     # intermediate besides the table itself
     table = np.empty((gn, hn, gn, hn), dtype=G.product.dtype)
@@ -158,20 +164,28 @@ class GoursatQuintuple:
 
 @memoised("quintuple")
 def goursat_quintuple(U: Subgroup) -> GoursatQuintuple:
-    info = product_of(U)
     d = projections_kernels(U)
-    q1, to_q1 = subgroup_quotient(d.p1, d.k1)
-    q2, to_q2 = subgroup_quotient(d.p2, d.k2)
-    gs, hs = info.split(U.elements)
+    _, to_q1 = subgroup_quotient(d.p1, d.k1)
+    _, to_q2 = subgroup_quotient(d.p2, d.k2)
+    gs, hs = product_of(U).split(U.elements)
+    return _checked_quintuple(d.p1, d.k1, d.p2, d.k2, to_q1[gs], to_q2[hs])
+
+
+def _checked_quintuple(p1: Subgroup, k1: Subgroup, p2: Subgroup, k2: Subgroup,
+                       cosets1, cosets2) -> GoursatQuintuple:
+    """The quintuple whose phi, checked to be a bijective hom, maps coset
+    cosets1[i] of p1/k1 to coset cosets2[i] of p2/k2, listing all of p1/k1."""
+    q1, to_q1 = subgroup_quotient(p1, k1)
+    q2, to_q2 = subgroup_quotient(p2, k2)
     image = np.full(q1.order, -1, dtype=np.int64)
-    image[to_q1[gs]] = to_q2[hs]
+    image[cosets1] = cosets2
     try:
         phi = GroupHom(q1, q2, image)
-    except ValueError as exc:  # pragma: no cover - guarded by group laws
+    except ValueError as exc:
         raise InvalidQuintuple(str(exc)) from exc
     if not phi.is_bijective:
-        raise InvalidQuintuple("induced quotient map is not bijective")
-    return GoursatQuintuple(d.p1, d.k1, d.k2, d.p2, q1, q2, to_q1, to_q2, phi)
+        raise InvalidQuintuple("coset map is not bijective")
+    return GoursatQuintuple(p1, k1, k2, p2, q1, q2, to_q1, to_q2, phi)
 
 
 def goursat_quotient(U: Subgroup) -> FiniteGroup:
@@ -195,33 +209,25 @@ def make_quintuple(p1: Subgroup, k1: Subgroup, p2: Subgroup, k2: Subgroup,
         raise InvalidQuintuple(str(exc)) from exc
     if q1.order != q2.order:
         raise InvalidQuintuple("quotients have different orders")
-    image = np.full(q1.order, -1, dtype=np.int64)
+    cosets: dict = {}
     for g, h in phi_pairs:
         if not (0 <= g < p1.parent.order and g in p1):
             raise InvalidQuintuple(f"{g} is not in the left projection")
         if not (0 <= h < p2.parent.order and h in p2):
             raise InvalidQuintuple(f"{h} is not in the right projection")
-        a, b = int(to_q1[g]), int(to_q2[h])
-        if image[a] not in (-1, b):
+        b = int(to_q2[h])
+        if cosets.setdefault(int(to_q1[g]), b) != b:
             raise InvalidQuintuple("coset map is ill defined")
-        image[a] = b
-    if (image == -1).any():
+    if len(cosets) != q1.order:
         raise InvalidQuintuple("coset map does not cover every coset")
-    try:
-        phi = GroupHom(q1, q2, image)
-    except ValueError as exc:
-        raise InvalidQuintuple(str(exc)) from exc
-    if not phi.is_bijective:
-        raise InvalidQuintuple("coset map is not bijective")
-    return GoursatQuintuple(p1, k1, k2, p2, q1, q2, to_q1, to_q2, phi)
+    return _checked_quintuple(p1, k1, p2, k2, list(cosets),
+                              list(cosets.values()))
 
 
 def subgroup_from_quintuple(quint: GoursatQuintuple) -> Subgroup:
     """The subgroup {(g, h) : phi(g k1) = h k2}, interned on the factor
     product once its order checks out."""
-    G = quint.p1.parent
-    H = quint.p2.parent
-    info = direct_product(G, H)
+    info = _product(quint.p1.parent, quint.p2.parent)
     gs = np.array(quint.p1.elements)
     hs = np.array(quint.p2.elements)
     want = quint.phi.image[quint.to_q1[gs]]
@@ -238,8 +244,7 @@ def subgroup_from_quintuple(quint: GoursatQuintuple) -> Subgroup:
 def enumerate_subdirect(G: FiniteGroup, H: FiniteGroup, *,
                         max_order: int = DEFAULT_PRODUCT_CAP) -> list:
     """All subgroups of G x H with both projections surjective, sorted by
-    element tuple: a fresh list of the product's interned objects.  The
-    cap applies when the product is first built."""
+    element tuple: a fresh list of the product's interned objects."""
     return list(_subdirects(direct_product(G, H, max_order=max_order).group))
 
 
@@ -266,7 +271,7 @@ def subdirect_by_scan(G: FiniteGroup, H: FiniteGroup) -> list:
     if n > SCAN_CAP:
         raise OrderLimitExceeded(
             f"subgroup scan above cap {SCAN_CAP} (order {n})")
-    info = direct_product(G, H)
+    info = _product(G, H)
     return [U for U in all_subgroups(info.group) if is_subdirect(U)]
 
 
@@ -335,7 +340,7 @@ def composite_subgroup(group: FiniteGroup, row: np.ndarray) -> Subgroup:
 def star_product(U: Subgroup, V: Subgroup) -> Subgroup:
     """Relation composition of U <= F x G and V <= G x H inside F x H."""
     row = compose_relations([U], [V])[0, 0]
-    info = direct_product(product_of(U).left, product_of(V).right)
+    info = _product(product_of(U).left, product_of(V).right)
     return composite_subgroup(info.group, row)
 
 
@@ -343,7 +348,7 @@ def twisted_diagonal(G: FiniteGroup, phi: GroupHom) -> Subgroup:
     """{(g, phi(g))} inside G x G."""
     if phi.domain is not G or phi.codomain is not G or not phi.is_bijective:
         raise NotAutomorphism("twist must be an automorphism of G")
-    info = direct_product(G, G)
+    info = _product(G, G)
     coded = info.encode(np.arange(G.order, dtype=np.int64), phi.image)
     return Subgroup._trusted(info.group, tuple(coded.tolist()))
 

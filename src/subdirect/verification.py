@@ -114,16 +114,13 @@ class CheckContext:
 
         One compose_relations call makes the whole block, and
         composite_subgroup resolves each row.  Its home F x H must fit
-        the context's product cap on every call, built or not.
+        the context's product cap.
         """
         if not Us or not Vs:
             return
         F, H = product_of(Us[0]).left, product_of(Vs[0]).right
-        if F.order * H.order > self.product_cap:
-            raise OrderLimitExceeded(f"product order {F.order * H.order} "
-                                     f"above cap {self.product_cap}")
-        rows = compose_relations(Us, Vs)
         group = direct_product(F, H, max_order=self.product_cap).group
+        rows = compose_relations(Us, Vs)
         for U, U_rows in zip(Us, rows):
             for V, row in zip(Vs, U_rows):
                 yield U, V, composite_subgroup(group, row)

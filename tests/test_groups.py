@@ -688,8 +688,15 @@ def test_memoised_stores_none_and_keys_extra_arguments():
     assert probe(box) is None
     probe(box, 3)
     probe(box, 3)
-    assert calls == [(), (3,)]
-    assert set(box._cache) == {"probe", ("probe", 3)}
+    S = cyclic(4).full()
+    probe(box, S)
+    probe(box, cyclic(4).full())
+    assert calls == [(), (3,), (S,)]
+    assert set(box._cache) == {"probe", ("probe", 3), ("probe", S.mask)}
+    with pytest.raises(TypeError):
+        probe(box, Y=S)
+    with pytest.raises(TypeError):
+        probe(box, 3, 4)
 
 
 _S3 = symmetric(3)

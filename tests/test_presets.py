@@ -1,5 +1,6 @@
 """Preset builders, the named-group catalog, and small-group identification."""
 
+import re
 import tracemalloc
 
 import pytest
@@ -21,7 +22,10 @@ from subdirect import (
     symmetric,
 )
 import subdirect.groups as groups
+import subdirect.presets as presets
+from subdirect.groups import DEFAULT_CLOSURE_CAP
 from subdirect.presets import preset_descriptions
+from subdirect.specs import PRESETS
 
 
 def test_cyclic_orders():
@@ -96,6 +100,38 @@ def test_elementary_abelian_builds_no_wide_intermediate():
     finally:
         tracemalloc.stop()
     assert peak < 3 * E.product.nbytes
+
+
+class _TableStarted(Exception):
+    """Raised where a preset would start to build its table."""
+
+
+@pytest.mark.parametrize("preset, accepted, refused, message", [
+    ("symmetric", (7,), (8,), "supported degrees are 1..7"),
+    ("alternating", (7,), (8,), "supported degrees are 1..7"),
+    ("elementary_abelian", (2, 14), (2, 15), "rank out of supported range"),
+    ("elementary_abelian", (3, 9), (3, 10), "rank out of supported range"),
+])
+def test_presets_share_the_closure_cap(monkeypatch, preset, accepted,
+                                       refused, message):
+    """The largest accepted preset is within DEFAULT_CLOSURE_CAP elements
+    and reaches its table build, stopped here (E3^9 alone would be a
+    1.5 GB table); the next one is refused before any table exists."""
+    def stop(*args):
+        raise _TableStarted
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise _TableStarted
+
+    monkeypatch.setattr(presets, "from_permutations", stop)
+    monkeypatch.setattr(presets, "np", NoNumpy())
+    build, _, order = PRESETS[preset]
+    assert order(*accepted) <= DEFAULT_CLOSURE_CAP < order(*refused)
+    with pytest.raises(_TableStarted):
+        build(*accepted)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(*refused)
 
 
 def test_dicyclic12():

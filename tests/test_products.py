@@ -104,8 +104,36 @@ def test_direct_product_encoding_roundtrip():
 def test_direct_product_caching_and_cap():
     G = symmetric(3)
     assert direct_product(G, G) is direct_product(G, G)
+    S4 = symmetric(4)
     with pytest.raises(OrderLimitExceeded):
-        direct_product(symmetric(4), symmetric(4), max_order=500)
+        direct_product(S4, S4, max_order=500)
+    assert direct_product(S4, S4).group.order == 576
+    with pytest.raises(OrderLimitExceeded):
+        direct_product(S4, S4, max_order=500)
+
+
+def test_derived_products_build_above_the_cap_on_a_cold_cache():
+    """A5 x A5 (3600) is above the default product cap: the products the
+    library derives from A5 are built anyway, on a fresh A5 each time,
+    and direct_product still refuses it afterwards."""
+    C1 = cyclic(1)
+
+    def star(A5):
+        return star_product(direct_product(A5, C1).group.full(),
+                            direct_product(C1, A5).group.full())
+
+    def quintuple(A5):
+        full = A5.full()
+        return subgroup_from_quintuple(
+            make_quintuple(full, full, full, full, [(0, 0)]))
+
+    for build, order in ((diagonal, 60), (star, 3600), (quintuple, 3600)):
+        A5 = alternating(5)
+        U = build(A5)
+        assert U.order == order
+        assert product_of(U).left is A5 and product_of(U).right is A5
+        with pytest.raises(OrderLimitExceeded):
+            direct_product(A5, A5)
 
 
 @pytest.mark.parametrize("left, right", [("C1", "S3"), ("S3", "C4"),
@@ -289,6 +317,15 @@ def test_subdirect_by_scan_cap_ignores_a_cached_lattice():
     assert len(all_subgroups(direct_product(C13, C13).group)) == 16
     with pytest.raises(OrderLimitExceeded):
         subdirect_by_scan(C13, C13)
+
+
+def test_enumerate_subdirect_cap_ignores_a_cached_product():
+    S4 = symmetric(4)
+    with pytest.raises(OrderLimitExceeded):
+        enumerate_subdirect(S4, S4, max_order=500)
+    assert len(enumerate_subdirect(S4, S4)) == 32
+    with pytest.raises(OrderLimitExceeded):
+        enumerate_subdirect(S4, S4, max_order=500)
 
 
 def test_enumerated_subgroups_are_subdirect_and_closed():
@@ -660,8 +697,8 @@ def test_internal_group_and_hom_builds_pass_the_checked_constructors(data):
 
 
 def test_subdirect_analysis_builds_no_checked_subgroup(monkeypatch):
-    """Only goursat_quintuple's induced-map cross-check builds a checked
-    object on the analysis path."""
+    """Only the Goursat quintuple's induced-map cross-check builds a
+    checked object on the analysis path."""
     checked = []
 
     def spy(cls, name):
@@ -680,4 +717,4 @@ def test_subdirect_analysis_builds_no_checked_subgroup(monkeypatch):
     assert len(subdirects) == 32
     for U in subdirects:
         analyze_subgroup(U)
-    assert set(checked) == {("GroupHom", "goursat_quintuple")}
+    assert set(checked) == {("GroupHom", "_checked_quintuple")}

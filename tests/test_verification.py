@@ -1,5 +1,7 @@
 """The verify sweep's shared state: interned composites and case counts."""
 
+import dataclasses
+
 import pytest
 
 import helpers
@@ -10,12 +12,16 @@ import subdirect.products as products
 import subdirect.verification as verification
 from subdirect import (
     CheckContext,
+    CyclicHom,
+    FiniteGroup,
+    GroupHom,
     Subgroup,
     catalog_group,
     diagonal,
     run_checks,
     star_product,
 )
+from subdirect.products import ProductGroup
 from subdirect.verification import check_fiber_uniformity
 
 
@@ -109,6 +115,51 @@ def test_case_counts_small_selection():
     for res in results:
         assert res.passed, res.line()
         assert res.seconds > 0
+
+
+def _reachable_caches(roots) -> list:
+    """The _cache dicts of every group and subgroup reachable from roots
+    through memoised values, products and homomorphisms."""
+    seen, stack, caches = set(), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (FiniteGroup, Subgroup)):
+            caches.append(obj._cache)
+            stack.extend(obj._cache.values())
+            stack.append(getattr(obj, "parent", None))
+        elif isinstance(obj, ProductGroup):
+            stack += [obj.left, obj.right, obj.group]
+        elif isinstance(obj, GroupHom):
+            stack += [obj.domain, obj.codomain]
+        elif isinstance(obj, CyclicHom):
+            stack.append(obj.domain)
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif dataclasses.is_dataclass(obj):
+            stack.extend(vars(obj).values())
+    return caches
+
+
+def test_memo_keys_are_strings_masks_and_ints(ctx):
+    """Every memo key is a str, or a str followed by ints; the one
+    exception is the product builder's ("product", H)."""
+    run_checks(ctx)
+    keys = [key for cache in _reachable_caches(ctx.groups) for key in cache]
+    for key in keys:
+        if isinstance(key, str):
+            continue
+        assert isinstance(key, tuple) and isinstance(key[0], str), key
+        if key[0] == "product":
+            assert len(key) == 2 and isinstance(key[1], FiniteGroup), key
+        else:
+            assert all(type(k) is int for k in key[1:]), key
+    seen = {key[0] for key in keys if isinstance(key, tuple)}
+    assert {"product", "commutator", "quotient", "hom_count"} <= seen
 
 
 def test_fiber_uniformity_builds_one_matrix_per_case(monkeypatch):
