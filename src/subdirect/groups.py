@@ -420,9 +420,11 @@ def _extended(S: Subgroup, seed: Iterable[int]) -> Subgroup:
 
 @memoised("gens")
 def subgroup_generators(S: Subgroup) -> tuple:
-    """The generators the closure walk adopted when it built S, or, for a
-    subgroup built from its elements, the greedy ones: repeatedly the
-    smallest element not yet generated."""
+    """A generating set of S: the generators the closure walk adopted
+    when it built S, those its Goursat data gives (see
+    ``products.subgroup_from_quintuple``), or, for another subgroup built
+    from its elements, the greedy ones: repeatedly the smallest element
+    not yet generated."""
     return _closure(S.parent, S.elements)[1]
 
 
@@ -431,17 +433,22 @@ def _interned_table(G: FiniteGroup) -> dict:
     return {S.mask: S for S in (G.trivial(), G.full())}
 
 
-def interned(G: FiniteGroup, mask: int) -> Subgroup:
+def interned(G: FiniteGroup, mask: int,
+             gens: Optional[tuple] = None) -> Subgroup:
     """The one shared subgroup of G with this element mask.
 
     The mask must describe a subgroup; it is not checked.  The table is
     seeded with ``G.full()`` and ``G.trivial()``, so those come back as
-    themselves.
+    themselves.  ``gens``, not checked either, seeds
+    :func:`subgroup_generators` of a new object, or of one that has none.
     """
     table = _interned_table(G)
     S = table.get(mask)
     if S is None:
-        S = table[mask] = Subgroup._trusted(G, _mask_elements(mask), mask)
+        S = Subgroup._trusted(G, _mask_elements(mask), mask, gens)
+        table[mask] = S
+    elif gens is not None:
+        S._cache.setdefault("gens", gens)
     return S
 
 

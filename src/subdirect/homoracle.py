@@ -6,10 +6,10 @@ homomorphisms.  Coefficients are cyclic C_m written additively; a prime
 p is decided with m = p ** v_p(exponent), which carries the same
 information as any larger p-power coefficient.
 
-Homs are counted by one walk, :func:`_value_tables`: it starts on
-[U, U], where every hom into the abelian C_m vanishes, and extends the
-value tables over the cosets of [U, U] one generator of U at a time, in
-the parent's own table, so no quotient group is built.  The restriction
+|Hom(U, C_m)| is the m-torsion of U/[U, U], counted with m-th powers in
+the parent's own table, so no quotient group is built and no hom of U
+is listed.  The homs of a factor group come from one walk over the
+cosets of its derived subgroup, :func:`_value_tables`.  The restriction
 image is compared on the generators of U, which fix a hom.
 """
 
@@ -278,8 +278,27 @@ def oracle_is_extensible_for_modulus(U: Subgroup, m: int) -> bool:
 
 @memoised("hom_count")
 def _hom_count(U: Subgroup, m: int) -> int:
-    """|Hom(U, C_m)|, from the value-table walk in the parent's table."""
-    return len(_value_tables(U, m))
+    """|Hom(U, C_m)| as the m-torsion of A = U/[U, U]: every such hom
+    factors through the finite abelian A, and |Hom(A, C_m)| = |A/mA| =
+    |A[m]| = #{x in U : x**m in [U, U]} / |[U, U]|.  The m-th powers come
+    from square-and-multiply in the parent's table; the walk over U of
+    :func:`_value_tables` counts the same homs, the tests' reference."""
+    G = U.parent
+    D = mutual_commutator(U, U)
+    in_d = np.zeros(G.order, dtype=bool)
+    in_d[np.array(D.elements)] = True
+    base, e = np.array(U.elements), m
+    power = np.zeros(U.order, np.int64)  # x**0, the identity at index 0
+    while e:
+        if e & 1:
+            power = G.product[power, base]
+        base, e = G.product[base, base], e >> 1
+    torsion = int(np.count_nonzero(in_d[power]))
+    if torsion % D.order:
+        raise InternalInconsistency(
+            f"{torsion} elements of a subgroup of order {U.order} have "
+            f"{m}-th powers in [U, U] of order {D.order}")
+    return torsion // D.order
 
 
 def oracle_is_p_extensible(U: Subgroup, p: int) -> bool:

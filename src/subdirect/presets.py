@@ -27,8 +27,10 @@ from .products import direct_product
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("order must be positive")
-    idx = np.arange(n)
-    table = (idx[:, None] + idx[None, :]) % n
+    idx = np.arange(n, dtype=np.int32)
+    table = np.empty((n, n), dtype=np.int32)
+    np.add(idx[:, None], idx, out=table)
+    table %= n
     return FiniteGroup._trusted(table, f"C{n}")
 
 
@@ -37,13 +39,16 @@ def dihedral(order: int) -> FiniteGroup:
     if order < 2 or order % 2:
         raise ValueError("dihedral groups here have even order >= 2")
     n = order // 2
-    i = np.arange(order) % n
-    j = np.arange(order) // n
-    sign = np.where(j == 1, -1, 1)
-    # (i1, j1) * (i2, j2) = (i1 + (-1)**j1 * i2 mod n, j1 + j2 mod 2)
-    ri = (i[:, None] + sign[:, None] * i[None, :]) % n
-    rj = (j[:, None] + j[None, :]) % 2
-    table = ri + n * rj
+    idx = np.arange(n, dtype=np.int32)
+    table = np.empty((order, order), dtype=np.int32)
+    # (i1, j1) * (i2, j2) = (i1 + (-1)**j1 * i2 mod n, j1 + j2 mod 2) at
+    # blocks[j1, i1, j2, i2], filled in place
+    blocks = table.reshape(2, n, 2, n)
+    np.add(idx[:, None, None], idx, out=blocks[0])
+    np.subtract(idx[:, None, None], idx, out=blocks[1])
+    table %= n
+    blocks[0, :, 1] += n
+    blocks[1, :, 0] += n
     return FiniteGroup._trusted(table, f"D{order}")
 
 

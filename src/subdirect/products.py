@@ -37,6 +37,7 @@ from .groups import (
     isomorphisms_iter,
     memoised,
     normal_subgroups,
+    subgroup_generators,
     subgroup_quotient,
 )
 
@@ -226,7 +227,9 @@ def make_quintuple(p1: Subgroup, k1: Subgroup, p2: Subgroup, k2: Subgroup,
 
 def subgroup_from_quintuple(quint: GoursatQuintuple) -> Subgroup:
     """The subgroup {(g, h) : phi(g k1) = h k2}, interned on the factor
-    product once its order checks out."""
+    product once its order checks out.  It maps onto p1 with kernel
+    1 x k2, so a lift of each generator of p1 and (1, k) for each
+    generator k of k2 generate it: its generators when first interned."""
     info = _product(quint.p1.parent, quint.p2.parent)
     gs = np.array(quint.p1.elements)
     hs = np.array(quint.p2.elements)
@@ -235,7 +238,11 @@ def subgroup_from_quintuple(quint: GoursatQuintuple) -> Subgroup:
     if np.count_nonzero(match) != quint.p1.order * quint.k2.order:
         raise InvalidQuintuple("order bookkeeping failed")
     elements = info.encode(gs[:, None], hs[None, :])[match]
-    return interned(info.group, _mask_of(elements.tolist()))
+    g = np.array(subgroup_generators(quint.p1), dtype=np.int64)
+    h = hs[match[np.searchsorted(gs, g)].argmax(axis=1)]
+    k = np.array(subgroup_generators(quint.k2), dtype=np.int64)
+    gens = (*info.encode(g, h).tolist(), *info.encode(0, k).tolist())
+    return interned(info.group, _mask_of(elements.tolist()), gens)
 
 
 # -- enumeration ---------------------------------------------------------------

@@ -21,18 +21,22 @@ chain by quotients and the sorting row count that the array code in
 generator-step walk of ``groups.isomorphisms_iter`` replaced, and
 :func:`lattice_normal_subgroups` is the lattice filter that the joins of
 normal closures in ``groups.normal_subgroups`` replaced, and
-:func:`dense_product_table` and :func:`digit_vector_table` are the
-int64 table formulas that the in-place fills of
-``products.direct_product`` and ``presets.elementary_abelian`` replaced,
-and :func:`all_pairs_commutator`, :func:`join_scan_lattice` and
+:func:`dense_product_table`, :func:`digit_vector_table`,
+:func:`residue_sum_table` and :func:`signed_residue_table` are the int64
+table formulas that the in-place fills of ``products.direct_product``,
+``presets.elementary_abelian``, ``presets.cyclic`` and
+``presets.dihedral`` replaced, and :func:`all_pairs_commutator`, :func:`join_scan_lattice` and
 :func:`full_restriction_matrix` are the all-pairs commutators, the
 re-closing join scan and the all-element restriction matrix that the
 generator-based ``groups.mutual_commutator``, ``groups._joins`` and
-``homoracle._restriction_matrix`` replaced.
+``homoracle._restriction_matrix`` replaced.  :func:`preset_subdirects`
+is not an oracle: it lists the subdirect products, beyond the catalog,
+that several test modules share.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 
@@ -462,6 +466,28 @@ def digit_vector_table(p: int, k: int) -> np.ndarray:
     return (summed @ weights).astype(np.int32)
 
 
+def residue_sum_table(n: int) -> np.ndarray:
+    """The table of C_n from the n x n int64 sum of residues, as int32."""
+    import numpy as np
+
+    idx = np.arange(n)
+    return ((idx[:, None] + idx[None, :]) % n).astype(np.int32)
+
+
+def signed_residue_table(order: int) -> np.ndarray:
+    """The table of the dihedral group of the given order from n x n int64
+    sign, rotation and reflection arrays, as int32."""
+    import numpy as np
+
+    n = order // 2
+    i = np.arange(order) % n
+    j = np.arange(order) // n
+    sign = np.where(j == 1, -1, 1)
+    ri = (i[:, None] + sign[:, None] * i[None, :]) % n
+    rj = (j[:, None] + j[None, :]) % 2
+    return (ri + n * rj).astype(np.int32)
+
+
 def all_pairs_commutator(X, Y) -> tuple:
     """Elements of [X, Y], closed from all |X| * |Y| commutators
     x^-1 y^-1 x y."""
@@ -496,3 +522,18 @@ def join_scan_lattice(G) -> list:
                 found.add(joined)
                 queue.append(joined)
     return sorted(found, key=lambda e: (len(e), e))
+
+
+@functools.cache
+def preset_subdirects() -> tuple:
+    """Every subdirect product of S4 x S4, D8 x Q8, A4 x A4, D12 x D12
+    and (D8xC2) x (D8xC2), built from presets: products of order up to
+    576, beyond the catalog's 144."""
+    from subdirect import (alternating, cyclic, dihedral, direct_product,
+                           enumerate_subdirect, quaternion8, symmetric)
+
+    S4, A4, D12 = symmetric(4), alternating(4), dihedral(12)
+    D8C2 = direct_product(dihedral(8), cyclic(2)).group
+    pairs = ((S4, S4), (dihedral(8), quaternion8()), (A4, A4), (D12, D12),
+             (D8C2, D8C2))
+    return tuple(U for G, H in pairs for U in enumerate_subdirect(G, H))

@@ -12,6 +12,7 @@ import helpers
 import subdirect.homoracle as homoracle
 from subdirect import (
     CyclicHom,
+    InternalInconsistency,
     NotSubdirect,
     OrderLimitExceeded,
     Subgroup,
@@ -45,7 +46,7 @@ from subdirect import (
     subgroup_quotient,
     symmetric,
 )
-from subdirect.groups import all_subgroups
+from subdirect.groups import _quotient, all_subgroups
 from subdirect.presets import _small_registry
 from subdirect.products import DEFAULT_PRODUCT_CAP, SCAN_CAP
 
@@ -363,6 +364,54 @@ def test_analysis_builds_no_quotient_of_the_subgroup():
         analyze_subgroup(U)
         memos = {k[0] if isinstance(k, tuple) else k for k in U._cache}
         assert "quotient" not in memos, U
+
+
+def test_analysis_walks_no_product_subgroup(monkeypatch):
+    """The value-table walk runs only on a factor group's full(), for its
+    memoised hom list, and every subdirect product comes with its
+    generators, so analysis walks over no U."""
+    walk = homoracle._value_tables
+    walked = []
+
+    def spy(P, m):
+        walked.append(P)
+        return walk(P, m)
+
+    monkeypatch.setattr(homoracle, "_value_tables", spy)
+    factors = (symmetric(4), direct_product(dihedral(8), cyclic(2)).group)
+    for F in factors:
+        subgroups = enumerate_subdirect(F, F)
+        assert all("gens" in U._cache for U in subgroups)
+        for U in subgroups:
+            analyze_subgroup(U)
+    assert walked
+    assert all(P.parent in factors and P is P.parent.full() for P in walked)
+
+
+def test_hom_count_matches_the_walk_beyond_the_catalog():
+    """The m-torsion count of U/[U, U] is the number of hom value tables
+    and the count the invariants of U/[U, U] give, at the saturating
+    modulus m and at m * p, for products of order up to 576."""
+    for U in helpers.preset_subdirects():
+        D = mutual_commutator(U, U)
+        divisors = abelian_invariants(_quotient(U, D, "A")[0]).divisors
+        for p in prime_factors(U.parent.order):
+            m = coefficient_modulus(U, p)
+            for k in (m, m * p):
+                count = homoracle._hom_count(U, k)
+                assert count == len(homoracle._value_tables(U, k)), (U, k)
+                assert count == hom_count_formula(divisors, k), (U, k)
+
+
+def test_hom_count_names_a_torsion_count_off_the_derived_order(monkeypatch):
+    """A torsion count that |[U, U]| does not divide is an internal
+    inconsistency naming |U|, |[U, U]| and m."""
+    U = cyclic(4).full()
+    monkeypatch.setattr(homoracle, "mutual_commutator",
+                        lambda X, Y: Subgroup._trusted(X.parent, (0, 1, 2)))
+    with pytest.raises(InternalInconsistency,
+                       match=r"order 4 .*4-th powers .*order 3"):
+        homoracle._hom_count(U, 4)
 
 
 # -- array routines against the loops they replaced --------------------------

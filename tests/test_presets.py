@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import helpers
@@ -100,6 +101,26 @@ def test_elementary_abelian_builds_no_wide_intermediate():
     finally:
         tracemalloc.stop()
     assert peak < 3 * E.product.nbytes
+
+
+def test_cyclic_and_dihedral_tables_match_the_old_formulas():
+    for n in range(1, 65):
+        assert (cyclic(n).product.tobytes()
+                == helpers.residue_sum_table(n).tobytes()), n
+        assert (dihedral(2 * n).product.tobytes()
+                == helpers.signed_residue_table(2 * n).tobytes()), n
+
+
+@pytest.mark.parametrize("build", [cyclic, dihedral])
+def test_cyclic_and_dihedral_build_no_wide_intermediate(build):
+    tracemalloc.start()
+    try:
+        G = build(2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.product.dtype == np.int32
+    assert peak <= 1.5 * G.product.nbytes
 
 
 class _TableStarted(Exception):

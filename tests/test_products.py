@@ -232,6 +232,45 @@ def test_failed_order_check_leaves_the_intern_table_unchanged():
     assert U.mask not in before and U is interned(P, U.mask)
 
 
+def test_goursat_subgroups_carry_generating_sets():
+    """A subgroup built from Goursat data is interned with the lifts of
+    p1's generators and k2's generators, which generate it, and [U, U]
+    from them is the all-pairs commutator subgroup; also for a U that
+    is not subdirect: (C4 / C2) ~ (V4 / C2) inside D8 x D8."""
+    D8 = dihedral(8)
+    quint = make_quintuple(
+        subgroup_generated(D8, [1]), subgroup_generated(D8, [2]),
+        subgroup_generated(D8, [2, 4]), subgroup_generated(D8, [2]),
+        [(0, 0), (1, 4)])
+    V = subgroup_from_quintuple(quint)
+    assert V.order == 8 and not is_subdirect(V)
+    for U in (*helpers.preset_subdirects(), V):
+        assert "gens" in U._cache, U
+        assert groups._closure(U.parent, groups.subgroup_generators(U))[0] \
+            == U.elements, U
+        assert (mutual_commutator(U, U).elements
+                == helpers.all_pairs_commutator(U, U)), U
+
+
+def test_lattice_subgroups_keep_their_generators_as_subdirects():
+    """A subgroup first interned by the lattice keeps the lattice's
+    generators when enumerate_subdirect returns it; Goursat data would
+    have given other generators to some of them."""
+    def generators(subgroups):
+        return {S.mask: groups.subgroup_generators(S) for S in subgroups}
+
+    G = dihedral(8)
+    P = direct_product(G, G).group
+    lattice = generators(all_subgroups(P))
+    fresh = dihedral(8)
+    goursat = generators(enumerate_subdirect(fresh, fresh))
+    subdirects = enumerate_subdirect(G, G)
+    assert all(U is _interned_table(P)[U.mask] for U in subdirects)
+    assert generators(subdirects) == {U.mask: lattice[U.mask]
+                                      for U in subdirects}
+    assert any(goursat[U.mask] != lattice[U.mask] for U in subdirects)
+
+
 def test_make_quintuple_rejects_bad_data():
     G = symmetric(3)
     A3 = commutator_subgroup(G).elements
