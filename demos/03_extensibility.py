@@ -59,11 +59,10 @@ print("  obstruction quotient:", q.invariants.describe(),
 
 # Per-prime report with methods and witnesses.
 report = build_report(V, primes=[2, 3])
-for p in report.primes:
-    verdict = report.per_prime[p]
-    word = "extensible" if verdict.extensible else "inextensible"
-    print(f"  p={p}: {word} via {', '.join(verdict.methods)}")
-print("overall:", report.overall())
+for p, verdict in report.items():
+    word = "extensible" if verdict["extensible"] else "inextensible"
+    print(f"  p={p}: {word} via {', '.join(verdict['methods'])}")
+print("overall:", all(v["extensible"] for v in report.values()))
 
 # A cyclic group never obstructs anything.
 print("C6 diagonal:", is_extensible(diagonal(cyclic(6))))

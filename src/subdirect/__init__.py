@@ -24,7 +24,6 @@ from .errors import (
     SubdirectError,
 )
 from .extensibility import (
-    ExtensibilityReport,
     ObstructionQuotient,
     build_report,
     central_inextensibility,

@@ -63,12 +63,11 @@ def _order_cap(text: str) -> int:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser, *, needs_pair: bool) -> None:
-    if needs_pair:
-        sub.add_argument("--G", required=True, metavar="SPEC",
-                         help="left factor group (shorthand, JSON, or @file)")
-        sub.add_argument("--H", metavar="SPEC",
-                         help="right factor group; defaults to --G")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--G", required=True, metavar="SPEC",
+                     help="left factor group (shorthand, JSON, or @file)")
+    sub.add_argument("--H", metavar="SPEC",
+                     help="right factor group; defaults to --G")
     sub.add_argument("--pi", metavar="P1,P2,...",
                      help="primes to decide; default: primes dividing |G x H|")
     sub.add_argument("--prime", type=int, metavar="P",
@@ -93,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("analyze", help="analyze one subgroup U of G x H")
-    _add_common(p, needs_pair=True)
+    _add_common(p)
     p.add_argument("--U", required=True, metavar="DESC",
                    help="subgroup: 'full', 'diagonal', JSON pairs/quintuple, "
                         "or @file")
@@ -101,11 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("subdirects",
                         help="enumerate and analyze every subdirect product")
-    _add_common(p, needs_pair=True)
+    _add_common(p)
     p.set_defaults(func=cmd_subdirects)
 
     p = subs.add_parser("star", help="compose U <= G x H with V <= H x G")
-    _add_common(p, needs_pair=True)
+    _add_common(p)
     p.add_argument("--U", required=True, metavar="DESC",
                    help="left composition factor inside G x H")
     p.add_argument("--V", required=True, metavar="DESC",

@@ -10,7 +10,7 @@ behaviour of all of them under relation composition of subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -318,53 +318,34 @@ def star_kernel_quotient_orders(U: Subgroup, V: Subgroup, *,
 # -- reports -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeVerdict:
-    """Extensibility verdict at one prime with the deciding methods.
+def build_report(U: Subgroup, primes=None) -> dict:
+    """Per-prime verdicts for a subdirect subgroup, JSON-ready.
 
-    The exact criterion is always evaluated; sufficient shortcuts that
-    fired are recorded after it.  All listed methods agreed.
-    """
-
-    extensible: bool
-    methods: tuple
-    witnesses: dict = field(compare=False)
-
-
-@dataclass(frozen=True)
-class ExtensibilityReport:
-    primes: tuple
-    per_prime: dict
-
-    def overall(self) -> bool:
-        return all(v.extensible for v in self.per_prime.values())
-
-
-def build_report(U: Subgroup, primes=None) -> ExtensibilityReport:
-    """Per-prime verdicts for a subdirect subgroup.
-
-    Raises NotSubdirect when the projections are not onto; callers that
-    want a soft failure should test ``is_subdirect`` first.
+    Maps each prime p to ``{"extensible", "methods", "witnesses"}``.
+    The exact criterion is always evaluated and listed first; sufficient
+    shortcuts that fired follow it, and a shortcut that contradicts the
+    criterion raises InternalInconsistency.  Raises NotSubdirect when the
+    projections are not onto; callers that want a soft failure should
+    test ``is_subdirect`` first.
     """
     require_subdirect(U)
     info = product_of(U)
     if primes is None:
         primes = prime_factors(info.group.order)
-    primes = tuple(sorted(set(int(p) for p in primes)))
     data = kernel_commutator_data(U)
     obstruction = obstruction_quotient(info.left, data.k1)
     cyclic_ok = cyclic_sylow_sufficient(U)
     central_primes: tuple = ()
     if info.left is info.right and contains_twisted_diagonal(U) is not None:
         central_primes = _central_kernel_primes(U)
-    witnesses_base = {
+    witnesses = {
         "k1_derived_order": data.k1_of_derived.order,
         "derived_cap_k1_order": data.p1_derived_cap_k1.order,
         "commutator_k1_order": data.commutator_k1_p1.order,
         "obstruction_divisors": list(obstruction.invariants.divisors),
     }
-    per_prime = {}
-    for p in primes:
+    report = {}
+    for p in sorted(set(int(p) for p in primes)):
         exact = is_p_extensible(U, p)
         methods = [METHOD_EXACT]
         if cyclic_ok:
@@ -377,5 +358,6 @@ def build_report(U: Subgroup, primes=None) -> ExtensibilityReport:
                 raise InternalInconsistency(
                     f"central shortcut contradicts the criterion at p={p}")
             methods.append(METHOD_CENTRAL)
-        per_prime[p] = PrimeVerdict(exact, tuple(methods), dict(witnesses_base))
-    return ExtensibilityReport(primes, per_prime)
+        report[p] = {"extensible": exact, "methods": methods,
+                     "witnesses": dict(witnesses)}
+    return report

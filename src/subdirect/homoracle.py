@@ -151,9 +151,16 @@ def enumerate_homs(K: Union[FiniteGroup, Subgroup], m: int) -> list:
 
 @memoised("cyclic_homs")
 def _cyclic_homs(grp: FiniteGroup, m: int) -> list:
-    tables = _value_tables(grp.full(), m)
-    tables = tables[np.lexsort(tables.T[::-1])]
-    return [CyclicHom._trusted(grp, m, t) for t in tables]
+    return [CyclicHom._trusted(grp, m, t) for t in _hom_value_matrix(grp, m)]
+
+
+@memoised("hom_matrix")
+def _hom_value_matrix(G: FiniteGroup, m: int) -> np.ndarray:
+    """Every hom value table G -> C_m, one row each, sorted."""
+    tables = _value_tables(G.full(), m)
+    matrix = tables[np.lexsort(tables.T[::-1])]
+    matrix.setflags(write=False)
+    return matrix
 
 
 def hom_count_formula(divisors, m: int) -> int:
@@ -198,23 +205,16 @@ def restriction_map(big: CyclicHom, U: Subgroup) -> CyclicHom:
     return CyclicHom._trusted(sub_grp, big.modulus, vals)
 
 
-@memoised("hom_matrix")
-def _hom_value_matrix(G: FiniteGroup, m: int) -> np.ndarray:
-    matrix = np.stack([h.values for h in enumerate_homs(G, m)])
-    matrix.setflags(write=False)
-    return matrix
-
-
 def _restriction_matrix(U: Subgroup, m: int) -> np.ndarray:
     """The restriction to U of every hom G x H -> C_m, one row per hom,
     evaluated at the identity and the generators of U.
 
     Every hom on the product splits as a hom on G plus a hom on H, so the
-    rows are all such sums.  A hom on U is fixed by its values on the
-    generators, so two rows are equal exactly when the restrictions are;
-    the identity column gives a trivial U a column.
+    rows are all such sums, left-major over the sorted factor hom lists.
+    A hom on U is fixed by its values on the generators, so two rows are
+    equal exactly when the restrictions are; the identity column gives a
+    trivial U a column.
     """
-    require_subdirect(U)
     info = product_of(U)
     gs, hs = info.split((0, *subgroup_generators(U)))
     vg = _hom_value_matrix(info.left, m)[:, gs]
@@ -222,28 +222,10 @@ def _restriction_matrix(U: Subgroup, m: int) -> np.ndarray:
     return ((vg[:, None, :] + vh[None, :, :]) % m).reshape(-1, gs.size)
 
 
-def _row_keys(flat: np.ndarray) -> list:
-    """The bytes of each row of a restriction matrix, equal exactly when
-    the rows are."""
-    flat = np.ascontiguousarray(flat)
-    row = np.dtype((np.void, flat.shape[1] * flat.itemsize))
-    return flat.view(row).ravel().tolist()
-
-
-def _checked_kernel(flat: np.ndarray, image: int) -> int:
-    """Count the all-zero rows of a restriction matrix with `image`
-    distinct rows, checking kernel * image == rows."""
-    kernel = int((flat == 0).all(axis=1).sum())
-    if kernel * image != flat.shape[0]:
-        raise InternalInconsistency("fiber count does not match the coset count")
-    return kernel
-
-
 def restriction_kernel_image_sizes(U: Subgroup, m: int) -> tuple[int, int]:
     """Kernel and image size of restriction Hom(G x H, C_m) -> Hom(U, C_m)."""
-    flat = _restriction_matrix(U, m)
-    image = len(set(_row_keys(flat)))
-    return _checked_kernel(flat, image), image
+    kernel, fibers = restriction_kernel_fibers(U, m)
+    return kernel, len(fibers)
 
 
 def restriction_kernel_fibers(U: Subgroup, m: int) -> tuple[int, tuple]:
@@ -251,12 +233,17 @@ def restriction_kernel_fibers(U: Subgroup, m: int) -> tuple[int, tuple]:
     distinct restricted hom, sorted ascending, from one matrix.
 
     All fiber counts equal the kernel size: fibers of a group
-    homomorphism of hom-groups are cosets.
+    homomorphism of hom-groups are cosets, so kernel * image must be the
+    number of rows.
     """
-    flat = _restriction_matrix(U, m)
-    counts = Counter(_row_keys(flat)).values()
-    kernel = _checked_kernel(flat, len(counts))
-    return kernel, tuple(sorted(counts))
+    require_subdirect(U)
+    flat = np.ascontiguousarray(_restriction_matrix(U, m))
+    row = np.dtype((np.void, flat.shape[1] * flat.itemsize))
+    counts = Counter(flat.view(row).ravel().tolist())
+    kernel = counts[bytes(row.itemsize)]  # the rows that are all zero
+    if kernel * len(counts) != flat.shape[0]:
+        raise InternalInconsistency("fiber count does not match the coset count")
+    return kernel, tuple(sorted(counts.values()))
 
 
 def coefficient_modulus(U: Subgroup, p: int) -> int:
@@ -337,22 +324,21 @@ def extend_hom(phi: CyclicHom, U: Subgroup) -> Optional[CyclicHom]:
     """First hom on the ambient product restricting to phi, if any.
 
     The search order is the sorted hom lists of the two factors, left
-    factor outermost, so witnesses are deterministic.
+    factor outermost, so witnesses are deterministic.  U need not be
+    subdirect.
     """
     info = product_of(U)
     sub_grp, _ = U.as_group()
     if phi.domain is not sub_grp:
         raise ValueError("phi must live on the subgroup's materialised group")
     m = phi.modulus
-    gs, hs = info.split(U.elements)
-    homs_left = enumerate_homs(info.left, m)
-    homs_right = enumerate_homs(info.right, m)
-    for hl in homs_left:
-        partial = hl.values[gs]
-        for hr in homs_right:
-            if (((partial + hr.values[hs]) - phi.values) % m).any():
-                continue
-            gi, hi = info.split(np.arange(info.group.order))
-            vals = (hl.values[gi] + hr.values[hi]) % m
-            return CyclicHom._trusted(info.group, m, vals)
-    return None
+    at = np.searchsorted(U.elements, (0, *subgroup_generators(U)))
+    hits = np.flatnonzero((_restriction_matrix(U, m) == phi.values[at])
+                          .all(axis=1))
+    if not hits.size:
+        return None
+    left = _hom_value_matrix(info.left, m)
+    right = _hom_value_matrix(info.right, m)
+    i, j = divmod(int(hits[0]), len(right))
+    gi, hi = info.split(np.arange(info.group.order))
+    return CyclicHom._trusted(info.group, m, (left[i][gi] + right[j][hi]) % m)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionFailed
 from .extensibility import (
     build_report,
     is_extensible,
@@ -32,7 +32,6 @@ from .homoracle import (
 from .presets import identify_small_group
 from .products import (
     contains_twisted_diagonal,
-    diagonal,
     goursat_quintuple,
     goursat_quotient,
     is_section,
@@ -165,24 +164,17 @@ def analyze_subgroup(U: Subgroup, primes=None, *,
     inconsistent = False
     mode = None
     if subdirect:
-        report = build_report(U, primes)
-        extensible = report.overall()
         mode = ORACLE_RAW if raw_oracle else ORACLE_ABELIANIZATION
-        oracle_overall = True
-        for p in primes:
-            verdict = report.per_prime[p]
-            entry = {
-                "extensible": verdict.extensible,
-                "methods": list(verdict.methods),
-                "coefficient_modulus": coefficient_modulus(U, p),
-                "witnesses": verdict.witnesses,
-                "oracle": (raw_oracle_is_p_extensible(U, p) if raw_oracle
-                           else oracle_is_p_extensible(U, p)),
-            }
-            oracle_overall = oracle_overall and entry["oracle"]
-            if entry["oracle"] != verdict.extensible:
-                inconsistent = True
+        oracle = raw_oracle_is_p_extensible if raw_oracle \
+            else oracle_is_p_extensible
+        for p, entry in build_report(U, primes).items():
+            entry["coefficient_modulus"] = coefficient_modulus(U, p)
+            entry["oracle"] = oracle(U, p)
             per_prime[str(p)] = entry
+        entries = per_prime.values()
+        extensible = all(e["extensible"] for e in entries)
+        oracle_overall = all(e["oracle"] for e in entries)
+        inconsistent = any(e["oracle"] != e["extensible"] for e in entries)
 
     return AnalysisRecord(
         schema=RECORD_SCHEMA,
@@ -223,20 +215,13 @@ def star_analysis(U: Subgroup, V: Subgroup, primes=None, *,
     star["section_of_left"] = is_section(qw, goursat_quotient(U))
     star["section_of_right"] = is_section(qw, goursat_quotient(V))
 
-    condition = None
-    info_u = product_of(U)
-    info_v = product_of(V)
-    square = (info_u.left is info_u.right is info_v.left is info_v.right)
-    if square and is_subdirect(U) and is_subdirect(V):
-        d = diagonal(info_u.left)
-        if (d.is_subset_of(U) and d.is_subset_of(V)
-                and is_extensible(U) and is_extensible(V)):
-            condition = {
-                "side1": star_preservation_condition(U, V, side=1,
-                                                     composite=W),
-                "side2": star_preservation_condition(U, V, side=2,
-                                                     composite=W),
-            }
+    try:
+        condition = {
+            "side1": star_preservation_condition(U, V, side=1, composite=W),
+            "side2": star_preservation_condition(U, V, side=2, composite=W),
+        }
+    except PreconditionFailed:
+        condition = None
     star["preservation_condition"] = condition
     record.star = star
     return record

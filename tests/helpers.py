@@ -29,7 +29,9 @@ table formulas that the in-place fills of ``products.direct_product``,
 :func:`full_restriction_matrix` are the all-pairs commutators, the
 re-closing join scan and the all-element restriction matrix that the
 generator-based ``groups.mutual_commutator``, ``groups._joins`` and
-``homoracle._restriction_matrix`` replaced.  :func:`preset_subdirects`
+``homoracle._restriction_matrix`` replaced, and :func:`pairwise_extend_hom`
+is the loop over pairs of factor homs that the row search of
+``homoracle.extend_hom`` replaced.  :func:`preset_subdirects`
 is not an oracle: it lists the subdirect products, beyond the catalog,
 that several test modules share.
 """
@@ -349,6 +351,27 @@ def full_restriction_matrix(U, m: int):
     vg = np.stack([h.values for h in enumerate_homs(info.left, m)])[:, gs]
     vh = np.stack([h.values for h in enumerate_homs(info.right, m)])[:, hs]
     return ((vg[:, None, :] + vh[None, :, :]) % m).reshape(-1, gs.size)
+
+
+def pairwise_extend_hom(phi, U):
+    """First hom on the ambient product restricting to phi, or None, by
+    trying every pair of factor homs, left factor outermost."""
+    import numpy as np
+
+    from subdirect.homoracle import CyclicHom, enumerate_homs
+
+    info = U.parent.product_info
+    m = phi.modulus
+    gs, hs = info.split(U.elements)
+    for hl in enumerate_homs(info.left, m):
+        partial = hl.values[gs]
+        for hr in enumerate_homs(info.right, m):
+            if (((partial + hr.values[hs]) - phi.values) % m).any():
+                continue
+            gi, hi = info.split(np.arange(info.group.order))
+            vals = (hl.values[gi] + hr.values[hi]) % m
+            return CyclicHom._trusted(info.group, m, vals)
+    return None
 
 
 def unique_row_kernel_image(U, m: int) -> tuple:

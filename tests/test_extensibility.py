@@ -305,30 +305,29 @@ def test_star_kernel_quotient_orders_mixed():
 def test_build_report_full_product():
     info = direct_product(symmetric(3), cyclic(4))
     report = build_report(info.group.full())
-    assert report.overall()
-    assert report.primes == (2, 3)
-    for verdict in report.per_prime.values():
-        assert verdict.methods[0] == METHOD_EXACT
+    assert list(report) == [2, 3]
+    for verdict in report.values():
+        assert verdict["extensible"] is True
+        assert verdict["methods"][0] == METHOD_EXACT
 
 
 def test_build_report_center_example():
     report = build_report(d8_center_example(), primes=[2, 3])
-    assert not report.overall()
-    assert report.per_prime[2].extensible is False
-    assert METHOD_CENTRAL in report.per_prime[2].methods
-    assert report.per_prime[3].extensible is True
+    assert report[2]["extensible"] is False
+    assert METHOD_CENTRAL in report[2]["methods"]
+    assert report[3]["extensible"] is True
 
 
 def test_build_report_cyclic_sylow_flagged():
     report = build_report(s3_a3_example())
-    assert report.overall()
-    for p in report.primes:
-        assert METHOD_CYCLIC_SYLOW in report.per_prime[p].methods
+    for verdict in report.values():
+        assert verdict["extensible"] is True
+        assert METHOD_CYCLIC_SYLOW in verdict["methods"]
 
 
 def test_build_report_witnesses():
     report = build_report(d8_center_example())
-    w = report.per_prime[2].witnesses
+    w = report[2]["witnesses"]
     assert w["derived_cap_k1_order"] == 2
     assert w["k1_derived_order"] == 1
     assert w["obstruction_divisors"] == [2]
@@ -337,5 +336,5 @@ def test_build_report_witnesses():
 def test_build_report_prime_selection():
     U = d8_center_example()
     report = build_report(U, primes=[3])
-    assert report.primes == (3,)
-    assert report.overall()
+    assert list(report) == [3]
+    assert report[3]["extensible"] is True

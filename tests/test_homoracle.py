@@ -32,6 +32,7 @@ from subdirect import (
     enumerate_subdirect,
     extend_hom,
     hom_count_formula,
+    is_subdirect,
     mutual_commutator,
     oracle_is_extensible_for_modulus,
     oracle_is_p_extensible,
@@ -332,6 +333,40 @@ def test_extension_witness_consistency():
         assert all(results) == extendable
         # The zero hom always extends.
         assert results[0]
+
+
+def assert_extend_hom_matches_the_pairwise_loop(U, m) -> set:
+    """extend_hom against the pair loop for every hom U -> C_m; returns
+    which outcomes (extends or not) occurred."""
+    seen = set()
+    for phi in enumerate_homs(U, m):
+        big = extend_hom(phi, U)
+        want = helpers.pairwise_extend_hom(phi, U)
+        seen.add(big is not None)
+        if want is None:
+            assert big is None
+        else:
+            assert big == want
+            assert restriction_map(big, U) == phi
+    return seen
+
+
+def test_extend_hom_matches_the_pairwise_loop_on_catalog_subdirects():
+    seen = set()
+    for U in catalog_subdirects():
+        info = U.parent.product_info
+        m = math.lcm(info.left.exponent(), info.right.exponent())
+        seen |= assert_extend_hom_matches_the_pairwise_loop(U, m)
+    assert seen == {True, False}
+
+
+def test_extend_hom_accepts_product_subgroups_that_are_not_subdirect():
+    info = direct_product(symmetric(3), cyclic(4))
+    seen = set()
+    for U in all_subgroups(info.group):
+        if not is_subdirect(U):
+            seen |= assert_extend_hom_matches_the_pairwise_loop(U, 12)
+    assert seen == {True, False}
 
 
 def test_oracle_hom_count_on_the_abelianization():

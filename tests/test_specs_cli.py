@@ -724,12 +724,14 @@ def test_cli_subdirects_of_many_normal_subgroups_above_the_cap_exits_3(capsys):
 
 
 def test_cli_closed_stdout_exits_141_without_a_traceback():
+    # D8xC2 x D8xC2 prints about 600 kB, more than a pipe buffer holds,
+    # so the child is still writing when the reader closes its end.
     src = pathlib.Path(subdirect.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.Popen(
         [sys.executable, "-c",
          "import sys; from subdirect.cli import main; sys.exit(main())",
-         "subdirects", "--G", "S4", "--H", "S4"],
+         "subdirects", "--G", "D8xC2", "--H", "D8xC2"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
         assert len(proc.stdout.read(50)) == 50

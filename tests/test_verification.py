@@ -1,6 +1,8 @@
 """The verify sweep's shared state: interned composites and case counts."""
 
 import dataclasses
+import json
+import pathlib
 
 import pytest
 
@@ -22,6 +24,7 @@ from subdirect import (
     star_product,
 )
 from subdirect.products import ProductGroup
+from subdirect.specs import load_group
 from subdirect.verification import check_fiber_uniformity
 
 
@@ -251,3 +254,16 @@ def test_star_monotonicity_failure_names_its_groups(monkeypatch):
     assert result.failures == [
         "Subgroup(order=4 of C2xC2), Subgroup(order=4 of C2xC2), "
         "Subgroup(order=1 of C2xC2): k1(U) not inside k1(U*V)"]
+
+
+def test_checks_and_case_counts_match_the_benchmark_answers():
+    """The verify-catalog benchmark rejects a run whose check names or
+    case counts differ from perfbench/expected.json; this fails first."""
+    path = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+            / "expected.json")
+    want = json.loads(path.read_text())["verify-catalog"]
+    ctx = CheckContext([load_group(name) for name in want["groups"]])
+    results = [check(ctx) for check in verification.ALL_CHECKS]
+    assert [(r.name, r.checked) for r in results] == list(
+        want["checks"].items())
+    assert [r.name for r in results if not r.passed] == []
