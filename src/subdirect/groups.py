@@ -938,48 +938,53 @@ def automorphisms(G: FiniteGroup) -> list:
 # -- subgroup lattice --------------------------------------------------------
 
 
-def _joins(G: FiniteGroup, atoms: Iterable[Subgroup],
+def _joins(G: FiniteGroup, normal: bool,
            limit: Optional[int] = None) -> list:
-    """The trivial subgroup and every join of atoms, sorted by order,
-    then elements: each subgroup found is joined with every atom, by
-    extending its closure walk with the atom's generators.
+    """The subgroups of G, or with ``normal`` its normal subgroups, sorted
+    by order, then elements.
+
+    The scan starts from the trivial subgroup and extends the closure
+    walk of each subgroup S it finds by a set R that starts with an
+    element x: the coset xS for the lattice, giving <S, x>, and the
+    conjugacy class x^G for the normal subgroups, so that the join of a
+    normal S is normal.  The join depends only on the block S·R, the double
+    coset SxS or S·x^G, so x walks up from 0 past the marked elements
+    and each block is joined once and marked with |S|·|R| products.
 
     Every subgroup comes from G's interned table, so the lattice and the
     normal subgroups share their objects and memos.  Finding more than
     ``limit`` subgroups raises OrderLimitExceeded.
     """
     table = _interned_table(G)
-    atoms = sorted({S.mask: table.setdefault(S.mask, S) for S in atoms}.items())
     found = {G.trivial().mask: G.trivial()}
-    for m, c in atoms:
-        found.setdefault(m, c)
-    queue = sorted(found.values(), key=lambda s: (s.order, s.elements))
-    join_memo: dict = {}
-    i = 0
-    while i < len(queue):
-        if limit is not None and len(queue) > limit:
-            raise OrderLimitExceeded(
-                f"subgroup join scan above cap {limit} subgroups "
-                f"(order {G.order})")
-        current = queue[i]
-        i += 1
-        for m, c in atoms:
-            key = m | current.mask
-            if key == current.mask:
-                continue
-            joined = join_memo.get(key)
-            if joined is None:
-                S = _extended(current, subgroup_generators(c))
-                joined = join_memo[key] = table.setdefault(S.mask, S)
+    queue = list(found.values())
+    everyone = np.arange(G.order)
+    for S in queue:
+        elems = np.array(S.elements)
+        marked = np.zeros(G.order, dtype=bool)
+        marked[elems] = True
+        x = int(marked.argmin())
+        while x:  # argmin is 0, in S, only once everything is marked
+            right = (np.unique(G.product[G.product[G.inverse, x], everyone])
+                     if normal else G.product[x, elems])
+            joined = _extended(S, right.tolist())
+            joined = table.setdefault(joined.mask, joined)
             if joined.mask not in found:
                 found[joined.mask] = joined
                 queue.append(joined)
+                if limit is not None and len(queue) > limit:
+                    raise OrderLimitExceeded(
+                        f"subgroup join scan above cap {limit} subgroups "
+                        f"(order {G.order})")
+            marked[G.product[elems[:, None], right]] = True
+            x = int(marked.argmin())
     return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 
 @memoised("lattice")
 def all_subgroups(G: FiniteGroup) -> list:
-    """Every subgroup, as joins of cyclic subgroups.
+    """Every subgroup, as joins <S, x> of the subgroups S found before,
+    one per double coset SxS.
 
     Kept as the exhaustive cross-check for the targeted constructions;
     capped at DEFAULT_LATTICE_CAP because the lattice grows quickly.
@@ -987,22 +992,15 @@ def all_subgroups(G: FiniteGroup) -> list:
     if G.order > DEFAULT_LATTICE_CAP:
         raise OrderLimitExceeded(
             f"subgroup scan above cap {DEFAULT_LATTICE_CAP} (order {G.order})")
-    return _joins(G, (subgroup_generated(G, (x,)) for x in range(G.order)))
+    return _joins(G, False)
 
 
 @memoised("normals")
 def normal_subgroups(G: FiniteGroup) -> list:
-    """Every normal subgroup, as joins of the normal closures <x^G>, one
-    per conjugacy class.  Up to order DEFAULT_LATTICE_CAP there is no
-    limit, as the whole lattice may be scanned there; above it the scan
-    stops after DEFAULT_LATTICE_CAP normal subgroups."""
-    everyone = np.arange(G.order)
-    seen = np.zeros(G.order, dtype=bool)
-    closures = []
-    for x in range(G.order):
-        if not seen[x]:
-            conjugates = G.product[G.product[G.inverse, x], everyone]
-            seen[conjugates] = True
-            closures.append(subgroup_generated(G, conjugates.tolist()))
-    return _joins(G, closures, None if G.order <= DEFAULT_LATTICE_CAP
+    """Every normal subgroup, as joins <N, x^G> of the normal subgroups N
+    found before with a conjugacy class, one per block N·x^G.  Up to
+    order DEFAULT_LATTICE_CAP there is no limit, as the whole lattice may
+    be scanned there; above it the scan stops after DEFAULT_LATTICE_CAP
+    normal subgroups."""
+    return _joins(G, True, None if G.order <= DEFAULT_LATTICE_CAP
                   else DEFAULT_LATTICE_CAP)

@@ -19,17 +19,19 @@ chain by quotients and the sorting row count that the array code in
 ``subdirect.homoracle`` and ``subdirect.groups`` replaced, and
 :func:`pairwise_isomorphisms` is the pairwise product closure that the
 generator-step walk of ``groups.isomorphisms_iter`` replaced, and
-:func:`lattice_normal_subgroups` is the lattice filter that the joins of
-normal closures in ``groups.normal_subgroups`` replaced, and
+:func:`lattice_normal_subgroups` is the lattice filter that the
+class-by-class join scan of ``groups.normal_subgroups`` replaced, and
 :func:`dense_product_table`, :func:`digit_vector_table`,
 :func:`residue_sum_table` and :func:`signed_residue_table` are the int64
 table formulas that the in-place fills of ``products.direct_product``,
 ``presets.elementary_abelian``, ``presets.cyclic`` and
-``presets.dihedral`` replaced, and :func:`all_pairs_commutator`, :func:`join_scan_lattice` and
-:func:`full_restriction_matrix` are the all-pairs commutators, the
-re-closing join scan and the all-element restriction matrix that the
-generator-based ``groups.mutual_commutator``, ``groups._joins`` and
-``homoracle._restriction_matrix`` replaced, and :func:`pairwise_extend_hom`
+``presets.dihedral`` replaced, and :func:`all_pairs_commutator`,
+:func:`join_scan_lattice` and :func:`full_restriction_matrix` are the
+all-pairs commutators, the join scan that re-closes every subgroup with
+every cyclic subgroup and the all-element restriction matrix that the
+generator-based ``groups.mutual_commutator``, the one join per double
+coset of ``groups._joins`` and ``homoracle._restriction_matrix``
+replaced, and :func:`pairwise_extend_hom`
 is the loop over pairs of factor homs that the row search of
 ``homoracle.extend_hom`` replaced.  :func:`preset_subdirects`
 is not an oracle: it lists the subdirect products, beyond the catalog,

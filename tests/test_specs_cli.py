@@ -803,8 +803,8 @@ def test_cli_verify_rejects_bad_table(capsys, tmp_path):
     path.write_text(json.dumps({
         "kind": "cayley", "data": {"table": table}}))
     code, out, err = run_cli(capsys, "verify", "--G", f"@{path}")
-    assert code == 1
-    assert "verification failed" in out or "verification failed" in err
+    assert code == 2
+    assert "input error" in err
 
 
 def test_cli_verify_empty_selection(capsys):

@@ -18,8 +18,10 @@ from subdirect import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    alternating,
     catalog_group,
     diagonal,
+    dihedral,
     run_checks,
     star_product,
 )
@@ -267,3 +269,17 @@ def test_checks_and_case_counts_match_the_benchmark_answers():
     assert [(r.name, r.checked) for r in results] == list(
         want["checks"].items())
     assert [r.name for r in results if not r.passed] == []
+
+
+def test_the_largest_swept_lattices_pass_their_checks():
+    """A4 x A4, A4 x D12, D12 x A4 and D12 x D12 have order 144, the
+    largest lattices that verify sweeps: 1800 subgroups in all."""
+    ctx = CheckContext([alternating(4), dihedral(12)])
+    results = run_checks(ctx, ["goursat-roundtrip", "product-order-identity",
+                               "commutator-projection", "enumeration-vs-scan"])
+    assert [(r.name, r.passed, r.checked) for r in results] == [
+        ("goursat-roundtrip", True, 1800),
+        ("product-order-identity", True, 1800),
+        ("commutator-projection", True, 1800),
+        ("enumeration-vs-scan", True, 4),
+    ]
