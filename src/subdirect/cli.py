@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     PreconditionFailed,
 )
-from .groups import is_prime
+from .groups import FiniteGroup, is_prime
 from .presets import catalog_group, catalog_names, preset_descriptions
 from .products import DEFAULT_PRODUCT_CAP, direct_product, enumerate_subdirect
 from .records import (
@@ -275,14 +275,23 @@ def _selection(text: str) -> list:
     return [e.strip() for e in entries if e.strip()]
 
 
+def _selected_group(name: str, max_order: int) -> FiniteGroup:
+    """A verify --G entry capped at max_order: the shared instance of a
+    catalog name, else the group its description gives."""
+    if name not in catalog_names():
+        return load_group(name, max_order=max_order)
+    G = catalog_group(name)
+    if G.order > max_order:
+        raise OrderLimitExceeded(f"order of {name} above cap {max_order}")
+    return G
+
+
 def cmd_verify(args) -> int:
     if args.G is None:
-        names = list(catalog_names())
+        groups = [catalog_group(name) for name in catalog_names()]
     else:
-        names = _selection(args.G)
-    groups = [catalog_group(name) if name in catalog_names()
-              else load_group(name, max_order=args.max_order)
-              for name in names]
+        groups = [_selected_group(name, args.max_order)
+                  for name in _selection(args.G)]
     ctx = CheckContext(groups, product_cap=args.max_order)
     results = run_checks(ctx)
     for result in results:

@@ -812,18 +812,29 @@ def identity_hom(G: FiniteGroup) -> GroupHom:
 # -- conjugacy data ----------------------------------------------------------
 
 
-@memoised("class_sizes")
-def conjugacy_class_sizes(G: FiniteGroup) -> np.ndarray:
+@memoised("classes")
+def conjugacy_classes(G: FiniteGroup) -> tuple[np.ndarray, tuple]:
+    """The index of each element's conjugacy class, and the classes as
+    sorted arrays in the order of their least elements; all read-only."""
     n = G.order
-    sizes = np.zeros(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
+    index = np.full(n, -1, dtype=np.int64)
+    classes = []
     allg = np.arange(n)
     for x in range(n):
-        if seen[x]:
+        if index[x] >= 0:
             continue
         orbit = np.unique(G.product[G.product[G.inverse, x], allg])
-        sizes[orbit] = orbit.size
-        seen[orbit] = True
+        orbit.setflags(write=False)
+        index[orbit] = len(classes)
+        classes.append(orbit)
+    index.setflags(write=False)
+    return index, tuple(classes)
+
+
+@memoised("class_sizes")
+def conjugacy_class_sizes(G: FiniteGroup) -> np.ndarray:
+    index, classes = conjugacy_classes(G)
+    sizes = np.array([c.size for c in classes], dtype=np.int64)[index]
     sizes.setflags(write=False)
     return sizes
 
@@ -946,8 +957,8 @@ def _joins(G: FiniteGroup, normal: bool,
     The scan starts from the trivial subgroup and extends the closure
     walk of each subgroup S it finds by a set R that starts with an
     element x: the coset xS for the lattice, giving <S, x>, and the
-    conjugacy class x^G for the normal subgroups, so that the join of a
-    normal S is normal.  The join depends only on the block S·R, the double
+    conjugacy class x^G from :func:`conjugacy_classes` for the normal
+    subgroups, so that the join of a normal S is normal.  The join depends only on the block S·R, the double
     coset SxS or S·x^G, so x walks up from 0 past the marked elements
     and each block is joined once and marked with |S|·|R| products.
 
@@ -958,15 +969,14 @@ def _joins(G: FiniteGroup, normal: bool,
     table = _interned_table(G)
     found = {G.trivial().mask: G.trivial()}
     queue = list(found.values())
-    everyone = np.arange(G.order)
+    class_of, classes = conjugacy_classes(G) if normal else (None, None)
     for S in queue:
         elems = np.array(S.elements)
         marked = np.zeros(G.order, dtype=bool)
         marked[elems] = True
         x = int(marked.argmin())
         while x:  # argmin is 0, in S, only once everything is marked
-            right = (np.unique(G.product[G.product[G.inverse, x], everyone])
-                     if normal else G.product[x, elems])
+            right = classes[class_of[x]] if normal else G.product[x, elems]
             joined = _extended(S, right.tolist())
             joined = table.setdefault(joined.mask, joined)
             if joined.mask not in found:

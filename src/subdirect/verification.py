@@ -4,10 +4,18 @@ Each check sweeps one library invariant over every applicable case built
 from the selected groups and reports how many cases it covered.  The
 verify command runs all of them; a check fails when any of its cases
 does.  The acceptance tests drive the same scans at fixed selections.
+
+A check is one probe, a function of one case's arguments, decorated
+with ``@check(cases)``, where ``cases(ctx)`` gives the case tuples of a
+:class:`CheckContext`.  The probe's name names the check
+(``check_star_preservation`` is ``star-preservation``) and its place in
+this module fixes the check's place in :data:`ALL_CHECKS` and in the
+verify output.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -232,490 +240,398 @@ def _run(name: str, cases: Iterable, probe: Callable) -> CheckResult:
     return CheckResult(name, not failures, checked, failures)
 
 
+ALL_CHECKS: list = []  # every check, in definition order
+
+
+def _check_name(fn: Callable) -> str:
+    return fn.__name__.removeprefix("check_").replace("_", "-")
+
+
+def check(cases: Callable[[CheckContext], Iterable]):
+    """Register the decorated probe as the next check.
+
+    The check takes a CheckContext and sweeps the probe over the case
+    tuples cases(ctx) with :func:`_run`.  It is named after the probe,
+    check_x_y as x-y, and appended to ALL_CHECKS.
+    """
+    def register(probe: Callable) -> Callable[[CheckContext], CheckResult]:
+        name = _check_name(probe)
+
+        @functools.wraps(probe)
+        def run(ctx: CheckContext) -> CheckResult:
+            return _run(name, cases(ctx), probe)
+
+        ALL_CHECKS.append(run)
+        return run
+    return register
+
+
+def _diagonal_cases(ctx: CheckContext):
+    """(G, U, phi) for every U between a twisted diagonal and G x G,
+    with its twist phi, over the squares."""
+    for G in ctx.squares():
+        for U, phi in ctx.diagonal_subgroups(G):
+            yield G, U, phi
+
+
+def _diagonal_star_cases(ctx: CheckContext):
+    """(G, U, phi, V, psi, U*V) for every two diagonal cases of one G."""
+    for G in ctx.squares():
+        pairs = ctx.diagonal_subgroups(G)
+        subs = [U for U, _ in pairs]
+        twists = itertools.product([phi for _, phi in pairs], repeat=2)
+        for (phi, psi), (U, V, W) in zip(
+                twists, ctx.star_block(subs, subs), strict=True):
+            yield G, U, phi, V, psi, W
+
+
+def _plain_diagonal_stars(ctx: CheckContext,
+                          keep: Callable = lambda U: True):
+    """(G, U, V, U*V) for U, V above the diagonal of G x G and kept by
+    keep, over the squares."""
+    for G in ctx.squares():
+        subs = [U for U in ctx.plain_diagonal_subgroups(G) if keep(U)]
+        for U, V, W in ctx.star_block(subs, subs):
+            yield G, U, V, W
+
+
+def _lattice_stars(ctx: CheckContext):
+    """(U, V, U*V) for U, V in the lattice of each scanned square."""
+    for G in ctx.squares():
+        if G.order * G.order <= SCAN_CAP:
+            lattice = ctx.lattice(G, G)
+            yield from ctx.star_block(lattice, lattice)
+
+
 # -- core group checks ----------------------------------------------------------
 
 
-def check_group_axioms(ctx: CheckContext) -> CheckResult:
-    def probe(G: FiniteGroup) -> None:
-        G.validate()
-
-    cases = [(G,) for G in ctx.groups]
-    cases += [(direct_product(G, H).group,) for G, H in ctx.scan_pairs()]
-    return _run("group-axioms", cases, probe)
+@check(lambda ctx: [(G,) for G in ctx.groups]
+       + [(direct_product(G, H).group,) for G, H in ctx.scan_pairs()])
+def check_group_axioms(G: FiniteGroup) -> None:
+    G.validate()
 
 
-def check_normal_product_commutator(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: ((G, X, Y) for G in ctx.groups
+                    for X in normal_subgroups(G) for Y in normal_subgroups(G)
+                    if set_product(X, Y).order == G.order))
+def check_normal_product_commutator(G, X, Y) -> Optional[str]:
     """G' = <X', [X,Y], Y'> whenever X, Y are normal with XY = G."""
-    def cases():
-        for G in ctx.groups:
-            for X in normal_subgroups(G):
-                for Y in normal_subgroups(G):
-                    if set_product(X, Y).order == G.order:
-                        yield G, X, Y
-
-    def probe(G, X, Y) -> Optional[str]:
-        seed = set(mutual_commutator(X, X).elements)
-        seed |= set(mutual_commutator(Y, Y).elements)
-        seed |= set(mutual_commutator(X, Y).elements)
-        if subgroup_generated(G, seed) != commutator_subgroup(G):
-            return "<X', [X,Y], Y'> is not G'"
-        return None
-
-    return _run("normal-product-commutator", cases(), probe)
+    seed = set(mutual_commutator(X, X).elements)
+    seed |= set(mutual_commutator(Y, Y).elements)
+    seed |= set(mutual_commutator(X, Y).elements)
+    if subgroup_generated(G, seed) != commutator_subgroup(G):
+        return "<X', [X,Y], Y'> is not G'"
+    return None
 
 
-def check_quotient_commutator(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: ((G, N) for G in ctx.groups for N in normal_subgroups(G)))
+def check_quotient_commutator(G, N) -> Optional[str]:
     """(G/N)' is the image of G' and has order |G'| / |G' cap N|."""
-    def cases():
-        for G in ctx.groups:
-            for N in normal_subgroups(G):
-                yield G, N
-
-    def probe(G, N) -> Optional[str]:
-        Gp = commutator_subgroup(G)
-        Q, proj = quotient_group(G, N)
-        derived = commutator_subgroup(Q)
-        if derived != proj.map_subgroup(Gp):
-            return "(G/N)' is not the image of G'"
-        want = Gp.order // Gp.intersection(N).order
-        if derived.order != want:
-            return f"|(G/N)'| = {derived.order} != {want}"
-        return None
-
-    return _run("quotient-commutator", cases(), probe)
+    Gp = commutator_subgroup(G)
+    Q, proj = quotient_group(G, N)
+    derived = commutator_subgroup(Q)
+    if derived != proj.map_subgroup(Gp):
+        return "(G/N)' is not the image of G'"
+    want = Gp.order // Gp.intersection(N).order
+    if derived.order != want:
+        return f"|(G/N)'| = {derived.order} != {want}"
+    return None
 
 
-def check_abelianization_order(ctx: CheckContext) -> CheckResult:
-    def probe(G: FiniteGroup) -> Optional[str]:
-        inv, _ = abelianization(G)
-        want = G.order // commutator_subgroup(G).order
-        if inv.order != want:
-            return f"divisor product {inv.order} != {want}"
-        return None
-
-    return _run("abelianization-order", [(G,) for G in ctx.groups], probe)
+@check(lambda ctx: [(G,) for G in ctx.groups])
+def check_abelianization_order(G: FiniteGroup) -> Optional[str]:
+    inv, _ = abelianization(G)
+    want = G.order // commutator_subgroup(G).order
+    if inv.order != want:
+        return f"divisor product {inv.order} != {want}"
+    return None
 
 
-def check_isomorphism_equivalence(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: itertools.chain(
+    [(a,) for a in ctx.groups], itertools.product(ctx.groups, repeat=2),
+    itertools.product(ctx.groups, repeat=3)))
+def check_isomorphism_equivalence(a, b=None, c=None) -> Optional[str]:
     """Cases (a,), (a, b) and (a, b, c) test reflexivity, symmetry and
     transitivity; (a, b) also tests that class ids match the search."""
-    groups = ctx.groups
-    rel = {}
-    for a in groups:
-        for b in groups:
-            rel[(id(a), id(b))] = is_isomorphic(a, b)
-
-    def cases():
-        for a in groups:
-            yield (a,)
-        yield from itertools.product(groups, repeat=2)
-        yield from itertools.product(groups, repeat=3)
-
-    def probe(a, b=None, c=None) -> Optional[str]:
-        if b is None:
-            return None if rel[(id(a), id(a))] else "not reflexive"
-        if c is None:
-            if rel[(id(a), id(b))] != rel[(id(b), id(a))]:
-                return "not symmetric"
-            same = isomorphism_class(a) == isomorphism_class(b)
-            if same != rel[(id(a), id(b))]:
-                return "class ids disagree with the isomorphism search"
-            return None
-        if rel[(id(a), id(b))] and rel[(id(b), id(c))] \
-                and not rel[(id(a), id(c))]:
-            return "not transitive"
+    if b is None:
+        return None if is_isomorphic(a, a) else "not reflexive"
+    if c is None:
+        if is_isomorphic(a, b) != is_isomorphic(b, a):
+            return "not symmetric"
+        same = isomorphism_class(a) == isomorphism_class(b)
+        if same != is_isomorphic(a, b):
+            return "class ids disagree with the isomorphism search"
         return None
-
-    return _run("isomorphism-equivalence", cases(), probe)
+    if is_isomorphic(a, b) and is_isomorphic(b, c) \
+            and not is_isomorphic(a, c):
+        return "not transitive"
+    return None
 
 
 # -- product and quintuple checks ------------------------------------------------
 
 
-def check_goursat_roundtrip(ctx: CheckContext) -> CheckResult:
-    def probe(U: Subgroup) -> Optional[str]:
-        if subgroup_from_quintuple(goursat_quintuple(U)) != U:
-            return "roundtrip differs"
-        return None
-
-    return _run("goursat-roundtrip", ctx.lattice_cases(), probe)
+@check(lambda ctx: ctx.lattice_cases())
+def check_goursat_roundtrip(U: Subgroup) -> Optional[str]:
+    if subgroup_from_quintuple(goursat_quintuple(U)) != U:
+        return "roundtrip differs"
+    return None
 
 
-def check_product_order_identity(ctx: CheckContext) -> CheckResult:
-    def probe(U: Subgroup) -> Optional[str]:
-        d = projections_kernels(U)
-        if U.order != d.p1.order * d.k2.order \
-                or U.order != d.p2.order * d.k1.order:
-            return "breaks |U| = |p_i||k_j|"
-        return None
-
-    return _run("product-order-identity", ctx.lattice_cases(), probe)
+@check(lambda ctx: ctx.lattice_cases())
+def check_product_order_identity(U: Subgroup) -> Optional[str]:
+    d = projections_kernels(U)
+    if U.order != d.p1.order * d.k2.order \
+            or U.order != d.p2.order * d.k1.order:
+        return "breaks |U| = |p_i||k_j|"
+    return None
 
 
-def check_commutator_projection(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: ctx.lattice_cases())
+def check_commutator_projection(U: Subgroup) -> Optional[str]:
     """p_i(U') equals (p_i(U))' for every product subgroup."""
-    def probe(U: Subgroup) -> Optional[str]:
-        d = projections_kernels(U)
-        dp = projections_kernels(mutual_commutator(U, U))
-        if dp.p1 != mutual_commutator(d.p1, d.p1) \
-                or dp.p2 != mutual_commutator(d.p2, d.p2):
-            return "p_i(U') is not p_i(U)'"
-        return None
-
-    return _run("commutator-projection", ctx.lattice_cases(), probe)
+    d = projections_kernels(U)
+    dp = projections_kernels(mutual_commutator(U, U))
+    if dp.p1 != mutual_commutator(d.p1, d.p1) \
+            or dp.p2 != mutual_commutator(d.p2, d.p2):
+        return "p_i(U') is not p_i(U)'"
+    return None
 
 
-def check_kernel_commutator_chain(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: ctx.lattice_cases())
+def check_kernel_commutator_chain(U: Subgroup) -> None:
     """[k_i(U), p_i(U)] <= k_i(U') <= (p_i(U))' cap k_i(U)."""
-    def probe(U: Subgroup) -> None:
-        kernel_commutator_data(U)
-
-    return _run("kernel-commutator-chain", ctx.lattice_cases(), probe)
+    kernel_commutator_data(U)
 
 
-def check_enumeration_vs_scan(ctx: CheckContext) -> CheckResult:
-    def probe(G, H) -> Optional[str]:
-        fast = {U.elements for U in ctx.subdirects(G, H)}
-        slow = {U.elements for U in subdirect_by_scan(G, H)}
-        if fast != slow:
-            return f"enumeration {len(fast)} vs scan {len(slow)}"
-        return None
+@check(lambda ctx: ctx.scan_pairs())
+def check_enumeration_vs_scan(G, H) -> Optional[str]:
+    """Scan pairs are at most SCAN_CAP, so within every product cap."""
+    fast = {U.elements for U in enumerate_subdirect(G, H)}
+    slow = {U.elements for U in subdirect_by_scan(G, H)}
+    if fast != slow:
+        return f"enumeration {len(fast)} vs scan {len(slow)}"
+    return None
 
-    return _run("enumeration-vs-scan", ctx.scan_pairs(), probe)
 
-
-def check_star_monotonicity(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: itertools.chain(ctx.composable_triples(),
+                                   _lattice_stars(ctx)))
+def check_star_monotonicity(U, V, W) -> Optional[str]:
     """k1 grows and p1 shrinks across a composition."""
-    def cases():
-        yield from ctx.composable_triples()
-        for G in ctx.squares():
-            if G.order * G.order <= SCAN_CAP:
-                lattice = ctx.lattice(G, G)
-                yield from ctx.star_block(lattice, lattice)
-
-    def probe(U, V, W) -> Optional[str]:
-        dU = projections_kernels(U)
-        dW = projections_kernels(W)
-        if not dU.k1.is_subset_of(dW.k1):
-            return "k1(U) not inside k1(U*V)"
-        if not dW.p1.is_subset_of(dU.p1):
-            return "p1(U*V) not inside p1(U)"
-        return None
-
-    return _run("star-monotonicity", cases(), probe)
+    dU = projections_kernels(U)
+    dW = projections_kernels(W)
+    if not dU.k1.is_subset_of(dW.k1):
+        return "k1(U) not inside k1(U*V)"
+    if not dW.p1.is_subset_of(dU.p1):
+        return "p1(U*V) not inside p1(U)"
+    return None
 
 
-def check_section_relation(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: ctx.composable_triples())
+def check_section_relation(U, V, W) -> Optional[str]:
     """q(U*V) is a section of q(U) and of q(V)."""
-    def probe(U, V, W) -> Optional[str]:
-        qw = goursat_quotient(W)
-        if not is_section(qw, goursat_quotient(U)):
-            return f"q(U*V) of order {qw.order} not a section of q(U)"
-        if not is_section(qw, goursat_quotient(V)):
-            return f"q(U*V) of order {qw.order} not a section of q(V)"
-        return None
-
-    return _run("section-relation", ctx.composable_triples(), probe)
+    qw = goursat_quotient(W)
+    if not is_section(qw, goursat_quotient(U)):
+        return f"q(U*V) of order {qw.order} not a section of q(U)"
+    if not is_section(qw, goursat_quotient(V)):
+        return f"q(U*V) of order {qw.order} not a section of q(V)"
+    return None
 
 
-def check_cyclic_sylow_functoriality(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: ctx.composable_triples())
+def check_cyclic_sylow_functoriality(U, V, W) -> Optional[str]:
     """All-cyclic-Sylow sections stay all-cyclic-Sylow under star."""
-    def probe(U, V, W) -> Optional[str]:
-        if not (has_cyclic_sylows(goursat_quotient(U))
-                and has_cyclic_sylows(goursat_quotient(V))):
-            return None
-        if not has_cyclic_sylows(goursat_quotient(W)):
-            return "composite section lost the cyclic Sylow property"
+    if not (has_cyclic_sylows(goursat_quotient(U))
+            and has_cyclic_sylows(goursat_quotient(V))):
         return None
+    if not has_cyclic_sylows(goursat_quotient(W)):
+        return "composite section lost the cyclic Sylow property"
+    return None
 
-    return _run("cyclic-sylow-functoriality", ctx.composable_triples(), probe)
 
-
-def check_twisted_kernel_transport(ctx: CheckContext) -> CheckResult:
-    """k2(U) = phi(k1(U)) and the composite kernel product identities.
-
-    Cases are (G, U, phi) for each diagonal-containing U with its twist,
-    then (G, U, phi, V, psi, U*V) for each pair of them.
-    """
-    def cases():
-        for G in ctx.squares():
-            pairs = ctx.diagonal_subgroups(G)
-            for U, phi in pairs:
-                yield G, U, phi
-            subs = [U for U, _ in pairs]
-            twists = itertools.product([phi for _, phi in pairs], repeat=2)
-            for (phi, psi), (U, V, W) in zip(
-                    twists, ctx.star_block(subs, subs), strict=True):
-                yield G, U, phi, V, psi, W
-
-    def probe(G, U, phi, V=None, psi=None, W=None) -> Optional[str]:
-        dU = projections_kernels(U)
-        if V is None:
-            if phi.map_subgroup(dU.k1) != dU.k2:
-                return "k2 is not the twist image of k1"
-            return None
-        dV = projections_kernels(V)
-        dW = projections_kernels(W)
-        want1 = set_product(dU.k1, phi.inverted().map_subgroup(dV.k1))
-        want2 = set_product(dV.k2, psi.map_subgroup(dU.k2))
-        if dW.k1 != want1:
-            return "k1(U*V) != k1(U) phi^-1(k1(V))"
-        if dW.k2 != want2:
-            return "k2(U*V) != k2(V) psi(k2(U))"
+@check(lambda ctx: itertools.chain(_diagonal_cases(ctx),
+                                   _diagonal_star_cases(ctx)))
+def check_twisted_kernel_transport(G, U, phi, V=None, psi=None,
+                                   W=None) -> Optional[str]:
+    """k2(U) = phi(k1(U)) on each diagonal case (G, U, phi), and the
+    composite kernel product identities on each pair of them."""
+    dU = projections_kernels(U)
+    if V is None:
+        if phi.map_subgroup(dU.k1) != dU.k2:
+            return "k2 is not the twist image of k1"
         return None
-
-    return _run("twisted-kernel-transport", cases(), probe)
+    dV = projections_kernels(V)
+    dW = projections_kernels(W)
+    want1 = set_product(dU.k1, phi.inverted().map_subgroup(dV.k1))
+    want2 = set_product(dV.k2, psi.map_subgroup(dU.k2))
+    if dW.k1 != want1:
+        return "k1(U*V) != k1(U) phi^-1(k1(V))"
+    if dW.k2 != want2:
+        return "k2(U*V) != k2(V) psi(k2(U))"
+    return None
 
 
 # -- extensibility checks --------------------------------------------------------
 
 
-def check_side_symmetry(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: ctx.subdirect_cases())
+def check_side_symmetry(G, H, U) -> None:
     """is_extensible evaluates both kernel equalities and they agree."""
-    def probe(G, H, U) -> None:
-        is_extensible(U)
-
-    return _run("side-symmetry", ctx.subdirect_cases(), probe)
+    is_extensible(U)
 
 
-def check_oracle_agreement(ctx: CheckContext) -> CheckResult:
-    def probe(G, H, U, p) -> Optional[str]:
-        criterion = is_p_extensible(U, p)
-        oracle = oracle_is_p_extensible(U, p)
-        if criterion != oracle:
-            return f"criterion {criterion} vs oracle {oracle}"
-        return None
-
-    return _run("oracle-agreement", ctx.prime_cases(), probe)
+@check(lambda ctx: ctx.prime_cases())
+def check_oracle_agreement(G, H, U, p) -> Optional[str]:
+    criterion = is_p_extensible(U, p)
+    oracle = oracle_is_p_extensible(U, p)
+    if criterion != oracle:
+        return f"criterion {criterion} vs oracle {oracle}"
+    return None
 
 
-def check_sufficiency_soundness(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: ctx.subdirect_cases())
+def check_sufficiency_soundness(G, H, U) -> Optional[str]:
     """Shortcut verdicts never contradict the exact criterion."""
-    def probe(G, H, U) -> Optional[str]:
-        exact = is_extensible(U)
-        if cyclic_sylow_sufficient(U) and not exact:
-            return "cyclic-Sylow fired on inextensible U"
-        if G is H and contains_twisted_diagonal(U) is not None:
-            if central_inextensibility(U) is False and exact:
-                return "central shortcut fired on extensible U"
-        return None
-
-    return _run("sufficiency-soundness", ctx.subdirect_cases(), probe)
+    exact = is_extensible(U)
+    if cyclic_sylow_sufficient(U) and not exact:
+        return "cyclic-Sylow fired on inextensible U"
+    if G is H and contains_twisted_diagonal(U) is not None:
+        if central_inextensibility(U) is False and exact:
+            return "central shortcut fired on extensible U"
+    return None
 
 
-def check_obstruction_soundness(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: ctx.prime_cases())
+def check_obstruction_soundness(G, H, U, p) -> Optional[str]:
     """Trivial p-part of (k1 cap G')/[k1,G] forces p-extensibility."""
-    def probe(G, H, U, p) -> Optional[str]:
-        k1 = projections_kernels(U).k1
-        if not obstruction_quotient(G, k1).p_part_trivial(p):
-            return None
-        if not is_p_extensible(U, p):
-            return "trivial obstruction but inextensible"
+    k1 = projections_kernels(U).k1
+    if not obstruction_quotient(G, k1).p_part_trivial(p):
         return None
+    if not is_p_extensible(U, p):
+        return "trivial obstruction but inextensible"
+    return None
 
-    return _run("obstruction-soundness", ctx.prime_cases(), probe)
 
-
-def check_twisted_kernel_identity(ctx: CheckContext) -> CheckResult:
+@check(_diagonal_cases)
+def check_twisted_kernel_identity(G, U, phi) -> None:
     """k_i(U') = [k_i(U), G] on every diagonal-containing subgroup."""
-    def cases():
-        for G in ctx.squares():
-            for U, phi in ctx.diagonal_subgroups(G):
-                yield G, U, phi
-
-    def probe(G, U, phi) -> None:
-        twisted_kernel_identity(U)
-
-    return _run("twisted-kernel-identity", cases(), probe)
+    twisted_kernel_identity(U)
 
 
-def check_star_preservation(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: _plain_diagonal_stars(ctx, is_extensible))
+def check_star_preservation(G, U, V, W) -> Optional[str]:
     """Kernel condition at i=1,2 holds iff the composite is extensible."""
-    def cases():
-        for G in ctx.squares():
-            subs = [U for U in ctx.plain_diagonal_subgroups(G)
-                    if is_extensible(U)]
-            for U, V, W in ctx.star_block(subs, subs):
-                yield G, U, V, W
-
-    def probe(G, U, V, W) -> Optional[str]:
-        condition = (star_preservation_condition(U, V, side=1, composite=W)
-                     and star_preservation_condition(U, V, side=2,
-                                                     composite=W))
-        actual = is_extensible(W)
-        if condition != actual:
-            return f"condition {condition} but composite extensible={actual}"
-        return None
-
-    return _run("star-preservation", cases(), probe)
+    condition = (star_preservation_condition(U, V, side=1, composite=W)
+                 and star_preservation_condition(U, V, side=2, composite=W))
+    actual = is_extensible(W)
+    if condition != actual:
+        return f"condition {condition} but composite extensible={actual}"
+    return None
 
 
-def check_star_kernel_sections(ctx: CheckContext) -> CheckResult:
+@check(_plain_diagonal_stars)
+def check_star_kernel_sections(G, U, V, W) -> None:
     """The four composite kernel quotient orders match pairwise."""
-    def cases():
-        for G in ctx.squares():
-            subs = ctx.plain_diagonal_subgroups(G)
-            for U, V, W in ctx.star_block(subs, subs):
-                yield G, U, V, W
-
-    def probe(G, U, V, W) -> None:
-        star_kernel_quotient_orders(U, V, composite=W)
-
-    return _run("star-kernel-sections", cases(), probe)
+    star_kernel_quotient_orders(U, V, composite=W)
 
 
-def check_report_methods(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: ctx.subdirect_cases())
+def check_report_methods(G, H, U) -> Optional[str]:
     """Per-prime reports build cleanly and conjoin to the overall verdict."""
-    def probe(G, H, U) -> Optional[str]:
-        report = build_report(U)
-        if all(v["extensible"] for v in report.values()) != is_extensible(U):
-            return "per-prime conjunction differs from is_extensible"
-        return None
-
-    return _run("report-methods", ctx.subdirect_cases(), probe)
+    report = build_report(U)
+    if all(v["extensible"] for v in report.values()) != is_extensible(U):
+        return "per-prime conjunction differs from is_extensible"
+    return None
 
 
 # -- hom oracle checks -----------------------------------------------------------
 
 
-def check_hom_count_identity(ctx: CheckContext) -> CheckResult:
+_PRIME_SETS = ((2,), (3,), (5,), (2, 3), (2, 5), (3, 5), (2, 3, 5))
+
+
+@check(lambda ctx: ((G, pi) for G in ctx.groups if G.is_abelian
+                    for pi in _PRIME_SETS))
+def check_hom_count_identity(G, pi) -> Optional[str]:
     """|Hom(B, C_m)| = pi-part of |B| for abelian B at saturating m."""
-    def cases():
-        pis = [(2,), (3,), (5,), (2, 3), (2, 5), (3, 5), (2, 3, 5)]
-        for G in ctx.groups:
-            if not G.is_abelian:
-                continue
-            for pi in pis:
-                yield G, pi
-
-    def probe(G, pi) -> Optional[str]:
-        m = p_part(G.exponent(), pi)
-        count = len(enumerate_homs(G, m))
-        if count != p_part(G.order, pi):
-            return f"{count} homs vs {p_part(G.order, pi)}"
-        return None
-
-    return _run("hom-count-identity", cases(), probe)
+    m = p_part(G.exponent(), pi)
+    count = len(enumerate_homs(G, m))
+    if count != p_part(G.order, pi):
+        return f"{count} homs vs {p_part(G.order, pi)}"
+    return None
 
 
-def check_raw_enumerator_agreement(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: ((G, m) for G in ctx.groups for m in (1, 2, 3, 4, 6)
+                    if m ** (G.order - 1) <= 1 << 18))
+def check_raw_enumerator_agreement(G, m) -> Optional[str]:
     """The value-table search returns exactly the fast enumeration."""
-    def cases():
-        for G in ctx.groups:
-            for m in (1, 2, 3, 4, 6):
-                if m ** (G.order - 1) <= 1 << 18:
-                    yield G, m
-
-    def probe(G, m) -> Optional[str]:
-        fast = {h.key() for h in enumerate_homs(G, m)}
-        raw = {h.key() for h in raw_enumerate_homs(G, m)}
-        if fast != raw:
-            return f"{len(fast)} fast vs {len(raw)} raw"
-        return None
-
-    return _run("raw-enumerator-agreement", cases(), probe)
+    fast = {h.key() for h in enumerate_homs(G, m)}
+    raw = {h.key() for h in raw_enumerate_homs(G, m)}
+    if fast != raw:
+        return f"{len(fast)} fast vs {len(raw)} raw"
+    return None
 
 
-def check_restriction_kernel(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: ctx.modulus_cases())
+def check_restriction_kernel(G, H, U, m) -> Optional[str]:
     """Kernel of the restriction counts homs out of the common section."""
-    def probe(G, H, U, m) -> Optional[str]:
-        kernel, _ = restriction_kernel_image_sizes(U, m)
-        want = len(enumerate_homs(goursat_quotient(U), m))
-        if kernel != want:
-            return f"kernel {kernel} vs |Hom(q(U))| {want}"
-        return None
-
-    return _run("restriction-kernel", ctx.modulus_cases(), probe)
+    kernel, _ = restriction_kernel_image_sizes(U, m)
+    want = len(enumerate_homs(goursat_quotient(U), m))
+    if kernel != want:
+        return f"kernel {kernel} vs |Hom(q(U))| {want}"
+    return None
 
 
-def check_fiber_uniformity(ctx: CheckContext) -> CheckResult:
-    def probe(G, H, U, m) -> Optional[str]:
-        kernel, counts = restriction_kernel_fibers(U, m)
-        if set(counts) != {kernel}:
-            return f"fibers {set(counts)} != {kernel}"
-        return None
-
-    return _run("fiber-uniformity", ctx.modulus_cases(), probe)
+@check(lambda ctx: ctx.modulus_cases())
+def check_fiber_uniformity(G, H, U, m) -> Optional[str]:
+    kernel, counts = restriction_kernel_fibers(U, m)
+    if set(counts) != {kernel}:
+        return f"fibers {set(counts)} != {kernel}"
+    return None
 
 
-def check_coefficient_stabilization(ctx: CheckContext) -> CheckResult:
+@check(lambda ctx: ctx.prime_cases())
+def check_coefficient_stabilization(G, H, U, p) -> Optional[str]:
     """Verdicts stop changing once m saturates the exponent's p-part."""
-    def probe(G, H, U, p) -> Optional[str]:
-        m = coefficient_modulus(U, p)
-        a = oracle_is_extensible_for_modulus(U, m)
-        b = oracle_is_extensible_for_modulus(U, m * p)
-        if a != b:
-            return f"verdict changed between m={m} and m={m * p}"
-        return None
-
-    return _run("coefficient-stabilization", ctx.prime_cases(), probe)
+    m = coefficient_modulus(U, p)
+    a = oracle_is_extensible_for_modulus(U, m)
+    b = oracle_is_extensible_for_modulus(U, m * p)
+    if a != b:
+        return f"verdict changed between m={m} and m={m * p}"
+    return None
 
 
 # -- reporting checks ------------------------------------------------------------
 
 
-def check_record_roundtrip(ctx: CheckContext) -> CheckResult:
-    def probe(G, H, U) -> Optional[str]:
-        record = analyze_subgroup(U)
-        back = AnalysisRecord.from_dict(json.loads(record.to_json()))
-        if back != record:
-            return "reparse differs"
-        if record.to_json() != analyze_subgroup(U).to_json():
-            return "serialization not deterministic"
-        if record.inconsistent:
-            return "record flagged INCONSISTENT"
-        return None
-
-    return _run("record-roundtrip", ctx.subdirect_cases(), probe)
-
-
-ALL_CHECKS: tuple = (
-    check_group_axioms,
-    check_normal_product_commutator,
-    check_quotient_commutator,
-    check_abelianization_order,
-    check_isomorphism_equivalence,
-    check_goursat_roundtrip,
-    check_product_order_identity,
-    check_commutator_projection,
-    check_kernel_commutator_chain,
-    check_enumeration_vs_scan,
-    check_star_monotonicity,
-    check_section_relation,
-    check_cyclic_sylow_functoriality,
-    check_twisted_kernel_transport,
-    check_side_symmetry,
-    check_oracle_agreement,
-    check_sufficiency_soundness,
-    check_obstruction_soundness,
-    check_twisted_kernel_identity,
-    check_star_preservation,
-    check_star_kernel_sections,
-    check_report_methods,
-    check_hom_count_identity,
-    check_raw_enumerator_agreement,
-    check_restriction_kernel,
-    check_fiber_uniformity,
-    check_coefficient_stabilization,
-    check_record_roundtrip,
-)
+@check(lambda ctx: ctx.subdirect_cases())
+def check_record_roundtrip(G, H, U) -> Optional[str]:
+    record = analyze_subgroup(U)
+    back = AnalysisRecord.from_dict(json.loads(record.to_json()))
+    if back != record:
+        return "reparse differs"
+    if record.to_json() != analyze_subgroup(U).to_json():
+        return "serialization not deterministic"
+    if record.inconsistent:
+        return "record flagged INCONSISTENT"
+    return None
 
 
 def run_checks(ctx: CheckContext, names: Optional[Iterable[str]] = None) -> list:
-    """Run the selected checks (all by default), in declaration order."""
-    known = {check.__name__.removeprefix("check_").replace("_", "-"): check
-             for check in ALL_CHECKS}
+    """Run the selected checks (all by default), in definition order."""
+    known = {_check_name(sweep): sweep for sweep in ALL_CHECKS}
     if names is not None:
         unknown = sorted(set(names) - set(known))
         if unknown:
             raise KeyError(f"unknown checks: {', '.join(unknown)}")
     wanted = None if names is None else set(names)
     results = []
-    for name, check in known.items():
+    for name, sweep in known.items():
         if wanted is not None and name not in wanted:
             continue
         start = time.perf_counter()
-        result = check(ctx)
+        result = sweep(ctx)
         result.seconds = time.perf_counter() - start
         results.append(result)
     return results

@@ -155,6 +155,14 @@ def brute_is_normal(G, elems) -> bool:
                for g in range(G.order) for n in elems)
 
 
+def brute_class_sizes(G) -> list:
+    """|x^G| for every element x, by conjugating x with every g."""
+    mul = mul_table(G)
+    inv = [int(G.inverse[x]) for x in range(G.order)]
+    return [len({mul[mul[inv[g]][x]][g] for g in range(G.order)})
+            for x in range(G.order)]
+
+
 def brute_is_subgroup(G, elems) -> bool:
     mul = mul_table(G)
     elems = set(elems)

@@ -59,8 +59,8 @@ from subdirect import (
     symmetric,
 )
 from subdirect.groups import GroupHom, Subgroup, all_subgroups, \
-    conjugacy_class_sizes, interned, isomorphism_class, isomorphisms_iter, \
-    memoised, normal_subgroups
+    conjugacy_class_sizes, conjugacy_classes, interned, isomorphism_class, \
+    isomorphisms_iter, memoised, normal_subgroups
 import subdirect.groups as groups
 from subdirect.extensibility import obstruction_quotient
 from subdirect.presets import _small_registry
@@ -755,6 +755,7 @@ def test_scans_of_permutation_groups_match_the_references(G):
         helpers.join_scan_lattice(G)
     assert [N.elements for N in normals] == \
         [N.elements for N in helpers.lattice_normal_subgroups(G)]
+    assert conjugacy_class_sizes(G).tolist() == helpers.brute_class_sizes(G)
 
 
 def test_subgroup_membership_and_equality():
@@ -829,6 +830,7 @@ _MEMOISED_CALLS = {
     "generating_sequence": lambda: generating_sequence(_S3),
     "has_cyclic_sylows": lambda: has_cyclic_sylows(_S3),
     "abelianization": lambda: abelianization(_S3),
+    "conjugacy_classes": lambda: conjugacy_classes(_S3),
     "conjugacy_class_sizes": lambda: conjugacy_class_sizes(_S3),
     "automorphisms": lambda: automorphisms(_S3),
     "mutual_commutator": lambda: mutual_commutator(_DIAG, _DIAG),

@@ -765,6 +765,21 @@ def test_cli_verify_composite_cap_ignores_earlier_runs(capsys):
     assert "product order 9 above cap 6" in err
 
 
+def test_cli_verify_caps_catalog_entries(capsys):
+    """A catalog name above the cap exits 3 like a spec entry, while the
+    default whole-catalog selection still sweeps within the cap."""
+    for entries in ("D8", "D8xC2"):
+        code, out, err = run_cli(capsys, "verify", "--G", entries,
+                                 "--max-order", "4")
+        assert code == 3, err
+        assert "cap exceeded: order of D8 above cap 4" in err
+    code, out, err = run_cli(capsys, "verify", "--G", "D8",
+                             "--max-order", "8")
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "verify", "--max-order", "4")
+    assert code == 0, err
+
+
 def test_cli_products_do_not_outlive_their_factors(capsys):
     def live_products() -> list:
         return [obj for obj in gc.get_objects()

@@ -122,6 +122,14 @@ def test_case_counts_small_selection():
         assert res.seconds > 0
 
 
+def test_each_check_is_registered_once_under_its_function_name():
+    names = [r.name for r in run_checks(CheckContext([]))]
+    assert len(names) == len(set(names)) == len(verification.ALL_CHECKS)
+    for name, check in zip(names, verification.ALL_CHECKS):
+        assert check.__name__ == "check_" + name.replace("-", "_")
+        assert [r.name for r in run_checks(CheckContext([]), [name])] == [name]
+
+
 def _reachable_caches(roots) -> list:
     """The _cache dicts of every group and subgroup reachable from roots
     through memoised values, products and homomorphisms."""
