@@ -41,7 +41,7 @@ U = subgroup_generated(info.group, [info.encode(g, g) for g in range(6)]
 print("coset subgroup order:", U.order, "subdirect:", is_subdirect(U))
 quint = goursat_quintuple(U)
 print("kernels:", quint.k1.elements, quint.k2.elements,
-      "section order:", quint.q1.order)
+      "section order:", quint.phi.domain.order)
 
 # Extraction and reconstruction are mutually inverse.
 print("roundtrip recovers U:", subgroup_from_quintuple(quint) == U)

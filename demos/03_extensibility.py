@@ -54,7 +54,7 @@ print("  central shortcut fires:", central_inextensibility(V) is False)
 # The obstruction lives in (K meet G') / [K, G] for the kernel K.
 data = projections_kernels(V)
 q = obstruction_quotient(D8, data.k1)
-print("  obstruction quotient:", q.invariants.describe(),
+print("  obstruction quotient:", q.describe(),
       "of order", q.order)
 
 # Per-prime report with methods and witnesses.

@@ -24,13 +24,11 @@ from .errors import (
     SubdirectError,
 )
 from .extensibility import (
-    ObstructionQuotient,
     build_report,
     central_inextensibility,
     cyclic_sylow_sufficient,
     is_extensible,
     is_p_extensible,
-    is_pi_extensible,
     kernel_commutator_data,
     obstruction_quotient,
     star_kernel_quotient_orders,

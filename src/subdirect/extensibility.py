@@ -2,14 +2,16 @@
 
 For a subdirect U <= G x H and a coefficient group whose n-torsion is
 cyclic of order n restricted to a prime set, extension of every hom on
-U comes down to a kernel condition: the derived kernel k1([U,U]) must
-exhaust G' intersected with k1(U), prime by prime.  The functions here
-compute that condition, the cheaper sufficient tests around it, and the
-behaviour of all of them under relation composition of subgroups.
+U comes down to a kernel condition: k_i([U,U]) must exhaust the derived
+subgroup of the factor intersected with k_i(U), prime by prime, and by
+theory it holds for i = 1 exactly when for i = 2.  The functions here
+compute it on both sides, the cheaper sufficient tests around it, and
+the behaviour of all of them under relation composition of subgroups.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,18 +56,13 @@ METHOD_ORACLE = "oracle"
 
 @dataclass(frozen=True)
 class KernelCommutatorData:
-    """Kernels of U and of [U, U], with the bracketing subgroups.
-
-    The containment chain [k_i(U), p_i(U)] <= k_i([U,U]) <= p_i(U)'
-    intersect k_i(U) is verified on construction for both sides.
+    """The kernel chain [k_i(U), p_i(U)] <= k_i([U,U]) <= p_i(U)' cap
+    k_i(U) of a product subgroup U, verified on construction for i = 1, 2.
     """
 
-    derived: Subgroup
-    k1: Subgroup
     k1_of_derived: Subgroup
     commutator_k1_p1: Subgroup
     p1_derived_cap_k1: Subgroup
-    k2: Subgroup
     k2_of_derived: Subgroup
     commutator_k2_p2: Subgroup
     p2_derived_cap_k2: Subgroup
@@ -74,8 +71,7 @@ class KernelCommutatorData:
 @memoised("kernel_commutator")
 def kernel_commutator_data(U: Subgroup) -> KernelCommutatorData:
     d = projections_kernels(U)
-    derived = mutual_commutator(U, U)
-    dd = projections_kernels(derived)
+    dd = projections_kernels(mutual_commutator(U, U))
     c1 = mutual_commutator(d.k1, d.p1)
     c2 = mutual_commutator(d.k2, d.p2)
     info = product_of(U)
@@ -85,80 +81,51 @@ def kernel_commutator_data(U: Subgroup) -> KernelCommutatorData:
         raise InternalInconsistency("kernel chain fails on the left")
     if not (c2.is_subset_of(dd.k2) and dd.k2.is_subset_of(cap2)):
         raise InternalInconsistency("kernel chain fails on the right")
-    return KernelCommutatorData(derived, d.k1, dd.k1, c1, cap1,
-                                d.k2, dd.k2, c2, cap2)
+    return KernelCommutatorData(dd.k1, c1, cap1, dd.k2, c2, cap2)
+
+
+def _both_sides(U: Subgroup, same, where: str = "") -> bool:
+    """same(k_i([U,U]), p_i(U)' cap k_i(U)) for a subdirect U, evaluated
+    for i = 1 and 2.  By theory the two agree; a disagreement aborts
+    loudly instead of picking one."""
+    require_subdirect(U)
+    data = kernel_commutator_data(U)
+    left = same(data.k1_of_derived, data.p1_derived_cap_k1)
+    right = same(data.k2_of_derived, data.p2_derived_cap_k2)
+    if left != right:
+        raise InternalInconsistency(
+            f"left and right kernel criteria disagree{where}")
+    return left
 
 
 def is_extensible(U: Subgroup) -> bool:
-    """Exact criterion: G' cap k1(U) equals k1([U, U]).
-
-    Both sides of the product are evaluated; by theory they must agree,
-    and a disagreement aborts loudly instead of picking one.
-    """
-    require_subdirect(U)
-    data = kernel_commutator_data(U)
-    left = data.k1_of_derived == data.p1_derived_cap_k1
-    right = data.k2_of_derived == data.p2_derived_cap_k2
-    if left != right:
-        raise InternalInconsistency(
-            "left and right kernel criteria disagree")
-    return left
+    """Exact criterion: G' cap k1(U) equals k1([U, U])."""
+    return _both_sides(U, operator.eq)
 
 
 def is_p_extensible(U: Subgroup, p: int) -> bool:
     """Exact criterion at one prime: equal p-parts of the two kernels."""
-    require_subdirect(U)
-    data = kernel_commutator_data(U)
-    left = (p_part(data.k1_of_derived.order, (p,))
-            == p_part(data.p1_derived_cap_k1.order, (p,)))
-    right = (p_part(data.k2_of_derived.order, (p,))
-             == p_part(data.p2_derived_cap_k2.order, (p,)))
-    if left != right:
-        raise InternalInconsistency(
-            f"left and right kernel criteria disagree at p={p}")
-    return left
-
-
-def is_pi_extensible(U: Subgroup, primes) -> bool:
-    return all(is_p_extensible(U, p) for p in sorted(set(primes)))
+    return _both_sides(U, lambda a, b: (p_part(a.order, (p,))
+                                        == p_part(b.order, (p,))),
+                       f" at p={p}")
 
 
 # -- obstruction quotient ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionQuotient:
-    """(K cap G') / [K, G] for a normal subgroup K of G.
+def obstruction_quotient(G: FiniteGroup, K: Subgroup) -> AbelianInvariants:
+    """Invariants of (K cap G') / [K, G] for K normal in G, memoised on K.
 
     Trivial p-part here means no hom with kernel data at K can obstruct
     extension at p.
     """
-
-    base: Subgroup
-    denominator: Subgroup
-    invariants: AbelianInvariants
-
-    @property
-    def order(self) -> int:
-        return self.base.order // self.denominator.order
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
-    def p_part_trivial(self, p: int) -> bool:
-        return p_part(self.order, (p,)) == 1
-
-
-def obstruction_quotient(G: FiniteGroup, K: Subgroup) -> ObstructionQuotient:
-    """The obstruction quotient of K in G, memoised on K."""
     if K.parent is not G:
         raise ValueError("subgroup of a different parent")
     return _obstruction_of(K)
 
 
 @memoised("obstruction")
-def _obstruction_of(K: Subgroup) -> ObstructionQuotient:
+def _obstruction_of(K: Subgroup) -> AbelianInvariants:
     G = K.parent
     if not is_normal(K):
         raise NotNormal("obstruction quotient needs a normal subgroup")
@@ -169,7 +136,7 @@ def _obstruction_of(K: Subgroup) -> ObstructionQuotient:
     quot, _ = subgroup_quotient(base, den)
     if not quot.is_abelian:
         raise InternalInconsistency("obstruction quotient is not abelian")
-    return ObstructionQuotient(base, den, abelian_invariants(quot))
+    return abelian_invariants(quot)
 
 
 # -- sufficient conditions -----------------------------------------------------
@@ -183,35 +150,21 @@ def cyclic_sylow_sufficient(U: Subgroup) -> Optional[bool]:
     return True if has_cyclic_sylows(goursat_quotient(U)) else None
 
 
-@dataclass(frozen=True)
-class TwistedKernelData:
-    """k_i([U,U]) against [k_i(U), G] for diagonal-containing U."""
-
-    k1_of_derived: Subgroup
-    commutator_k1_G: Subgroup
-    k2_of_derived: Subgroup
-    commutator_k2_G: Subgroup
-    witness: object
-
-
-def twisted_kernel_identity(U: Subgroup) -> TwistedKernelData:
+def twisted_kernel_identity(U: Subgroup) -> None:
     """For U containing a twisted diagonal, k_i([U,U]) = [k_i(U), G].
 
     The equality is a theorem for such U; failure raises, it is never
     reported as data.
     """
-    witness = contains_twisted_diagonal(U)
-    if witness is None:
+    if contains_twisted_diagonal(U) is None:
         raise NoDiagonal("subgroup contains no twisted diagonal")
     G = product_of(U).left
+    d = projections_kernels(U)
     data = kernel_commutator_data(U)
-    c1 = mutual_commutator(data.k1, G.full())
-    c2 = mutual_commutator(data.k2, G.full())
-    if data.k1_of_derived != c1 or data.k2_of_derived != c2:
+    if data.k1_of_derived != mutual_commutator(d.k1, G.full()) \
+            or data.k2_of_derived != mutual_commutator(d.k2, G.full()):
         raise InternalInconsistency(
             "derived kernel differs from [k_i(U), G] despite a diagonal")
-    return TwistedKernelData(data.k1_of_derived, c1, data.k2_of_derived, c2,
-                             witness)
 
 
 def central_inextensibility(U: Subgroup) -> Optional[bool]:
@@ -333,7 +286,7 @@ def build_report(U: Subgroup, primes=None) -> dict:
     if primes is None:
         primes = prime_factors(info.group.order)
     data = kernel_commutator_data(U)
-    obstruction = obstruction_quotient(info.left, data.k1)
+    obstruction = obstruction_quotient(info.left, projections_kernels(U).k1)
     cyclic_ok = cyclic_sylow_sufficient(U)
     central_primes: tuple = ()
     if info.left is info.right and contains_twisted_diagonal(U) is not None:
@@ -342,7 +295,7 @@ def build_report(U: Subgroup, primes=None) -> dict:
         "k1_derived_order": data.k1_of_derived.order,
         "derived_cap_k1_order": data.p1_derived_cap_k1.order,
         "commutator_k1_order": data.commutator_k1_p1.order,
-        "obstruction_divisors": list(obstruction.invariants.divisors),
+        "obstruction_divisors": list(obstruction.divisors),
     }
     report = {}
     for p in sorted(set(int(p) for p in primes)):

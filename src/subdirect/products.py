@@ -145,21 +145,14 @@ def require_subdirect(U: Subgroup) -> None:
 
 @dataclass(frozen=True)
 class GoursatQuintuple:
-    """The five-piece description of a product subgroup.
-
-    ``to_q1``/``to_q2`` map factor element indices to coset indices of
-    p1/k1 and p2/k2 (-1 outside the projection), and ``phi`` is the
-    induced isomorphism between those quotients.
-    """
+    """The five-piece description of a product subgroup: ``phi`` is the
+    induced isomorphism between the memoised :func:`subgroup_quotient`
+    groups p1/k1 and p2/k2."""
 
     p1: Subgroup
     k1: Subgroup
-    k2: Subgroup
     p2: Subgroup
-    q1: FiniteGroup
-    q2: FiniteGroup
-    to_q1: np.ndarray
-    to_q2: np.ndarray
+    k2: Subgroup
     phi: GroupHom
 
 
@@ -176,8 +169,8 @@ def _checked_quintuple(p1: Subgroup, k1: Subgroup, p2: Subgroup, k2: Subgroup,
                        cosets1, cosets2) -> GoursatQuintuple:
     """The quintuple whose phi, checked to be a bijective hom, maps coset
     cosets1[i] of p1/k1 to coset cosets2[i] of p2/k2, listing all of p1/k1."""
-    q1, to_q1 = subgroup_quotient(p1, k1)
-    q2, to_q2 = subgroup_quotient(p2, k2)
+    q1, _ = subgroup_quotient(p1, k1)
+    q2, _ = subgroup_quotient(p2, k2)
     image = np.full(q1.order, -1, dtype=np.int64)
     image[cosets1] = cosets2
     try:
@@ -186,12 +179,12 @@ def _checked_quintuple(p1: Subgroup, k1: Subgroup, p2: Subgroup, k2: Subgroup,
         raise InvalidQuintuple(str(exc)) from exc
     if not phi.is_bijective:
         raise InvalidQuintuple("coset map is not bijective")
-    return GoursatQuintuple(p1, k1, k2, p2, q1, q2, to_q1, to_q2, phi)
+    return GoursatQuintuple(p1, k1, p2, k2, phi)
 
 
 def goursat_quotient(U: Subgroup) -> FiniteGroup:
     """p1(U) / k1(U), the section common to both sides."""
-    return goursat_quintuple(U).q1
+    return goursat_quintuple(U).phi.domain
 
 
 def make_quintuple(p1: Subgroup, k1: Subgroup, p2: Subgroup, k2: Subgroup,
@@ -231,10 +224,12 @@ def subgroup_from_quintuple(quint: GoursatQuintuple) -> Subgroup:
     1 x k2, so a lift of each generator of p1 and (1, k) for each
     generator k of k2 generate it: its generators when first interned."""
     info = _product(quint.p1.parent, quint.p2.parent)
+    _, to_q1 = subgroup_quotient(quint.p1, quint.k1)
+    _, to_q2 = subgroup_quotient(quint.p2, quint.k2)
     gs = np.array(quint.p1.elements)
     hs = np.array(quint.p2.elements)
-    want = quint.phi.image[quint.to_q1[gs]]
-    match = want[:, None] == quint.to_q2[hs][None, :]
+    want = quint.phi.image[to_q1[gs]]
+    match = want[:, None] == to_q2[hs][None, :]
     if np.count_nonzero(match) != quint.p1.order * quint.k2.order:
         raise InvalidQuintuple("order bookkeeping failed")
     elements = info.encode(gs[:, None], hs[None, :])[match]
@@ -261,9 +256,9 @@ def _subdirects(P: FiniteGroup) -> tuple:
     G, H = P.product_info.left, P.product_info.right
     by_K = [(K, *subgroup_quotient(G.full(), K)) for K in normal_subgroups(G)]
     by_L = [(L, *subgroup_quotient(H.full(), L)) for L in normal_subgroups(H)]
-    subs = {subgroup_from_quintuple(GoursatQuintuple(
-                G.full(), K, L, H.full(), QG, QH, to_G, to_H, iso))
-            for K, QG, to_G in by_K for L, QH, to_H in by_L
+    subs = {subgroup_from_quintuple(
+                GoursatQuintuple(G.full(), K, H.full(), L, iso))
+            for K, QG, _ in by_K for L, QH, _ in by_L
             if QG.order == QH.order for iso in isomorphisms_iter(QG, QH)}
     return tuple(sorted(subs, key=lambda s: s.elements))
 

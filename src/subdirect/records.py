@@ -32,7 +32,6 @@ from .homoracle import (
 from .presets import identify_small_group
 from .products import (
     contains_twisted_diagonal,
-    goursat_quintuple,
     goursat_quotient,
     is_section,
     is_subdirect,
@@ -150,7 +149,7 @@ def analyze_subgroup(U: Subgroup, primes=None, *,
     }
     quotient = None
     if subdirect:
-        quotient = _quotient_summary(goursat_quintuple(U).q1)
+        quotient = _quotient_summary(goursat_quotient(U))
     contains_diag = None
     if info.left is info.right:
         contains_diag = contains_twisted_diagonal(U) is not None

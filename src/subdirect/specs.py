@@ -172,6 +172,8 @@ def _group_from_json(payload, max_order: int) -> FiniteGroup:
         return from_cayley_table(table, label=name)
     if kind == "permutations":
         degree = _int_field(data, "degree")
+        if degree < 0:
+            raise ParseError(f"permutation degree {degree} is negative")
         gens = data.get("generators")
         if not isinstance(gens, list) or not gens:
             raise ParseError("permutation spec needs a 'generators' list")
@@ -213,17 +215,19 @@ def parse_permutation(value, degree: int) -> tuple:
         if not re.fullmatch(r"(\([^()]*\))+", stripped):
             raise ParseError(f"bad cycle notation {value!r}")
         perm = list(range(degree))
+        seen: set = set()
         for cycle_text in _CYCLE.findall(body):
             tokens = re.split(r"[,\s]+", cycle_text.strip())
             try:
                 points = [int(tok) for tok in tokens if tok]
             except ValueError:
                 raise ParseError(f"non-integer point in {value!r}") from None
-            if len(points) != len(set(points)):
-                raise ParseError(f"repeated point in cycle {cycle_text!r}")
             for a in points:
                 if not 0 <= a < degree:
                     raise ParseError(f"point {a} out of range in {value!r}")
+                if a in seen:
+                    raise ParseError(f"point {a} repeated in {value!r}")
+                seen.add(a)
             for i, a in enumerate(points):
                 perm[a] = points[(i + 1) % len(points)]
         return tuple(perm)

@@ -506,7 +506,7 @@ def check_sufficiency_soundness(G, H, U) -> Optional[str]:
 def check_obstruction_soundness(G, H, U, p) -> Optional[str]:
     """Trivial p-part of (k1 cap G')/[k1,G] forces p-extensibility."""
     k1 = projections_kernels(U).k1
-    if not obstruction_quotient(G, k1).p_part_trivial(p):
+    if p_part(obstruction_quotient(G, k1).order, (p,)) != 1:
         return None
     if not is_p_extensible(U, p):
         return "trivial obstruction but inextensible"

@@ -190,9 +190,11 @@ def test_06_derived_kernel_equals_bracket(capsys):
                          if contains_twisted_diagonal(U) is not None]
         assert with_diagonal
         for U in with_diagonal:
-            data = twisted_kernel_identity(U)
-            assert data.k1_of_derived == data.commutator_k1_G
-            assert data.k2_of_derived == data.commutator_k2_G
+            twisted_kernel_identity(U)
+            d = projections_kernels(U)
+            data = kernel_commutator_data(U)
+            assert data.k1_of_derived == mutual_commutator(d.k1, G.full())
+            assert data.k2_of_derived == mutual_commutator(d.k2, G.full())
             cases += 1
     report(capsys, "06 derived kernels equal commutator brackets", cases)
 

@@ -23,10 +23,11 @@ from subdirect import (
     enumerate_subdirect,
     is_extensible,
     is_p_extensible,
-    is_pi_extensible,
     kernel_commutator_data,
+    mutual_commutator,
     obstruction_quotient,
     oracle_is_p_extensible,
+    p_part,
     quaternion8,
     star_kernel_quotient_orders,
     star_preservation_condition,
@@ -118,8 +119,11 @@ def test_is_p_extensible_center_example():
     U = d8_center_example()
     assert not is_p_extensible(U, 2)
     assert is_p_extensible(U, 3)
-    assert is_pi_extensible(U, [3, 5])
-    assert not is_pi_extensible(U, [2, 3])
+    assert is_p_extensible(U, 5)
+    data = kernel_commutator_data(U)
+    k, cap = data.k1_of_derived.order, data.p1_derived_cap_k1.order
+    assert p_part(k, (3, 5)) == p_part(cap, (3, 5))
+    assert p_part(k, (2, 3)) != p_part(cap, (2, 3))
 
 
 def test_per_prime_conjunction_equals_overall():
@@ -142,8 +146,8 @@ def test_obstruction_quotient_trivial_kernel():
     G = symmetric(3)
     one = subgroup_generated(G, [])
     q = obstruction_quotient(G, one)
-    assert q.is_trivial
-    assert q.invariants.divisors == ()
+    assert q.order == 1
+    assert q.divisors == ()
 
 
 def test_obstruction_quotient_center():
@@ -151,16 +155,16 @@ def test_obstruction_quotient_center():
     Z = subgroup_generated(D, [2])
     q = obstruction_quotient(D, Z)
     assert q.order == 2
-    assert q.invariants.divisors == (2,)
-    assert not q.p_part_trivial(2)
-    assert q.p_part_trivial(3)
+    assert q.divisors == (2,)
+    assert p_part(q.order, (2,)) != 1
+    assert p_part(q.order, (3,)) == 1
 
 
 def test_obstruction_quotient_a3():
     G = symmetric(3)
     A = commutator_subgroup(G)
     q = obstruction_quotient(G, A)
-    assert q.is_trivial
+    assert q.order == 1
 
 
 def test_obstruction_triviality_implies_extensible():
@@ -175,7 +179,7 @@ def test_obstruction_triviality_implies_extensible():
                 continue
             q = obstruction_quotient(G, data.k1)
             for p in prime_factors(info.group.order):
-                if q.p_part_trivial(p):
+                if p_part(q.order, (p,)) == 1:
                     assert is_p_extensible(U, p)
 
 
@@ -194,14 +198,15 @@ def test_cyclic_sylow_soundness():
 
 
 def test_twisted_kernel_identity_examples():
-    data = twisted_kernel_identity(diagonal(symmetric(3)))
-    assert data.k1_of_derived.order == 1
-    assert data.commutator_k1_G.order == 1
-    data = twisted_kernel_identity(d8_center_example())
-    assert data.k1_of_derived.order == 1
-    data = twisted_kernel_identity(s3_a3_example())
-    assert data.k1_of_derived.order == 3
-    assert data.commutator_k2_G.order == 3
+    from subdirect.products import product_of, projections_kernels
+    for U, order in ((diagonal(symmetric(3)), 1), (d8_center_example(), 1),
+                     (s3_a3_example(), 3)):
+        assert twisted_kernel_identity(U) is None
+        assert kernel_commutator_data(U).k1_of_derived.order == order
+        G = product_of(U).left
+        d = projections_kernels(U)
+        assert mutual_commutator(d.k1, G.full()).order == order
+        assert mutual_commutator(d.k2, G.full()).order == order
 
 
 def test_twisted_kernel_identity_requires_diagonal():

@@ -16,6 +16,7 @@ from subdirect import (
     CyclicHom,
     FactorMismatch,
     FiniteGroup,
+    GoursatQuintuple,
     GroupHom,
     InvalidQuintuple,
     NotAutomorphism,
@@ -216,6 +217,20 @@ def test_make_quintuple_diagonal():
     assert U == diagonal(G)
     assert info.group.full() == subgroup_from_quintuple(
         make_quintuple(G.full(), G.full(), G.full(), G.full(), [(0, 0)]))
+
+
+def test_goursat_quintuple_is_five_pieces_over_the_memoised_quotients():
+    assert [f.name for f in dataclasses.fields(GoursatQuintuple)] == \
+        ["p1", "k1", "p2", "k2", "phi"]
+    S3 = symmetric(3)
+    A3 = commutator_subgroup(S3)
+    quints = [goursat_quintuple(U) for G in (dihedral(8), S3)
+              for U in enumerate_subdirect(G, G)]
+    quints.append(make_quintuple(S3.full(), A3, S3.full(), A3,
+                                 [(0, 0), (1, 1)]))
+    for quint in quints:
+        assert quint.phi.domain is subgroup_quotient(quint.p1, quint.k1)[0]
+        assert quint.phi.codomain is subgroup_quotient(quint.p2, quint.k2)[0]
 
 
 def test_failed_order_check_leaves_the_intern_table_unchanged():
@@ -557,8 +572,10 @@ def test_subdirects_with_one_section_share_factor_data():
         assert dU.p1 is dV.p1 is G.full()
         assert dU.k1 is dV.k1
         qU, qV = goursat_quintuple(U), goursat_quintuple(V)
-        assert qU.q1 is qV.q1
-        assert qU.to_q1 is qV.to_q1 and not qU.to_q1.flags.writeable
+        assert qU.phi.domain is qV.phi.domain
+        to_q1 = subgroup_quotient(dU.p1, dU.k1)[1]
+        assert to_q1 is subgroup_quotient(dV.p1, dV.k1)[1]
+        assert not to_q1.flags.writeable
         assert (kernel_commutator_data(U).p1_derived_cap_k1
                 is kernel_commutator_data(V).p1_derived_cap_k1)
     assert mutual_commutator(G.full(), G.full()) is commutator_subgroup(G)

@@ -13,7 +13,7 @@ import time
 import types
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 
@@ -95,6 +95,15 @@ def test_load_group_permutations_json():
                    '{"degree": 3, "generators": ["(0 1 2)", "(0 1)"]}}')
     assert G.order == 6
     assert is_isomorphic(G, symmetric(3))
+
+
+def test_load_group_permutation_degree_is_not_negative():
+    spec = {"kind": "permutations",
+            "data": {"degree": 0, "generators": ["()"]}}
+    assert load_group(json.dumps(spec)).order == 1
+    spec["data"]["degree"] = -1
+    with pytest.raises(ParseError, match="degree -1 is negative"):
+        load_group(json.dumps(spec))
 
 
 def test_load_group_from_file(tmp_path):
@@ -277,11 +286,12 @@ def test_diagonal_descriptor_needs_equal_factors():
         load_product_subgroup(info, "diagonal")
 
 
-# Fuzzed descriptions.  Presets and permutation closures build their
-# whole |G|^2 table before any order cap is checked, so every integer is
-# drawn from -3..12 and the fields that set a group's size exponentially
-# (symmetric and alternating degrees, elementary abelian p and k,
-# permutation degrees) from -3..4.
+# Fuzzed descriptions.  Every group is checked against the order cap
+# before its table is built, but a group under the default cap of 1296
+# is still built in full.  So that each of the 300 examples stays a
+# small build, every integer is drawn from -3..12 and the fields that
+# set a group's size exponentially (symmetric and alternating degrees,
+# elementary abelian p and k, permutation degrees) from -3..4.
 _SMALL = st.integers(-3, 12)
 _SIZE = st.integers(-3, 4)
 # deferred, so that "x | _JUNK" draws x half of the time
@@ -339,6 +349,8 @@ _SUBGROUP_DESCRIPTORS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(payload=_GROUP_SPECS | _SHORTHANDS)
+@example(payload={"kind": "permutations",
+                  "data": {"degree": 3, "generators": ["(0 1)(1 2)"]}})
 def test_load_group_raises_only_library_errors(payload):
     try:
         load_group(payload if isinstance(payload, str)
@@ -997,6 +1009,35 @@ def test_cli_malformed_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, "analyze", *argv)
     assert code == 2
     assert "input error" in err
+
+
+_POINT_IN_TWO_CYCLES = json.dumps(
+    {"kind": "permutations", "data": {"degree": 3,
+                                      "generators": ["(0 1)(1 2)"]}})
+_NEGATIVE_DEGREE = json.dumps(
+    {"kind": "permutations", "data": {"degree": -1, "generators": ["()"]}})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("analyze", "--G", _POINT_IN_TWO_CYCLES, "--U", "full"),
+     "point 1 repeated"),
+    (("analyze", "--G", _NEGATIVE_DEGREE, "--U", "full"),
+     "permutation degree -1 is negative"),
+    (("verify", "--G", _NEGATIVE_DEGREE),
+     "permutation degree -1 is negative"),
+], ids=["point-in-two-cycles", "negative-degree", "negative-degree-verify"])
+def test_cli_bad_permutation_spec_exits_2_without_a_traceback(argv, message):
+    src = pathlib.Path(subdirect.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from subdirect.cli import main; sys.exit(main())",
+         *argv],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60)
+    err = run.stderr.decode()
+    assert run.returncode == 2, err
+    assert f"input error: {message}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--G", "--U"])
