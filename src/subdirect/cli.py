@@ -76,8 +76,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="write a line-oriented JSON report here")
     sub.add_argument("--max-order", type=_order_cap,
                      default=DEFAULT_PRODUCT_CAP, metavar="N",
-                     help="largest product the command may build, "
-                     "including products in --G/--H and the G x G of star "
+                     help="largest table the command may build: each group "
+                     "--G/--H describe (preset, cayley, permutation closure) "
+                     "and product in them, G x H, and star's H x G and G x G "
                      f"(default {DEFAULT_PRODUCT_CAP})")
     sub.add_argument("--raw-oracle", action="store_true",
                      help="cross-check with the exhaustive value-table hom "
@@ -120,8 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write one JSON object per check here")
     p.add_argument("--max-order", type=_order_cap,
                    default=DEFAULT_PRODUCT_CAP, metavar="N",
-                   help="largest allowed |G x H| in the sweeps, and "
-                        "largest product in a --G entry")
+                   help="largest table the sweeps may build: each "
+                        "|G x H| swept, each group a --G entry names or "
+                        "describes, and each product in it "
+                        f"(default {DEFAULT_PRODUCT_CAP})")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("catalog", help="list built-in groups and presets")

@@ -16,8 +16,13 @@ Construction rule: the public constructors of ``FiniteGroup``,
 library's own builds use ``_trusted``, the same fill with no check.
 Checks stay at ``from_cayley_table``, ``specs`` and ``make_quintuple``
 quintuples, every Goursat quintuple's induced map, composite misses and
-``set_product`` (AB = BA).  ``direct_product`` checks its cap on every
-call; products derived from groups the library has are uncapped.
+``set_product`` (AB = BA).
+
+Caps, each raising OrderLimitExceeded: a group a spec or closure asks
+for and every ``direct_product`` stop above ``max_order`` (default
+:data:`DEFAULT_PRODUCT_CAP`) before a table is built, while products
+derived from groups the library has are uncapped; the lattice and
+normal subgroup scans stop after :data:`SCAN_SUBGROUP_CAP` subgroups.
 
 Derived data such as element orders, conjugacy classes and the full
 subgroup lattice is memoised in the ``_cache`` dict of the instance that
@@ -61,8 +66,11 @@ from .errors import (
 
 _DTYPE = np.int32
 
-DEFAULT_CLOSURE_CAP = 20000
-DEFAULT_LATTICE_CAP = 256
+DEFAULT_PRODUCT_CAP = 1296  # default max_order of every capped table
+# Most subgroups one lattice or normal scan finds.  Fixed, not per call:
+# both scans are memoised per group, so a per-call cap would make a
+# scan's result depend on which call ran first.
+SCAN_SUBGROUP_CAP = 1 << 15
 
 _MISSING = object()
 
@@ -252,14 +260,17 @@ def from_permutations(perms: Sequence[tuple], label: str) -> FiniteGroup:
 
 def from_permutation_generators(degree: int, generators: Sequence[Sequence[int]],
                                 label: str = "G", *,
-                                max_order: int = DEFAULT_CLOSURE_CAP
+                                max_order: int = DEFAULT_PRODUCT_CAP
                                 ) -> FiniteGroup:
     """Close a generator set under composition, breadth first.
 
     Elements are indexed in discovery order starting from the identity,
     which therefore gets index 0.  Closures above ``max_order`` elements
-    raise OrderLimitExceeded before any table is built.
+    raise OrderLimitExceeded before any table is built, and a negative
+    degree raises ValueError.
     """
+    if degree < 0:
+        raise ValueError(f"permutation degree {degree} is negative")
     gens = []
     for g in generators:
         p = tuple(int(x) for x in g)
@@ -949,8 +960,7 @@ def automorphisms(G: FiniteGroup) -> list:
 # -- subgroup lattice --------------------------------------------------------
 
 
-def _joins(G: FiniteGroup, normal: bool,
-           limit: Optional[int] = None) -> list:
+def _joins(G: FiniteGroup, normal: bool) -> list:
     """The subgroups of G, or with ``normal`` its normal subgroups, sorted
     by order, then elements.
 
@@ -964,7 +974,7 @@ def _joins(G: FiniteGroup, normal: bool,
 
     Every subgroup comes from G's interned table, so the lattice and the
     normal subgroups share their objects and memos.  Finding more than
-    ``limit`` subgroups raises OrderLimitExceeded.
+    SCAN_SUBGROUP_CAP subgroups raises OrderLimitExceeded.
     """
     table = _interned_table(G)
     found = {G.trivial().mask: G.trivial()}
@@ -982,10 +992,10 @@ def _joins(G: FiniteGroup, normal: bool,
             if joined.mask not in found:
                 found[joined.mask] = joined
                 queue.append(joined)
-                if limit is not None and len(queue) > limit:
+                if len(queue) > SCAN_SUBGROUP_CAP:
                     raise OrderLimitExceeded(
-                        f"subgroup join scan above cap {limit} subgroups "
-                        f"(order {G.order})")
+                        f"subgroup join scan above cap {SCAN_SUBGROUP_CAP} "
+                        f"subgroups (order {G.order})")
             marked[G.product[elems[:, None], right]] = True
             x = int(marked.argmin())
     return sorted(found.values(), key=lambda s: (s.order, s.elements))
@@ -997,20 +1007,15 @@ def all_subgroups(G: FiniteGroup) -> list:
     one per double coset SxS.
 
     Kept as the exhaustive cross-check for the targeted constructions;
-    capped at DEFAULT_LATTICE_CAP because the lattice grows quickly.
+    the lattice grows quickly, so the scan stops after SCAN_SUBGROUP_CAP
+    subgroups, at any order.
     """
-    if G.order > DEFAULT_LATTICE_CAP:
-        raise OrderLimitExceeded(
-            f"subgroup scan above cap {DEFAULT_LATTICE_CAP} (order {G.order})")
     return _joins(G, False)
 
 
 @memoised("normals")
 def normal_subgroups(G: FiniteGroup) -> list:
     """Every normal subgroup, as joins <N, x^G> of the normal subgroups N
-    found before with a conjugacy class, one per block N·x^G.  Up to
-    order DEFAULT_LATTICE_CAP there is no limit, as the whole lattice may
-    be scanned there; above it the scan stops after DEFAULT_LATTICE_CAP
-    normal subgroups."""
-    return _joins(G, True, None if G.order <= DEFAULT_LATTICE_CAP
-                  else DEFAULT_LATTICE_CAP)
+    found before with a conjugacy class, one per block N·x^G.  Like the
+    lattice scan, it stops after SCAN_SUBGROUP_CAP subgroups."""
+    return _joins(G, True)

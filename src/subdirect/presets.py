@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import Optional
 
 import numpy as np
 
-from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, from_permutations, \
-    is_prime, isomorphism_class
+from .groups import FiniteGroup, from_permutations, is_prime, \
+    isomorphism_class
 from .products import direct_product
 
 
@@ -53,8 +52,8 @@ def dihedral(order: int) -> FiniteGroup:
 
 
 def symmetric(n: int) -> FiniteGroup:
-    if n < 1 or math.factorial(n) > DEFAULT_CLOSURE_CAP:
-        raise ValueError("supported degrees are 1..7")
+    if n < 1:
+        raise ValueError("degree must be positive")
     perms = list(itertools.permutations(range(n)))
     return from_permutations(perms, f"S{n}")
 
@@ -76,8 +75,8 @@ def _parity(p: tuple) -> int:
 
 
 def alternating(n: int) -> FiniteGroup:
-    if n < 1 or math.factorial(n) // 2 > DEFAULT_CLOSURE_CAP:
-        raise ValueError("supported degrees are 1..7")
+    if n < 1:
+        raise ValueError("degree must be positive")
     perms = [p for p in itertools.permutations(range(n)) if _parity(p) == 0]
     return from_permutations(perms, f"A{n}")
 
@@ -111,8 +110,8 @@ def quaternion8() -> FiniteGroup:
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if k < 0 or p ** k > DEFAULT_CLOSURE_CAP:
-        raise ValueError("rank out of supported range")
+    if k < 0:
+        raise ValueError("rank must not be negative")
     n = p ** k
     table = np.zeros((n, n), dtype=np.int32)
     digit = np.arange(p, dtype=np.int32)
@@ -162,8 +161,8 @@ def preset_descriptions() -> tuple:
     return (
         "cyclic              data: {\"n\": order}",
         "dihedral            data: {\"order\": 2n}",
-        "symmetric           data: {\"n\": points}, n <= 7",
-        "alternating         data: {\"n\": points}, n <= 7",
+        "symmetric           data: {\"n\": points}",
+        "alternating         data: {\"n\": points}",
         "quaternion8         data: {}",
         "elementary_abelian  data: {\"p\": prime, \"k\": rank}",
     )

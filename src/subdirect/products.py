@@ -22,6 +22,7 @@ from .errors import (
     OrderLimitExceeded,
 )
 from .groups import (
+    DEFAULT_PRODUCT_CAP,
     FiniteGroup,
     GroupHom,
     Subgroup,
@@ -40,9 +41,6 @@ from .groups import (
     subgroup_generators,
     subgroup_quotient,
 )
-
-DEFAULT_PRODUCT_CAP = 1296
-SCAN_CAP = 144  # largest |G x H| whose full subgroup lattice is swept
 
 
 @dataclass(frozen=True)
@@ -267,14 +265,11 @@ def subdirect_by_scan(G: FiniteGroup, H: FiniteGroup) -> list:
     """Subdirect subgroups by filtering the full lattice of G x H.
 
     Exhaustive and slow; kept as the independent cross-check for
-    :func:`enumerate_subdirect`, and capped at SCAN_CAP.
+    :func:`enumerate_subdirect`.  The product is capped at its default
+    order and the lattice scan at its subgroup count.
     """
-    n = G.order * H.order
-    if n > SCAN_CAP:
-        raise OrderLimitExceeded(
-            f"subgroup scan above cap {SCAN_CAP} (order {n})")
-    info = _product(G, H)
-    return [U for U in all_subgroups(info.group) if is_subdirect(U)]
+    P = direct_product(G, H).group
+    return [U for U in all_subgroups(P) if is_subdirect(U)]
 
 
 # -- composition ---------------------------------------------------------------
@@ -382,7 +377,7 @@ def contains_twisted_diagonal(U: Subgroup) -> Optional[GroupHom]:
 @memoised("sections")
 def _section_catalogue(G: FiniteGroup) -> set:
     """Class ids of the sections S/N of G, from pairs N <= S of its
-    subgroup lattice (capped at DEFAULT_LATTICE_CAP) with N normal in S."""
+    subgroup lattice (at most SCAN_SUBGROUP_CAP) with N normal in S."""
     subgroups = all_subgroups(G)
     # unmemoised _quotient: the quotients must not stay alive on S
     return {isomorphism_class(_quotient(S, N, G.label)[0])

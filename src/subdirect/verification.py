@@ -64,7 +64,6 @@ from .homoracle import (
 )
 from .products import (
     DEFAULT_PRODUCT_CAP,
-    SCAN_CAP,
     compose_relations,
     composite_subgroup,
     contains_twisted_diagonal,
@@ -82,6 +81,7 @@ from .products import (
 from .records import AnalysisRecord, analyze_subgroup
 
 MAX_REPORTED_FAILURES = 5
+SCAN_CAP = 144  # largest |G x H| whose full subgroup lattice is swept
 
 
 @dataclass
@@ -132,10 +132,6 @@ class CheckContext:
         for U, U_rows in zip(Us, rows):
             for V, row in zip(Vs, U_rows):
                 yield U, V, composite_subgroup(group, row)
-
-    def star(self, U: Subgroup, V: Subgroup) -> Subgroup:
-        """U*V, as the interned subgroup when there is one."""
-        return next(self.star_block([U], [V]))[2]
 
     def pairs(self) -> list:
         return [(G, H) for G in self.groups for H in self.groups

@@ -64,7 +64,8 @@ from subdirect.groups import GroupHom, Subgroup, all_subgroups, \
 import subdirect.groups as groups
 from subdirect.extensibility import obstruction_quotient
 from subdirect.presets import _small_registry
-from subdirect.products import SCAN_CAP, projections_kernels
+from subdirect.products import projections_kernels
+from subdirect.verification import SCAN_CAP
 
 
 def test_trivial_table():
@@ -103,6 +104,11 @@ def test_permutation_generators_s3():
 def test_permutation_generators_empty_is_trivial():
     G = from_permutation_generators(4, [])
     assert G.order == 1
+
+
+def test_permutation_generators_refuse_a_negative_degree():
+    with pytest.raises(ValueError, match="degree -1 is negative"):
+        from_permutation_generators(-1, [()])
 
 
 def test_permutation_generators_quaternion_regular():
@@ -630,11 +636,17 @@ def test_normal_subgroups_match_the_lattice_filter(G):
 
 
 def test_normal_subgroups_above_the_lattice_cap():
+    """Both scans stop at the same subgroup count at every order, not at
+    an order: C257 has two subgroups, E2^8 has 417 199, all normal."""
     G = cyclic(257)
-    with pytest.raises(OrderLimitExceeded):
-        all_subgroups(G)
+    assert [S.order for S in all_subgroups(G)] == [1, 257]
     assert [S.order for S in normal_subgroups(G)] == [1, 257]
-    with pytest.raises(OrderLimitExceeded):
+    E = elementary_abelian(2, 8)
+    with pytest.raises(OrderLimitExceeded, match="above cap 32768"):
+        all_subgroups(E)
+    with pytest.raises(OrderLimitExceeded, match="above cap 32768"):
+        normal_subgroups(E)
+    with pytest.raises(OrderLimitExceeded, match="above cap 32768"):
         normal_subgroups(elementary_abelian(2, 9))
 
 

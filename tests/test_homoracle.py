@@ -49,7 +49,8 @@ from subdirect import (
 )
 from subdirect.groups import _quotient, all_subgroups
 from subdirect.presets import _small_registry
-from subdirect.products import DEFAULT_PRODUCT_CAP, SCAN_CAP
+from subdirect.products import DEFAULT_PRODUCT_CAP
+from subdirect.verification import SCAN_CAP
 
 A3 = (0, 3, 4)
 

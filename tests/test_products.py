@@ -365,12 +365,14 @@ def test_enumeration_agrees_with_scan():
 
 
 def test_subdirect_by_scan_cap_ignores_a_cached_lattice():
-    C13 = cyclic(13)
-    with pytest.raises(OrderLimitExceeded):
-        subdirect_by_scan(C13, C13)
-    assert len(all_subgroups(direct_product(C13, C13).group)) == 16
-    with pytest.raises(OrderLimitExceeded):
-        subdirect_by_scan(C13, C13)
+    # C37 x C37 (order 1369) is above the default product cap of 1296.
+    C37 = cyclic(37)
+    with pytest.raises(OrderLimitExceeded, match="above cap 1296"):
+        subdirect_by_scan(C37, C37)
+    assert len(all_subgroups(direct_product(C37, C37,
+                                            max_order=1369).group)) == 40
+    with pytest.raises(OrderLimitExceeded, match="above cap 1296"):
+        subdirect_by_scan(C37, C37)
 
 
 def test_enumerate_subdirect_cap_ignores_a_cached_product():

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -18,6 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 import helpers
 
 import subdirect
+import subdirect.presets as presets
+import subdirect.products as products
 import subdirect.specs as specs
 import subdirect.verification as verification
 from subdirect import (
@@ -41,8 +44,8 @@ from subdirect import (
     symmetric,
     write_records,
 )
-from subdirect.cli import main
-from subdirect.products import ProductGroup
+from subdirect.cli import build_parser, main
+from subdirect.products import DEFAULT_PRODUCT_CAP, ProductGroup
 from subdirect.records import AnalysisRecord, RECORD_SCHEMA
 from subdirect.specs import (
     load_group,
@@ -154,6 +157,35 @@ def test_max_order_raises_the_preset_cap():
     assert load_group("C1500", max_order=1500).order == 1500
     with pytest.raises(OrderLimitExceeded):
         load_group("C1500", max_order=1499)
+
+
+def test_max_order_is_the_only_limit_on_permutation_presets(monkeypatch):
+    def stop(*args):
+        raise RuntimeError("table build started")
+
+    monkeypatch.setattr(presets, "from_permutations", stop)
+    for text, order in (("S8", 40320), ("A8", 20160)):
+        with pytest.raises(RuntimeError, match="table build started"):
+            load_group(text, max_order=order)
+        with pytest.raises(OrderLimitExceeded):
+            load_group(text, max_order=order - 1)
+
+
+def test_every_table_cap_defaults_to_the_product_cap():
+    for fn, name in ((subdirect.groups.from_permutation_generators,
+                      "max_order"),
+                     (products.direct_product, "max_order"),
+                     (products.enumerate_subdirect, "max_order"),
+                     (load_group, "max_order"),
+                     (CheckContext, "product_cap")):
+        default = inspect.signature(fn).parameters[name].default
+        assert default == DEFAULT_PRODUCT_CAP, fn.__name__
+    parser = build_parser()
+    for argv in (("analyze", "--G", "S3", "--U", "full"),
+                 ("subdirects", "--G", "S3"),
+                 ("star", "--G", "S3", "--U", "full", "--V", "full"),
+                 ("verify",)):
+        assert parser.parse_args(argv).max_order == DEFAULT_PRODUCT_CAP
 
 
 _A6 = json.dumps({"name": "A6", "kind": "permutations",
@@ -717,8 +749,8 @@ def test_cli_verify_above_order_64_exits_0(capsys):
 
 
 def test_cli_subdirects_of_a_factor_above_the_lattice_cap(capsys):
-    # The normal subgroups of C257 come from normal closures, not from a
-    # subgroup lattice scan, which stops above order 256.
+    # The scans stop at a subgroup count, not at an order: C257 (order
+    # 257) has two normal subgroups.
     code, out, err = run_cli(capsys, "subdirects", "--G", "C257", "--H", "C2",
                              "--max-order", "1000")
     assert code == 0, err
@@ -726,13 +758,29 @@ def test_cli_subdirects_of_a_factor_above_the_lattice_cap(capsys):
 
 
 def test_cli_subdirects_of_many_normal_subgroups_above_the_cap_exits_3(capsys):
-    # E2^9 (order 512) has millions of subgroups, all normal: above
-    # order 256 the normal subgroup scan stops at 256 of them.
+    # E2^9 (order 512) has millions of subgroups, all normal: the normal
+    # subgroup scan stops once it has found 32 768 of them.
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "subdirects", "--G", "E2^9", "--H", "C2")
     assert code == 3
     assert "cap exceeded" in err
     assert time.perf_counter() - start < 30
+
+
+def test_cli_subdirects_of_e2_8_stops_at_the_scan_cap():
+    # E2^8 (order 256) has 417 199 normal subgroups; the scan stops at
+    # 32 768 at every order.  Run in a child, so a scan with no stop
+    # times out rather than filling memory.
+    src = pathlib.Path(subdirect.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from subdirect.cli import main; sys.exit(main())",
+         "subdirects", "--G", "E2^8", "--H", "C2", "--max-order", "600"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=30)
+    err = run.stderr.decode()
+    assert run.returncode == 3, err
+    assert "cap exceeded" in err
 
 
 def test_cli_closed_stdout_exits_141_without_a_traceback():
