@@ -14,9 +14,11 @@ Conventions used throughout the package:
 Construction rule: the public constructors of ``FiniteGroup``,
 ``Subgroup``, ``GroupHom`` and ``CyclicHom`` check their input; the
 library's own builds use ``_trusted``, the same fill with no check.
-Checks stay at ``from_cayley_table``, ``specs`` and ``make_quintuple``
-quintuples, every Goursat quintuple's induced map, composite misses and
-``set_product`` (AB = BA).
+Checks stay at ``from_cayley_table``, ``specs``, ``make_quintuple``'s
+coset pairs, composite misses and ``set_product`` (AB = BA).  Each
+Goursat quintuple's induced map is checked once, where the quintuple is
+built: in ``make_quintuple``, the subdirect enumeration or
+``goursat_quintuple``.
 
 Caps, each raising OrderLimitExceeded: a group a spec or closure asks
 for and every ``direct_product`` stop above ``max_order`` (default
@@ -26,8 +28,9 @@ normal subgroup scans stop after :data:`SCAN_SUBGROUP_CAP` subgroups.
 
 Derived data such as element orders, conjugacy classes and the full
 subgroup lattice is memoised in the ``_cache`` dict of the instance that
-owns it.  :func:`memoised` is the one helper that reads and writes those
-dicts, in every module of the package.
+owns it.  :func:`memoised` is the one helper that reads those dicts, in
+every module of the package; besides it, only :func:`interned` writes
+to them, seeding a new subgroup with what its build already knows.
 
 Ownership rule: subgroups are interned on their group.  The
 projections and kernels of a product subgroup, and the intersections
@@ -36,7 +39,10 @@ subgroup that produced them; :func:`interned` keeps one object per
 mask on the factor, so their commutators and quotients, memoised on
 them, are computed once per factor.  The lattice, the subdirect
 enumeration and the Goursat construction intern product subgroups on
-the product group, which keeps them; checked builds are fresh.  Memo
+the product group, which keeps them; checked builds are fresh.  A
+subgroup built from a Goursat quintuple is interned with its gens, its
+projections and kernels and the quintuple, all of which belong to the
+factors and none of which refers back to it.  Memo
 keys are masks or ints, never a ``Subgroup`` or group object:
 :func:`memoised` keys a ``Subgroup`` argument by its mask.  So nothing
 memoised on a product subgroup refers back to it, and a fresh one is
@@ -162,6 +168,8 @@ class FiniteGroup:
 
     @memoised("full")
     def full(self) -> "Subgroup":
+        if self.order == 1:  # one object per mask, as interned keeps them
+            return self.trivial()
         return Subgroup._trusted(self, tuple(range(self.order)),
                                  (1 << self.order) - 1)
 
@@ -387,6 +395,14 @@ def _mask_elements(mask: int) -> tuple:
     return tuple(e for e, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
+def _distinct(values: np.ndarray, n: int) -> np.ndarray:
+    """The sorted distinct entries of an array of indices below n: one
+    boolean mask, where ``np.unique`` would sort and import ``numpy.ma``."""
+    seen = np.zeros(n, dtype=bool)
+    seen[values] = True
+    return np.flatnonzero(seen)
+
+
 def _closure(G: FiniteGroup, seed: Iterable[int], elements: tuple = (0,),
              gens: tuple = ()) -> tuple[tuple, tuple]:
     """Sorted elements of <elements, seed>, and ``gens`` followed by the
@@ -444,22 +460,34 @@ def _interned_table(G: FiniteGroup) -> dict:
     return {S.mask: S for S in (G.trivial(), G.full())}
 
 
-def interned(G: FiniteGroup, mask: int,
-             gens: Optional[tuple] = None) -> Subgroup:
+def interned(G: FiniteGroup, mask: int, gens: Optional[tuple] = None,
+             elements: Optional[tuple] = None,
+             memos: Optional[dict] = None) -> Subgroup:
     """The one shared subgroup of G with this element mask.
 
     The mask must describe a subgroup; it is not checked.  The table is
     seeded with ``G.full()`` and ``G.trivial()``, so those come back as
     themselves.  ``gens``, not checked either, seeds
     :func:`subgroup_generators` of a new object, or of one that has none.
+    A new object takes ``elements``, the mask's sorted element tuple,
+    when given, and ``memos`` into its ``_cache``; neither is checked.
+    The two seeds, which no scan or build found, take the memos they
+    lack; any other object already interned keeps its own memos.
     """
     table = _interned_table(G)
     S = table.get(mask)
     if S is None:
-        S = Subgroup._trusted(G, _mask_elements(mask), mask, gens)
-        table[mask] = S
-    elif gens is not None:
+        if elements is None:
+            elements = _mask_elements(mask)
+        S = table[mask] = Subgroup._trusted(G, elements, mask, gens)
+        if memos:
+            S._cache.update(memos)
+        return S
+    if gens is not None:
         S._cache.setdefault("gens", gens)
+    if memos and (mask == 1 or S.is_whole):
+        for key, value in memos.items():
+            S._cache.setdefault(key, value)
     return S
 
 
@@ -502,13 +530,14 @@ def _commutator_with(X: Subgroup, Y: Subgroup) -> Subgroup:
     c = G.product[G.inverse[xa][:, None], G.inverse[ta]]
     c = G.product[c, xa[:, None]]
     c = G.product[c, ta[None, :]]
-    N = subgroup_generated(G, np.unique(c))
+    N = subgroup_generated(G, _distinct(c, G.order))
     if Y.is_subset_of(X):
         return N
     while True:
         conj = G.product[G.product[G.inverse[ta][:, None],
                                    np.array(N.elements)], ta[:, None]]
-        fresh = [x for x in np.unique(conj).tolist() if not (N.mask >> x) & 1]
+        fresh = [x for x in _distinct(conj, G.order).tolist()
+                 if not (N.mask >> x) & 1]
         if not fresh:
             return N
         N = _extended(N, fresh)
@@ -555,9 +584,9 @@ def _quotient(P: Subgroup, K: Subgroup, name: str) -> tuple[FiniteGroup, np.ndar
     least, normal = _coset_minima(P, K)
     if not normal:
         raise NotNormal(f"subgroup of order {K.order} is not normal in {name}")
-    reps, coset = np.unique(least, return_inverse=True)
+    reps = _distinct(least, P.parent.order)
     to_q = np.full(P.parent.order, -1, dtype=_DTYPE)
-    to_q[np.array(P.elements)] = coset
+    to_q[np.array(P.elements)] = np.searchsorted(reps, least)
     to_q.setflags(write=False)
     qtable = to_q[P.parent.product[reps[:, None], reps]]
     return FiniteGroup._trusted(qtable, f"{name}/{K.order}"), to_q
@@ -791,7 +820,8 @@ class GroupHom:
 
     @property
     def is_bijective(self) -> bool:
-        return len(np.unique(self.image)) == self.domain.order == self.codomain.order
+        return (self.domain.order == self.codomain.order
+                == len(_distinct(self.image, self.codomain.order)))
 
     @property
     def is_identity(self) -> bool:
@@ -834,7 +864,7 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[np.ndarray, tuple]:
     for x in range(n):
         if index[x] >= 0:
             continue
-        orbit = np.unique(G.product[G.product[G.inverse, x], allg])
+        orbit = _distinct(G.product[G.product[G.inverse, x], allg], n)
         orbit.setflags(write=False)
         index[orbit] = len(classes)
         classes.append(orbit)
@@ -973,8 +1003,10 @@ def _joins(G: FiniteGroup, normal: bool) -> list:
     and each block is joined once and marked with |S|·|R| products.
 
     Every subgroup comes from G's interned table, so the lattice and the
-    normal subgroups share their objects and memos.  Finding more than
-    SCAN_SUBGROUP_CAP subgroups raises OrderLimitExceeded.
+    normal subgroups share their objects and memos.  The scan reads the
+    table and adds what it found only once it finishes: finding more
+    than SCAN_SUBGROUP_CAP subgroups raises OrderLimitExceeded and
+    leaves the table as it was.
     """
     table = _interned_table(G)
     found = {G.trivial().mask: G.trivial()}
@@ -988,9 +1020,8 @@ def _joins(G: FiniteGroup, normal: bool) -> list:
         while x:  # argmin is 0, in S, only once everything is marked
             right = classes[class_of[x]] if normal else G.product[x, elems]
             joined = _extended(S, right.tolist())
-            joined = table.setdefault(joined.mask, joined)
             if joined.mask not in found:
-                found[joined.mask] = joined
+                joined = found[joined.mask] = table.get(joined.mask, joined)
                 queue.append(joined)
                 if len(queue) > SCAN_SUBGROUP_CAP:
                     raise OrderLimitExceeded(
@@ -998,6 +1029,8 @@ def _joins(G: FiniteGroup, normal: bool) -> list:
                         f"subgroups (order {G.order})")
             marked[G.product[elems[:, None], right]] = True
             x = int(marked.argmin())
+    for mask, S in found.items():
+        table.setdefault(mask, S)
     return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 

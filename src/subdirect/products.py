@@ -191,9 +191,13 @@ def make_quintuple(p1: Subgroup, k1: Subgroup, p2: Subgroup, k2: Subgroup,
 
     ``phi_pairs`` lists pairs (g, h) of factor elements meaning that the
     coset g*k1 maps to h*k2; every coset of k1 in p1 must be covered.
+    The four subgroups come back as their factor's interned objects, the
+    ones :func:`projections_kernels` gives.
     """
     if not (k1.is_subset_of(p1) and k2.is_subset_of(p2)):
         raise InvalidQuintuple("kernels must sit inside the projections")
+    p1, k1, p2, k2 = (interned(S.parent, S.mask, None, S.elements)
+                      for S in (p1, k1, p2, k2))
     try:
         q1, to_q1 = subgroup_quotient(p1, k1)
         q2, to_q2 = subgroup_quotient(p2, k2)
@@ -220,7 +224,14 @@ def subgroup_from_quintuple(quint: GoursatQuintuple) -> Subgroup:
     """The subgroup {(g, h) : phi(g k1) = h k2}, interned on the factor
     product once its order checks out.  It maps onto p1 with kernel
     1 x k2, so a lift of each generator of p1 and (1, k) for each
-    generator k of k2 generate it: its generators when first interned."""
+    generator k of k2 generate it: its generators when first interned.
+
+    The quintuple must be checked, with the factors' interned subgroups,
+    as :func:`make_quintuple`, the enumeration and
+    :func:`goursat_quintuple` build it.  A new object is interned with
+    its elements, its generators, its projections and kernels (p1, k1,
+    p2, k2) and the quintuple itself as memos, so its analysis need not
+    derive them again; one already interned keeps its own memos."""
     info = _product(quint.p1.parent, quint.p2.parent)
     _, to_q1 = subgroup_quotient(quint.p1, quint.k1)
     _, to_q2 = subgroup_quotient(quint.p2, quint.k2)
@@ -230,12 +241,15 @@ def subgroup_from_quintuple(quint: GoursatQuintuple) -> Subgroup:
     match = want[:, None] == to_q2[hs][None, :]
     if np.count_nonzero(match) != quint.p1.order * quint.k2.order:
         raise InvalidQuintuple("order bookkeeping failed")
-    elements = info.encode(gs[:, None], hs[None, :])[match]
+    elements = tuple(info.encode(gs[:, None], hs[None, :])[match].tolist())
     g = np.array(subgroup_generators(quint.p1), dtype=np.int64)
     h = hs[match[np.searchsorted(gs, g)].argmax(axis=1)]
     k = np.array(subgroup_generators(quint.k2), dtype=np.int64)
     gens = (*info.encode(g, h).tolist(), *info.encode(0, k).tolist())
-    return interned(info.group, _mask_of(elements.tolist()), gens)
+    memos = {"quintuple": quint,
+             "projections": ProjectionData(quint.p1, quint.k1,
+                                           quint.p2, quint.k2)}
+    return interned(info.group, _mask_of(elements), gens, elements, memos)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -244,7 +258,12 @@ def subgroup_from_quintuple(quint: GoursatQuintuple) -> Subgroup:
 def enumerate_subdirect(G: FiniteGroup, H: FiniteGroup, *,
                         max_order: int = DEFAULT_PRODUCT_CAP) -> list:
     """All subgroups of G x H with both projections surjective, sorted by
-    element tuple: a fresh list of the product's interned objects."""
+    element tuple: a fresh list of the product's interned objects.
+
+    Each comes from a checked Goursat quintuple (G, K, H, L, phi), one
+    per isomorphism phi of G/K onto H/L; one first interned here carries
+    that quintuple and its projections, see
+    :func:`subgroup_from_quintuple`."""
     return list(_subdirects(direct_product(G, H, max_order=max_order).group))
 
 
@@ -252,11 +271,11 @@ def enumerate_subdirect(G: FiniteGroup, H: FiniteGroup, *,
 def _subdirects(P: FiniteGroup) -> tuple:
     """One Goursat subgroup per isomorphism between quotients G/K, H/L."""
     G, H = P.product_info.left, P.product_info.right
-    by_K = [(K, *subgroup_quotient(G.full(), K)) for K in normal_subgroups(G)]
-    by_L = [(L, *subgroup_quotient(H.full(), L)) for L in normal_subgroups(H)]
-    subs = {subgroup_from_quintuple(
-                GoursatQuintuple(G.full(), K, H.full(), L, iso))
-            for K, QG, _ in by_K for L, QH, _ in by_L
+    by_K = [(K, subgroup_quotient(G.full(), K)[0]) for K in normal_subgroups(G)]
+    by_L = [(L, subgroup_quotient(H.full(), L)[0]) for L in normal_subgroups(H)]
+    subs = {subgroup_from_quintuple(_checked_quintuple(
+                G.full(), K, H.full(), L, np.arange(QG.order), iso.image))
+            for K, QG in by_K for L, QH in by_L
             if QG.order == QH.order for iso in isomorphisms_iter(QG, QH)}
     return tuple(sorted(subs, key=lambda s: s.elements))
 
@@ -360,8 +379,10 @@ def _diagonal_masks(G: FiniteGroup) -> list:
     return [(phi, twisted_diagonal(G, phi).mask) for phi in automorphisms(G)]
 
 
+@memoised("twisted_diagonal")
 def contains_twisted_diagonal(U: Subgroup) -> Optional[GroupHom]:
-    """First automorphism phi (identity first) with (g, phi(g)) all in U."""
+    """First automorphism phi (identity first) with (g, phi(g)) all in U,
+    or None, memoised on U: phi belongs to the factor, not to U."""
     info = product_of(U)
     if info.left is not info.right:
         raise ValueError("both factors must be the same group")

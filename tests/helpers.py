@@ -33,8 +33,9 @@ generator-based ``groups.mutual_commutator``, the one join per double
 coset of ``groups._joins`` and ``homoracle._restriction_matrix``
 replaced, and :func:`pairwise_extend_hom`
 is the loop over pairs of factor homs that the row search of
-``homoracle.extend_hom`` replaced.  :func:`preset_subdirects`
-is not an oracle: it lists the subdirect products, beyond the catalog,
+``homoracle.extend_hom`` replaced.  :func:`preset_subdirects` and
+:func:`permutation_groups` are not oracles: they list the subdirect
+products, beyond the catalog, and draw the small permutation groups
 that several test modules share.
 """
 
@@ -42,6 +43,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+
+from hypothesis import strategies as st
 
 
 def brute_closure(mul, seed) -> frozenset:
@@ -570,3 +573,15 @@ def preset_subdirects() -> tuple:
     pairs = ((S4, S4), (dihedral(8), quaternion8()), (A4, A4), (D12, D12),
              (D8C2, D8C2))
     return tuple(U for G, H in pairs for U in enumerate_subdirect(G, H))
+
+
+@st.composite
+def permutation_groups(draw, max_degree: int = 6):
+    """Groups generated by one to three permutations of degree at most
+    ``max_degree``."""
+    from subdirect import from_permutation_generators
+
+    degree = draw(st.integers(1, max_degree))
+    gens = draw(st.lists(st.permutations(range(degree)),
+                         min_size=1, max_size=3))
+    return from_permutation_generators(degree, gens)

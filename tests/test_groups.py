@@ -637,17 +637,19 @@ def test_normal_subgroups_match_the_lattice_filter(G):
 
 def test_normal_subgroups_above_the_lattice_cap():
     """Both scans stop at the same subgroup count at every order, not at
-    an order: C257 has two subgroups, E2^8 has 417 199, all normal."""
+    an order: C257 has two subgroups, E2^8 has 417 199, all normal.  A
+    scan that stops interns none of the subgroups it found."""
     G = cyclic(257)
     assert [S.order for S in all_subgroups(G)] == [1, 257]
     assert [S.order for S in normal_subgroups(G)] == [1, 257]
     E = elementary_abelian(2, 8)
-    with pytest.raises(OrderLimitExceeded, match="above cap 32768"):
-        all_subgroups(E)
-    with pytest.raises(OrderLimitExceeded, match="above cap 32768"):
-        normal_subgroups(E)
-    with pytest.raises(OrderLimitExceeded, match="above cap 32768"):
-        normal_subgroups(elementary_abelian(2, 9))
+    E9 = elementary_abelian(2, 9)
+    for scan, group in ((all_subgroups, E), (normal_subgroups, E),
+                        (normal_subgroups, E9)):
+        before = len(groups._interned_table(group))
+        with pytest.raises(OrderLimitExceeded, match="above cap 32768"):
+            scan(group)
+        assert len(groups._interned_table(group)) == before, scan
 
 
 def test_normal_subgroups_are_the_lattice_objects():
@@ -749,17 +751,8 @@ def test_normal_scan_above_the_lattice_cap_is_complete(F):
             assert set_product(A, B).mask in masks
 
 
-@st.composite
-def permutation_groups(draw):
-    """Groups generated by one to three permutations of degree <= 6."""
-    degree = draw(st.integers(1, 6))
-    gens = draw(st.lists(st.permutations(range(degree)),
-                         min_size=1, max_size=3))
-    return from_permutation_generators(degree, gens)
-
-
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(permutation_groups())
+@given(helpers.permutation_groups())
 def test_scans_of_permutation_groups_match_the_references(G):
     assume(G.order <= SCAN_CAP)
     normals = normal_subgroups(G)

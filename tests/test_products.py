@@ -67,7 +67,8 @@ from subdirect.groups import _interned_table, all_subgroups, interned, \
     isomorphism_class, isomorphisms_iter, normal_subgroups
 from subdirect.presets import _small_registry
 from subdirect.products import product_of, projections_kernels
-from subdirect.specs import load_group
+from subdirect.specs import load_group, load_product_subgroup
+from subdirect.verification import CheckContext, run_checks
 
 
 def pair_subgroup(info, pairs):
@@ -265,6 +266,89 @@ def test_goursat_subgroups_carry_generating_sets():
             == U.elements, U
         assert (mutual_commutator(U, U).elements
                 == helpers.all_pairs_commutator(U, U)), U
+
+
+def _assert_carries_the_derived_data(U: Subgroup) -> None:
+    """U's Goursat memos equal what its elements give: the same
+    quintuple, and the very factor objects as projections and kernels."""
+    assert goursat_quintuple(U) == goursat_quintuple.__wrapped__(U), U
+    carried, derived = (projections_kernels(U),
+                        projections_kernels.__wrapped__(U))
+    for piece in ("p1", "k1", "p2", "k2"):
+        assert getattr(carried, piece) is getattr(derived, piece), (U, piece)
+
+
+def _spy_on_body(monkeypatch, memo) -> list:
+    """Record each run of the body behind a memoised function, on a miss."""
+    cell = next(c for c in memo.__closure__
+                if c.cell_contents is memo.__wrapped__)
+    calls = []
+    body = cell.cell_contents
+
+    def spy(*args):
+        calls.append(args)
+        return body(*args)
+
+    monkeypatch.setattr(cell, "cell_contents", spy)
+    return calls
+
+
+def test_goursat_subgroups_carry_their_goursat_data():
+    """A subgroup first interned from a quintuple carries that quintuple
+    and its projections and kernels: every preset subdirect, the
+    non-subdirect D8 quintuple and a quintuple spec."""
+    D8 = dihedral(8)
+    V = subgroup_from_quintuple(make_quintuple(
+        subgroup_generated(D8, [1]), subgroup_generated(D8, [2]),
+        subgroup_generated(D8, [2, 4]), subgroup_generated(D8, [2]),
+        [(0, 0), (1, 4)]))
+    S3 = symmetric(3)
+    spec = ('{"quintuple": {"p1": [0, 1, 2, 3, 4, 5], "k1": [0, 3, 4], '
+            '"p2": [0, 1, 2, 3, 4, 5], "k2": [0, 3, 4], '
+            '"phi": [[0, 0], [1, 1]]}}')
+    W = load_product_subgroup(direct_product(S3, S3), spec)
+    assert W.order == 18 and not is_subdirect(V)
+    for U in (*helpers.preset_subdirects(), V, W):
+        assert {"quintuple", "projections"} <= set(U._cache), U
+        _assert_carries_the_derived_data(U)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(helpers.permutation_groups(4), helpers.permutation_groups(4))
+def test_subdirects_of_permutation_groups_carry_their_goursat_data(G, H):
+    for U in enumerate_subdirect(G, H):
+        _assert_carries_the_derived_data(U)
+
+
+def test_subdirect_analysis_derives_no_goursat_data(monkeypatch):
+    """Analysing the subdirects of fresh S4 x S4 reads every quintuple
+    and projection from the enumeration, and scans the automorphisms
+    for each U once, for the record and the report together."""
+    S4 = symmetric(4)
+    subdirects = enumerate_subdirect(S4, S4)
+    assert len(subdirects) == 32
+    bodies = {memo.__name__: _spy_on_body(monkeypatch, memo)
+              for memo in (goursat_quintuple, projections_kernels,
+                           contains_twisted_diagonal)}
+    for U in subdirects:
+        analyze_subgroup(U)
+    ids = {id(U) for U in subdirects}
+    assert {name: [args for args in calls if id(args[0]) in ids]
+            for name, calls in bodies.items()} == {
+        "goursat_quintuple": [], "projections_kernels": [],
+        "contains_twisted_diagonal": [(U,) for U in subdirects]}
+
+
+def test_goursat_roundtrip_check_derives_each_lattice_quintuple(monkeypatch):
+    """verify's goursat-roundtrip derives the quintuple of every lattice
+    subgroup from its elements once: the lattice interns each subgroup
+    first, so a rebuild from its quintuple carries nothing over."""
+    ctx = CheckContext([symmetric(3), cyclic(4)])
+    lattice = [U for G, H in ctx.scan_pairs() for U in ctx.lattice(G, H)]
+    bodies = _spy_on_body(monkeypatch, goursat_quintuple)
+    [result] = run_checks(ctx, ["goursat-roundtrip"])
+    assert result.passed and result.checked == len(lattice)
+    assert bodies == [(U,) for U in lattice]
 
 
 def test_lattice_subgroups_keep_their_generators_as_subdirects():

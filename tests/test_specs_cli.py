@@ -783,6 +783,22 @@ def test_cli_subdirects_of_e2_8_stops_at_the_scan_cap():
     assert "cap exceeded" in err
 
 
+def test_cli_verify_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, 10-20 ms per process;
+    # the library dedupes with boolean masks instead.
+    src = pathlib.Path(subdirect.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from subdirect.cli import main; code = main(); "
+         "print('numpy.ma' in sys.modules, file=sys.stderr); sys.exit(code)",
+         "verify", "--G", "C2,S3"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60)
+    err = run.stderr.decode()
+    assert run.returncode == 0, err
+    assert err.splitlines()[-1] == "False", err
+
+
 def test_cli_closed_stdout_exits_141_without_a_traceback():
     # D8xC2 x D8xC2 prints about 600 kB, more than a pipe buffer holds,
     # so the child is still writing when the reader closes its end.
