@@ -229,30 +229,31 @@ def cmd_star(args) -> int:
 
 
 def cmd_subdirects(args) -> int:
+    """Analyse, print or write, and drop one subdirect at a time; the
+    summary counts grow as the records pass, and print last."""
     G, H = _load_pair(args)
     subs = enumerate_subdirect(G, H, max_order=args.max_order)
     primes = _primes_from(args)
-    records = [analyze_subgroup(U, primes, raw_oracle=args.raw_oracle)
-               for U in subs]
-    effective = records[0].primes if records else []
-    summary = {
-        "count": len(records),
-        "extensible_count": {
-            str(p): sum(1 for r in records if r.per_prime[str(p)]["extensible"])
-            for p in effective
-        },
-        "inconsistent_count": sum(1 for r in records if r.inconsistent),
-    }
+    summary = {"count": 0, "extensible_count": {}, "inconsistent_count": 0}
+
+    def analysed():
+        for U in subs:
+            record = analyze_subgroup(U, primes, raw_oracle=args.raw_oracle)
+            summary["count"] += 1
+            summary["inconsistent_count"] += record.inconsistent
+            counts = summary["extensible_count"]
+            for p, entry in record.per_prime.items():
+                counts[p] = counts.get(p, 0) + entry["extensible"]
+            yield record
+
     if args.out:
-        write_records(args.out, records,
+        write_records(args.out, analysed(),
                       extra_header={"left": G.label, "right": H.label})
     else:
-        for record in records:
+        for record in analysed():
             print(record.to_json())
     print(json.dumps(summary, sort_keys=True))
-    if any(r.inconsistent for r in records):
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    return EXIT_VERIFICATION if summary["inconsistent_count"] else EXIT_OK
 
 
 def _selection(text: str) -> list:
@@ -326,7 +327,7 @@ def cmd_catalog(args) -> int:
     for name in catalog_names():
         G = catalog_group(name)
         print(f"  {name:8s} order {G.order}")
-    print("shorthand grammar: Cn, Dn (order n), Sn, An, Q8, Ep^k, "
+    print("shorthand grammar: Cn, Dn (order n), Sn, An, Q8, Dic12, Ep^k, "
           "and x-products such as C2xS3")
     print("presets for JSON specs (kind='preset'):")
     for line in preset_descriptions():

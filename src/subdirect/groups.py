@@ -24,7 +24,8 @@ Caps, each raising OrderLimitExceeded: a group a spec or closure asks
 for and every ``direct_product`` stop above ``max_order`` (default
 :data:`DEFAULT_PRODUCT_CAP`) before a table is built, while products
 derived from groups the library has are uncapped; the lattice and
-normal subgroup scans stop after :data:`SCAN_SUBGROUP_CAP` subgroups.
+normal subgroup scans stop after :data:`SCAN_SUBGROUP_CAP` subgroups,
+and a scan that stopped raises again at once when asked again.
 
 Derived data such as element orders, conjugacy classes and the full
 subgroup lattice is memoised in the ``_cache`` dict of the instance that
@@ -1034,7 +1035,6 @@ def _joins(G: FiniteGroup, normal: bool) -> list:
     return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 
-@memoised("lattice")
 def all_subgroups(G: FiniteGroup) -> list:
     """Every subgroup, as joins <S, x> of the subgroups S found before,
     one per double coset SxS.
@@ -1043,12 +1043,32 @@ def all_subgroups(G: FiniteGroup) -> list:
     the lattice grows quickly, so the scan stops after SCAN_SUBGROUP_CAP
     subgroups, at any order.
     """
-    return _joins(G, False)
+    return _scan(G, False)
 
 
-@memoised("normals")
 def normal_subgroups(G: FiniteGroup) -> list:
     """Every normal subgroup, as joins <N, x^G> of the normal subgroups N
     found before with a conjugacy class, one per block N·x^G.  Like the
     lattice scan, it stops after SCAN_SUBGROUP_CAP subgroups."""
-    return _joins(G, True)
+    return _scan(G, True)
+
+
+def _scan(G: FiniteGroup, normal: bool) -> list:
+    """``_joins(G, normal)``, run once per group: a scan that stopped at
+    the cap raises its OrderLimitExceeded again at once, rescanning
+    nothing."""
+    found = _scan_outcome(G, int(normal))  # memo keys hold ints, no bools
+    if isinstance(found, str):
+        raise OrderLimitExceeded(found)
+    return found
+
+
+@memoised("scan")
+def _scan_outcome(G: FiniteGroup, normal: int) -> Union[list, str]:
+    """The scan's subgroups, or the message of the cap it stopped at.
+    Only the message is kept: the exception's traceback would keep the
+    stopped scan's subgroups alive."""
+    try:
+        return _joins(G, normal)
+    except OrderLimitExceeded as exc:
+        return str(exc)

@@ -164,6 +164,7 @@ def preset_descriptions() -> tuple:
         "symmetric           data: {\"n\": points}",
         "alternating         data: {\"n\": points}",
         "quaternion8         data: {}",
+        "dicyclic12          data: {}",
         "elementary_abelian  data: {\"p\": prime, \"k\": rank}",
     )
 

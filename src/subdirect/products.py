@@ -61,10 +61,6 @@ class ProductGroup:
         """Left and right factor indices of product elements, as arrays."""
         return np.divmod(np.asarray(elements), self.right.order)
 
-    def pairs(self, elements: Sequence[int]) -> list:
-        """[g, h] factor index lists, the report's 'pairs' field."""
-        return np.stack(self.split(elements), axis=1).tolist()
-
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, *,
                    max_order: int = DEFAULT_PRODUCT_CAP) -> ProductGroup:

@@ -5,17 +5,21 @@ header documenting the schema version and the element encoding; every
 following line is one analysis record.  All values are plain JSON types
 chosen so that a parsed record compares equal to the one that was
 written, and identical inputs always serialise to identical bytes (the
-timing field is therefore forced to null on disk).
+timing field, which nothing measures, is null on disk).  A record's
+'pairs' are held as the subgroup's encoded element tuple and expanded
+to [g, h] lists only when the record is written.
 """
 
 from __future__ import annotations
 
 import json
-import time
+import os
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
+
+import numpy as np
 
 from .errors import ParseError, PreconditionFailed
 from .extensibility import (
@@ -49,19 +53,53 @@ ORACLE_ABELIANIZATION = "abelianization"
 ORACLE_RAW = "raw-value-table"
 
 
+class ElementPairs:
+    """The 'pairs' field of an analysed subgroup: its encoded element
+    tuple, shared with the subgroup, not copied, and the right factor's
+    order |H|.  It becomes the [g, h] lists of the report only in
+    :meth:`tolist`, and compares equal to those lists."""
+
+    __slots__ = ("elements", "right_order")
+
+    def __init__(self, elements: tuple, right_order: int):
+        self.elements = elements
+        self.right_order = right_order
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def tolist(self) -> list:
+        """[g, h] factor index lists, element (g, h) having index g*|H| + h."""
+        split = np.divmod(np.asarray(self.elements), self.right_order)
+        return np.stack(split, axis=1).tolist()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ElementPairs):
+            other = other.tolist()
+        if not isinstance(other, list):
+            return NotImplemented
+        return self.tolist() == other
+
+    def __repr__(self) -> str:
+        return (f"ElementPairs({len(self)} elements, "
+                f"right_order={self.right_order})")
+
+
 @dataclass
 class AnalysisRecord:
     """One analysed subgroup of a direct product, JSON-ready.
 
     per_prime maps the decimal prime string to a verdict object with
     the criterion verdict, the deciding methods, the witness orders and
-    the oracle verdict (null when the oracle was skipped).
+    the oracle verdict (null when the oracle was skipped).  ``pairs`` is
+    an :class:`ElementPairs` in an analysed record and the JSON list in
+    one read back; the two compare equal.
     """
 
     schema: str
     left: dict
     right: dict
-    pairs: list
+    pairs: Union[list, ElementPairs]
     subdirect: bool
     projections: dict
     quotient: Optional[dict]
@@ -77,6 +115,8 @@ class AnalysisRecord:
 
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
+        if isinstance(self.pairs, ElementPairs):
+            data["pairs"] = self.pairs.tolist()
         data["timing_ms"] = None
         return data
 
@@ -137,7 +177,6 @@ def analyze_subgroup(U: Subgroup, primes=None, *,
     Non-subdirect subgroups are not an error here: the record carries
     the projection orders and no verdicts.
     """
-    start = time.perf_counter()
     info = product_of(U)
     subdirect = is_subdirect(U)
     proj = projections_kernels(U)
@@ -179,7 +218,7 @@ def analyze_subgroup(U: Subgroup, primes=None, *,
         schema=RECORD_SCHEMA,
         left=_group_summary(info.left),
         right=_group_summary(info.right),
-        pairs=info.pairs(U.elements),
+        pairs=ElementPairs(U.elements, info.right.order),
         subdirect=subdirect,
         projections=projections,
         quotient=quotient,
@@ -191,7 +230,6 @@ def analyze_subgroup(U: Subgroup, primes=None, *,
         oracle_mode=mode,
         inconsistent=inconsistent,
         star=None,
-        timing_ms=(time.perf_counter() - start) * 1000.0,
     )
 
 
@@ -254,15 +292,30 @@ def report_header(extra: Optional[dict] = None) -> dict:
 
 def write_records(path: Union[str, Path], records, *,
                   extra_header: Optional[dict] = None) -> int:
-    """Stream records to a report file; returns the record count."""
+    """Stream records to a report file; returns the record count.
+
+    The lines go to a temporary sibling of ``path`` as the records come,
+    and it replaces ``path`` only once the last one is written.  So an
+    error on the way, one the records raise included, leaves no partial
+    report and an existing file as it was.  An error opening or moving
+    the file names ``path``.
+    """
     path = Path(path)
+    partial = path.parent / f".{path.name}.{os.getpid()}.partial"
     count = 0
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report_header(extra_header), sort_keys=True,
-                            separators=(",", ":")) + "\n")
-        for record in records:
-            fh.write(record.to_json() + "\n")
-            count += 1
+    try:
+        with partial.open("w", encoding="utf-8") as fh:
+            fh.write(json.dumps(report_header(extra_header), sort_keys=True,
+                                separators=(",", ":")) + "\n")
+            for record in records:
+                fh.write(record.to_json() + "\n")
+                count += 1
+        os.replace(partial, path)
+    except BaseException as exc:
+        partial.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(partial):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
     return count
 
 

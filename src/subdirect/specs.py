@@ -2,7 +2,7 @@
 
 Groups come either as a shorthand string or as a JSON object:
 
-* shorthand: ``C6``, ``D8``, ``S4``, ``A4``, ``Q8``, ``E2^3`` and
+* shorthand: ``C6``, ``D8``, ``S4``, ``A4``, ``Q8``, ``Dic12``, ``E2^3`` and
   ``x``-separated products of those, for example ``C2xS3``;
 * ``@path`` loads a JSON spec file;
 * JSON: ``{"name": ..., "kind": ..., "data": ...}`` with kinds
@@ -25,8 +25,8 @@ from pathlib import Path
 from .errors import OrderLimitExceeded, ParseError
 from .groups import FiniteGroup, Subgroup, from_cayley_table, \
     from_permutation_generators, subgroup_generated
-from .presets import alternating, cyclic, dihedral, elementary_abelian, \
-    quaternion8, symmetric
+from .presets import alternating, cyclic, dicyclic12, dihedral, \
+    elementary_abelian, quaternion8, symmetric
 from .products import (
     DEFAULT_PRODUCT_CAP,
     ProductGroup,
@@ -47,6 +47,7 @@ PRESETS = {
     "alternating": (alternating, ("n",),
                     lambda n: math.prod(range(3, min(n, 64) + 1))),
     "quaternion8": (quaternion8, (), lambda: 8),
+    "dicyclic12": (dicyclic12, (), lambda: 12),
     "elementary_abelian": (elementary_abelian, ("p", "k"),
                            lambda p, k: max(p, 0) ** min(max(k, 0), 64)),
 }
@@ -54,7 +55,7 @@ PRESETS = {
 # One alternative per preset, named after its id, capturing its arguments.
 _SHORTHAND = re.compile(
     r"(?P<cyclic>C(\d+))|(?P<dihedral>D(\d+))|(?P<symmetric>S(\d+))"
-    r"|(?P<alternating>A(\d+))|(?P<quaternion8>Q8)"
+    r"|(?P<alternating>A(\d+))|(?P<quaternion8>Q8)|(?P<dicyclic12>Dic12)"
     r"|(?P<elementary_abelian>E(\d+)\^(\d+))")
 
 

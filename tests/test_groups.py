@@ -635,21 +635,36 @@ def test_normal_subgroups_match_the_lattice_filter(G):
     assert [S.elements for S in got] == [S.elements for S in want]
 
 
-def test_normal_subgroups_above_the_lattice_cap():
+def test_normal_subgroups_above_the_lattice_cap(monkeypatch):
     """Both scans stop at the same subgroup count at every order, not at
     an order: C257 has two subgroups, E2^8 has 417 199, all normal.  A
-    scan that stops interns none of the subgroups it found."""
+    scan that stops interns none of the subgroups it found, and a second
+    call raises the same error again without scanning."""
     G = cyclic(257)
     assert [S.order for S in all_subgroups(G)] == [1, 257]
     assert [S.order for S in normal_subgroups(G)] == [1, 257]
+    scans = collections.Counter()
+    joins = groups._joins
+
+    def counted(group, normal):
+        scans[id(group), normal] += 1
+        return joins(group, normal)
+
+    monkeypatch.setattr(groups, "_joins", counted)
     E = elementary_abelian(2, 8)
     E9 = elementary_abelian(2, 9)
     for scan, group in ((all_subgroups, E), (normal_subgroups, E),
                         (normal_subgroups, E9)):
         before = len(groups._interned_table(group))
-        with pytest.raises(OrderLimitExceeded, match="above cap 32768"):
-            scan(group)
-        assert len(groups._interned_table(group)) == before, scan
+        messages = []
+        for _ in range(2):
+            with pytest.raises(OrderLimitExceeded,
+                               match="above cap 32768") as raised:
+                scan(group)
+            messages.append(str(raised.value))
+            assert len(groups._interned_table(group)) == before, scan
+        assert messages[0] == messages[1]
+        assert scans[id(group), scan is normal_subgroups] == 1, scan
 
 
 def test_normal_subgroups_are_the_lattice_objects():

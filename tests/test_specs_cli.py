@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import types
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import helpers
 
 import subdirect
+import subdirect.cli as cli
 import subdirect.presets as presets
 import subdirect.products as products
 import subdirect.specs as specs
@@ -63,6 +65,18 @@ def test_shorthand_specs():
     G = load_group("D8xC2")
     assert G.product_info is not None
     assert G.label == "D8xC2"
+
+
+def test_dic12_shorthand(capsys):
+    # analyze names Dic12 as a quotient, so --G takes the name too.
+    G = load_group("Dic12")
+    assert G.label == "Dic12"
+    assert is_isomorphic(G, presets.dicyclic12())
+    assert load_group('{"kind": "preset", "data": {"id": "dicyclic12"}}'
+                      ).label == "Dic12"
+    code, out, err = run_cli(capsys, "verify", "--G", "Dic12")
+    assert code == 0, err
+    assert out.splitlines()[-1].startswith("all 28 checks passed")
 
 
 def test_shorthand_rejects_unknown():
@@ -452,6 +466,27 @@ def test_record_rejects_unknown_fields():
         AnalysisRecord.from_dict(payload)
 
 
+def test_record_pairs_share_the_subgroup_elements(tmp_path):
+    """A record keeps U's element tuple itself and expands it to the
+    [g, h] lists only when written; read back, it compares equal."""
+    info = direct_product(dihedral(8), cyclic(2))
+    subs = enumerate_subdirect(info.left, info.right)
+    records = [analyze_subgroup(U) for U in subs]
+    for U, record in zip(subs, records):
+        assert record.pairs.elements is U.elements
+        assert len(record.pairs) == U.order
+        want = [list(info.decode(x)) for x in U.elements]
+        assert record.to_dict()["pairs"] == want
+        assert record.pairs == want and want == record.pairs
+        assert record.pairs != want[:-1]
+    path = tmp_path / "report.jsonl"
+    write_records(path, records)
+    _, loaded = read_records(path)
+    assert loaded == records and records == loaded
+    assert [r.to_json() for r in loaded] == [r.to_json() for r in records]
+    assert records[0] != records[1]
+
+
 def test_write_and_read_records(tmp_path):
     G = cyclic(2)
     recs = [analyze_subgroup(U) for U in enumerate_subdirect(G, G)]
@@ -579,6 +614,7 @@ def test_star_analysis_fields():
 
 def test_timing_is_nulled_in_serialization():
     rec = analyze_subgroup(diagonal(cyclic(2)))
+    assert rec.timing_ms is None  # nothing measures it
     payload = json.loads(rec.to_json())
     assert payload["timing_ms"] is None
 
@@ -689,6 +725,92 @@ def test_cli_subdirects_deterministic_output(capsys, tmp_path):
     assert run_cli(capsys, "subdirects", "--G", "S3", "--out", str(a))[0] == 0
     assert run_cli(capsys, "subdirects", "--G", "S3", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of `subdirects` stdout with no --out, and of the --out file and
+# the summary stdout with one, recorded when every record was built
+# before the first was printed.
+PINNED_SUBDIRECTS = {
+    "subdirects --G D8xC2": (
+        "3df40a328b18594b4b46de7d34f167fd3e2f7564eb9533afd1f350490a073504",
+        "16fb63882db8b3f8500ad741845825a932d089899092ad5239ecf855db121b47",
+        "295b80058abb45a162af7804cd89a154ce391a83e12cc61b261b18d0f0a1b9b3"),
+    "subdirects --G S4 --H S3": (
+        "8ab42ab30a71e2ed4e6ef475534c08c64f1e54369a433b517d34e15a82c94700",
+        "12687fcd6f6b4d319375d947fc6be4c79b10271ffba79cb3dd04aa72f167c776",
+        "19b6367a1dabd7f79dfc05dd855a6cfdea60961b7e83921c306f0703bbec1543"),
+}
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(
+        data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_SUBDIRECTS))
+def test_cli_subdirects_stream_pinned_bytes(capsys, tmp_path, command):
+    stdout, report, summary = PINNED_SUBDIRECTS[command]
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0, err
+    assert _sha256(out) == stdout
+    path = tmp_path / "report.jsonl"
+    code, out, err = run_cli(capsys, *command.split(), "--out", str(path))
+    assert code == 0, err
+    assert _sha256(path.read_bytes()) == report
+    assert _sha256(out) == summary
+
+
+def _spy_on_records(monkeypatch, fail_at=None) -> list:
+    """Weak references to the records cli.analyze_subgroup returns, and
+    before each call the count of those still alive; the call numbered
+    ``fail_at`` raises InternalInconsistency instead."""
+    refs, alive = [], []
+    analyze = cli.analyze_subgroup
+
+    def spy(U, primes, *, raw_oracle):
+        alive.append(sum(ref() is not None for ref in refs))
+        if len(alive) == fail_at:
+            raise subdirect.InternalInconsistency("planted")
+        record = analyze(U, primes, raw_oracle=raw_oracle)
+        refs.append(weakref.ref(record))
+        return record
+
+    monkeypatch.setattr(cli, "analyze_subgroup", spy)
+    return alive
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_cli_subdirects_holds_one_record_at_a_time(capsys, monkeypatch,
+                                                   tmp_path, to_file):
+    alive = _spy_on_records(monkeypatch)
+    out_args = ("--out", str(tmp_path / "r.jsonl")) if to_file else ()
+    code, out, err = run_cli(capsys, "subdirects", "--G", "D8", *out_args)
+    assert code == 0, err
+    assert json.loads(out.splitlines()[-1])["count"] == len(alive) == 24
+    assert max(alive) == 1
+
+
+def test_cli_subdirects_fault_keeps_the_old_report(capsys, monkeypatch,
+                                                   tmp_path):
+    """A fault in the third analysis exits 1: with --out, the existing
+    file stays byte for byte and no temporary file is left; without it,
+    the first two records are already printed, and no summary."""
+    path = tmp_path / "report.jsonl"
+    path.write_bytes(b"an older report\n")
+    _spy_on_records(monkeypatch, fail_at=3)
+    code, out, err = run_cli(capsys, "subdirects", "--G", "S3",
+                             "--out", str(path))
+    assert code == 1
+    assert "internal consistency failure: planted" in err
+    assert out == ""
+    assert path.read_bytes() == b"an older report\n"
+    assert sorted(tmp_path.iterdir()) == [path]
+    _spy_on_records(monkeypatch, fail_at=3)
+    code, out, err = run_cli(capsys, "subdirects", "--G", "S3")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert all(json.loads(line)["schema"] == RECORD_SCHEMA for line in lines)
 
 
 def test_cli_star_diagonals(capsys):
