@@ -60,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -891,63 +891,76 @@ def _element_profile(G: FiniteGroup) -> list:
 # -- isomorphism search ------------------------------------------------------
 
 
-def isomorphisms_iter(G1: FiniteGroup, G2: FiniteGroup) -> Iterator[GroupHom]:
+@memoised("walk")
+def _generator_walk(G: FiniteGroup) -> list:
+    """The walk of :func:`_closure` along ``generating_sequence(G)``, one
+    list per generator g_j: the steps (z, x, k, new), z = x*g_k, that grow
+    <g_0..g_{j-1}> to <g_0..g_j>, with new on the first step to reach z."""
+    cols = [G.product[:, g].tolist() for g in generating_sequence(G)]
+    reached = [True] + [False] * (G.order - 1)
+    support, walk = [0], []
+    for j in range(len(cols)):
+        steps, frontier, todo = [], support, [j]
+        while frontier:
+            fresh = []
+            for k in todo:
+                for x in frontier:
+                    z = cols[k][x]
+                    steps.append((z, x, k, not reached[z]))
+                    if not reached[z]:
+                        reached[z] = True
+                        fresh.append(z)
+            support = support + fresh
+            frontier, todo = fresh, range(j + 1)
+        walk.append(steps)
+    return walk
+
+
+def isomorphisms_iter(G1: FiniteGroup, G2: FiniteGroup,
+                      fiber: Optional[Callable] = None) -> Iterator[GroupHom]:
     """All isomorphisms G1 -> G2 by pruned generator-image backtracking.
 
     Deterministic: generators are the greedy sequence of G1 and image
-    candidates are tried in ascending index order.  Each new generator
-    image grows the partial map along the walk of :func:`_closure`:
-    every step x -> x*g must land on img(x)*img(g), and no image is used
-    twice.  A map that keeps every generator step is a homomorphism.
+    candidates are tried in ascending index order; with ``fiber``, only
+    the set bits of the int ``fiber(x)`` are candidates for generator x.
+    Each new generator image grows the partial map along
+    :func:`_generator_walk`: every step x -> x*g must land on
+    img(x)*img(g), and no image is used twice.  A map that keeps every
+    step is a homomorphism.
     """
     if G1.order != G2.order:
         return
     prof1, prof2 = _element_profile(G1), _element_profile(G2)
-    if sorted(prof1) != sorted(prof2):
+    if G1 is not G2 and sorted(prof1) != sorted(prof2):
         return
-    gens = generating_sequence(G1)
-    cols1 = [G1.product[:, g].tolist() for g in gens]
-    n = G1.order
+    gens, walk, n = generating_sequence(G1), _generator_walk(G1), G1.order
+    rows = [(1 << n) - 1 if fiber is None else fiber(g) for g in gens]
 
-    def grow(img, used, support, steps):
-        """Copies of img and used, grown over <support, the generator of
-        steps[-1]>, and the grown support; None when a step breaks."""
-        img, used, grown = img[:], used[:], support[:]
-        frontier, todo = support, steps[-1:]
-        while frontier:
-            fresh = []
-            for col1, col2 in todo:
-                for x in frontier:
-                    z, w = col1[x], col2[img[x]]
-                    if img[z] < 0:
-                        if used[w]:
-                            return None
-                        img[z] = w
-                        used[w] = True
-                        fresh.append(z)
-                    elif img[z] != w:
-                        return None
-            grown += fresh
-            frontier, todo = fresh, steps
-        return img, used, grown
-
-    def rec(img, used, support, steps):
-        j = len(steps)
+    def rec(img, used, cols):
+        j = len(cols)
         if j == len(gens):
             # cheap final guard; the walk already kept every step
             if len(set(img)) == n:
                 yield GroupHom._trusted(G1, G2, img)
             return
-        want = prof1[gens[j]]
-        for y in range(n):
+        want, left = prof1[gens[j]], rows[j]
+        while left:  # the set bits of left, least first
+            y = (left & -left).bit_length() - 1
+            left &= left - 1
             if prof2[y] != want or used[y]:
                 continue
-            tried = steps + [(cols1[j], G2.product[:, y].tolist())]
-            grown = grow(img, used, support, tried)
-            if grown is not None:
-                yield from rec(*grown, tried)
+            tried = cols + [G2.product[:, y].tolist()]
+            grown, taken = img[:], used[:]
+            for z, x, k, new in walk[j]:
+                w = tried[k][grown[x]]
+                if new and not taken[w]:
+                    grown[z], taken[w] = w, True
+                elif new or grown[z] != w:
+                    break
+            else:
+                yield from rec(grown, taken, tried)
 
-    yield from rec([0] + [-1] * (n - 1), [True] + [False] * (n - 1), [0], [])
+    yield from rec([0] + [-1] * (n - 1), [True] + [False] * (n - 1), [])
 
 
 def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[GroupHom]:
@@ -978,7 +991,9 @@ def isomorphism_class(G: FiniteGroup) -> int:
 @memoised("automorphisms")
 def automorphisms(G: FiniteGroup) -> list:
     """All automorphisms in discovery order, which puts the identity
-    first: every candidate below the next greedy generator is used."""
+    first: every candidate below the next greedy generator is used.  No
+    module calls it (containment searches U's fibers); it is kept for
+    callers that want all of Aut(G) and as the tests' reference."""
     found = list(isomorphisms_iter(G, G))
     images = np.array([a.image for a in found]).reshape(len(found), G.order)
     fixed = (images == np.arange(G.order)).all(axis=1)

@@ -31,7 +31,6 @@ from .groups import (
     _mask_of,
     _quotient,
     all_subgroups,
-    automorphisms,
     identity_hom,
     interned,
     isomorphism_class,
@@ -369,23 +368,17 @@ def diagonal(G: FiniteGroup) -> Subgroup:
     return twisted_diagonal(G, identity_hom(G))
 
 
-@memoised("diagonal_masks")
-def _diagonal_masks(G: FiniteGroup) -> list:
-    """(phi, mask of the twisted diagonal of phi) per automorphism of G."""
-    return [(phi, twisted_diagonal(G, phi).mask) for phi in automorphisms(G)]
-
-
 @memoised("twisted_diagonal")
 def contains_twisted_diagonal(U: Subgroup) -> Optional[GroupHom]:
     """First automorphism phi (identity first) with (g, phi(g)) all in U,
-    or None, memoised on U: phi belongs to the factor, not to U."""
+    or None, memoised on U.  The search maps each generator g into U's
+    row over g only; as U is a subgroup, all of phi's graph is then in U."""
     info = product_of(U)
     if info.left is not info.right:
         raise ValueError("both factors must be the same group")
-    for phi, m in _diagonal_masks(info.left):
-        if m | U.mask == U.mask:
-            return phi
-    return None
+    G, n = info.left, info.left.order
+    return next(isomorphisms_iter(
+        G, G, lambda g: (U.mask >> g * n) & ((1 << n) - 1)), None)
 
 
 # -- sections ------------------------------------------------------------------

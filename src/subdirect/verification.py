@@ -67,7 +67,6 @@ from .products import (
     compose_relations,
     composite_subgroup,
     contains_twisted_diagonal,
-    diagonal,
     direct_product,
     enumerate_subdirect,
     goursat_quintuple,
@@ -178,17 +177,8 @@ class CheckContext:
 
     def diagonal_subgroups(self, G: FiniteGroup) -> list:
         """All U between some twisted diagonal and G x G, with witnesses."""
-        out = []
-        for U in self.subdirects(G, G):
-            witness = contains_twisted_diagonal(U)
-            if witness is not None:
-                out.append((U, witness))
-        return out
-
-    def plain_diagonal_subgroups(self, G: FiniteGroup) -> list:
-        subs = self.subdirects(G, G)
-        d = diagonal(G)
-        return [U for U in subs if d.is_subset_of(U)]
+        return [(U, phi) for U in self.subdirects(G, G)
+                if (phi := contains_twisted_diagonal(U)) is not None]
 
     def composable_triples(self):
         """(U, V, U*V) with U <= F x G, V <= G x H subdirect.
@@ -283,10 +273,11 @@ def _diagonal_star_cases(ctx: CheckContext):
 
 def _plain_diagonal_stars(ctx: CheckContext,
                           keep: Callable = lambda U: True):
-    """(G, U, V, U*V) for U, V above the diagonal of G x G and kept by
-    keep, over the squares."""
+    """(G, U, V, U*V) for U, V above the diagonal of G x G (witness the
+    identity, the search's first leaf) and kept by keep, over the squares."""
     for G in ctx.squares():
-        subs = [U for U in ctx.plain_diagonal_subgroups(G) if keep(U)]
+        subs = [U for U, phi in ctx.diagonal_subgroups(G)
+                if phi.is_identity and keep(U)]
         for U, V, W in ctx.star_block(subs, subs):
             yield G, U, V, W
 

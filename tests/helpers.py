@@ -33,10 +33,13 @@ generator-based ``groups.mutual_commutator``, the one join per double
 coset of ``groups._joins`` and ``homoracle._restriction_matrix``
 replaced, and :func:`pairwise_extend_hom`
 is the loop over pairs of factor homs that the row search of
-``homoracle.extend_hom`` replaced.  :func:`preset_subdirects` and
-:func:`permutation_groups` are not oracles: they list the subdirect
-products, beyond the catalog, and draw the small permutation groups
-that several test modules share.
+``homoracle.extend_hom`` replaced, and :func:`twisted_diagonal_by_scan`
+is the scan over all of Aut(G) that the fiber-cut search of
+``products.contains_twisted_diagonal`` replaced.
+:func:`preset_subdirects`, :func:`permutation_groups` and
+:func:`relabelled` are not oracles: they list the subdirect products,
+beyond the catalog, draw the small permutation groups and relabel the
+groups that several test modules share.
 """
 
 from __future__ import annotations
@@ -126,6 +129,17 @@ def brute_automorphisms(G) -> list:
                for a in range(n) for b in range(n)):
             out.append(img)
     return out
+
+
+def twisted_diagonal_by_scan(U):
+    """The first entry of ``automorphisms(G)`` whose graph lies in
+    U <= G x G, or None."""
+    from subdirect import automorphisms, twisted_diagonal
+    from subdirect.products import product_of
+
+    G = product_of(U).left
+    return next((phi for phi in automorphisms(G)
+                 if twisted_diagonal(G, phi).is_subset_of(U)), None)
 
 
 def perm_parity(perm) -> int:
@@ -585,3 +599,15 @@ def permutation_groups(draw, max_degree: int = 6):
     gens = draw(st.lists(st.permutations(range(degree)),
                          min_size=1, max_size=3))
     return from_permutation_generators(degree, gens)
+
+
+def relabelled(data, G):
+    """A copy of G under a relabelling drawn from data that fixes the
+    identity."""
+    import numpy as np
+
+    from subdirect import from_cayley_table
+
+    perm = np.array([0] + data.draw(st.permutations(range(1, G.order))))
+    inv = np.argsort(perm)
+    return from_cayley_table(perm[G.product[inv[:, None], inv]])

@@ -521,20 +521,13 @@ def test_small_registry_groups_get_distinct_class_ids():
     assert len({isomorphism_class(G) for _, G in registry}) == 24
 
 
-def _relabelled(data, G: FiniteGroup) -> FiniteGroup:
-    """A copy of G under a random relabelling that fixes the identity."""
-    perm = np.array([0] + data.draw(st.permutations(range(1, G.order))))
-    inv = np.argsort(perm)
-    return from_cayley_table(perm[G.product[inv[:, None], inv]])
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_isomorphism_class_is_the_isomorphism_relation(data):
     registry = [G for _, G in _small_registry()]
     G = data.draw(st.sampled_from(registry))
     H = data.draw(st.sampled_from(registry))
-    copy = _relabelled(data, G)
+    copy = helpers.relabelled(data, G)
     known = isomorphism_class(G)
     classes = len(groups._class_reps)
     assert isomorphism_class(copy) == known
@@ -578,6 +571,27 @@ def _same_search(G1: FiniteGroup, G2: FiniteGroup) -> None:
 
 
 @pytest.mark.parametrize("G", _SEARCH_GROUPS, ids=lambda G: G.label)
+def test_generator_walk_steps_each_element_by_each_generator_once(G):
+    """Step j of the walk takes every element of <g_0..g_j> by every
+    generator up to g_j, except the steps of earlier entries, and each
+    step starts from an element reached before it."""
+    gens = generating_sequence(G)
+    reached, done = {0}, set()
+    for j, steps in enumerate(groups._generator_walk(G)):
+        for z, x, k, new in steps:
+            assert x in reached and k <= j
+            assert z == G.product[x, gens[k]]
+            assert new == (z not in reached)
+            reached.add(z)
+        taken = [(x, k) for _, x, k, _ in steps]
+        assert len(set(taken)) == len(taken) and not done & set(taken)
+        done |= set(taken)
+        span = subgroup_generated(G, gens[:j + 1]).elements
+        assert reached == set(span)
+        assert done == {(x, k) for x in span for k in range(j + 1)}
+
+
+@pytest.mark.parametrize("G", _SEARCH_GROUPS, ids=lambda G: G.label)
 def test_isomorphism_search_matches_the_pairwise_reference(G):
     for H in _SEARCH_GROUPS:
         if H.order == G.order:
@@ -591,11 +605,25 @@ def test_relabelled_isomorphism_search_matches_the_pairwise_reference(data):
     G = data.draw(st.sampled_from(registry))
     H = data.draw(st.sampled_from([H for H in registry
                                    if H.order == G.order]))
-    copy = _relabelled(data, G)
+    copy = helpers.relabelled(data, G)
     _same_search(copy, H)
     _same_search(H, copy)
     for hom in isomorphisms_iter(copy, H):
         GroupHom(copy, H, hom.image)  # checks every product
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_fibered_search_is_the_search_cut_to_its_fibers(data):
+    """With fiber, the search yields, in order, exactly the isomorphisms
+    whose generator images lie in their fibers."""
+    G = data.draw(st.sampled_from([G for _, G in _small_registry()]))
+    copy = helpers.relabelled(data, G)
+    rows = {x: data.draw(st.integers(0, (1 << G.order) - 1))
+            for x in generating_sequence(copy)}
+    cut = [h.image.tolist() for h in isomorphisms_iter(copy, G, rows.get)]
+    assert cut == [h.image.tolist() for h in isomorphisms_iter(copy, G)
+                   if all(rows[x] >> h(x) & 1 for x in rows)]
 
 
 def test_p_part():

@@ -61,6 +61,7 @@ from subdirect import (
     symmetric,
     twisted_diagonal,
 )
+import subdirect.cli as cli
 import subdirect.groups as groups
 import subdirect.products as products
 from subdirect.groups import _interned_table, all_subgroups, interned, \
@@ -322,8 +323,8 @@ def test_subdirects_of_permutation_groups_carry_their_goursat_data(G, H):
 
 def test_subdirect_analysis_derives_no_goursat_data(monkeypatch):
     """Analysing the subdirects of fresh S4 x S4 reads every quintuple
-    and projection from the enumeration, and scans the automorphisms
-    for each U once, for the record and the report together."""
+    and projection from the enumeration, and searches for a twisted
+    diagonal in each U once, for the record and the report together."""
     S4 = symmetric(4)
     subdirects = enumerate_subdirect(S4, S4)
     assert len(subdirects) == 32
@@ -590,6 +591,67 @@ def test_contains_twisted_diagonal_needs_square():
     info = direct_product(symmetric(3), cyclic(6))
     with pytest.raises(ValueError):
         contains_twisted_diagonal(info.group.full())
+
+
+_D8C2 = direct_product(dihedral(8), cyclic(2)).group
+_SCAN_SQUARES = [symmetric(3), dihedral(8), quaternion8(), alternating(4),
+                 symmetric(4), dihedral(12), _D8C2, elementary_abelian(2, 3)]
+
+
+def _assert_witness_matches_the_scan(U) -> None:
+    got = contains_twisted_diagonal(U)
+    want = helpers.twisted_diagonal_by_scan(U)
+    if want is None:
+        assert got is None
+    else:
+        assert got.image.tolist() == want.image.tolist()
+
+
+@pytest.mark.parametrize("G", _SCAN_SQUARES, ids=lambda G: G.label)
+def test_twisted_diagonal_search_matches_the_automorphism_scan(G):
+    for U in enumerate_subdirect(G, G):
+        _assert_witness_matches_the_scan(U)
+
+
+@pytest.mark.parametrize("G", [symmetric(3), elementary_abelian(2, 2)],
+                         ids=lambda G: G.label)
+def test_twisted_diagonal_search_matches_the_scan_on_the_lattice(G):
+    """Every subgroup of G x G, subdirect or not."""
+    for U in all_subgroups(direct_product(G, G).group):
+        _assert_witness_matches_the_scan(U)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.data())
+def test_relabelled_twisted_diagonal_search_matches_the_scan(data):
+    G = helpers.relabelled(data, data.draw(st.sampled_from(
+        [G for G in _SCAN_SQUARES if G.order <= 12])))
+    for U in enumerate_subdirect(G, G):
+        _assert_witness_matches_the_scan(U)
+
+
+def test_twisted_diagonal_search_lists_no_automorphisms(monkeypatch,
+                                                        capsys):
+    S3 = symmetric(3)
+    phi = automorphisms(S3)[1]
+    twisted = twisted_diagonal(S3, phi)
+
+    def refuse(G):
+        raise AssertionError(f"automorphisms of {G.label} listed")
+
+    # every name the package could call it by
+    for module in (groups, products):
+        monkeypatch.setattr(module, "automorphisms", refuse, raising=False)
+    E = elementary_abelian(2, 5)
+    info = direct_product(E, E)
+    assert contains_twisted_diagonal(info.group.full()).is_identity
+    left = Subgroup(info.group, [info.encode(g, 0) for g in range(E.order)])
+    assert contains_twisted_diagonal(left) is None
+    got = contains_twisted_diagonal(twisted)
+    assert not got.is_identity
+    assert got.image.tolist() == phi.image.tolist()
+    assert cli.main(["analyze", "--G", "C2xC2xC2xC2xC2", "--U", "full"]) == 0
+    assert "contains diagonal: yes" in capsys.readouterr().out
 
 
 def test_is_section_examples():
