@@ -30,8 +30,9 @@ and a scan that stopped raises again at once when asked again.
 Derived data such as element orders, conjugacy classes and the full
 subgroup lattice is memoised in the ``_cache`` dict of the instance that
 owns it.  :func:`memoised` is the one helper that reads those dicts, in
-every module of the package; besides it, only :func:`interned` writes
-to them, seeding a new subgroup with what its build already knows.
+every module of the package; besides it, only :func:`interned` and
+``Subgroup._trusted`` write to them, seeding a new subgroup with what
+its build already knows.
 
 Ownership rule: subgroups are interned on their group.  The
 projections and kernels of a product subgroup, and the intersections
@@ -115,7 +116,8 @@ class FiniteGroup:
     Instances are immutable after construction.  ``product_info`` is
     filled in by the product builder of :mod:`subdirect.products` when
     the group is built as a direct product, so subgroups of the product
-    can recover the two factors.
+    can recover the two factors.  Such a group starts without its table,
+    as a :class:`_DeferredTable`.
     """
 
     __slots__ = ("order", "product", "inverse", "identity", "label",
@@ -189,6 +191,27 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
+
+
+class _DeferredTable(FiniteGroup):
+    """A :class:`FiniteGroup` whose ``product`` slot is not yet filled.
+    The first read of ``product`` stores ``product_info.table()`` in the
+    slot and makes the group a plain FiniteGroup, whose reads of it are
+    slot reads."""
+
+    __slots__ = ()
+
+    def __init__(self, order: int, inverse: np.ndarray, label: str):
+        """No table yet; the builder sets ``product_info`` next."""
+        self.order, self.inverse, self.identity = order, inverse, 0
+        self.label, self.product_info, self._cache = label, None, {}
+
+    @property
+    def product(self) -> np.ndarray:
+        table = self.product_info.table()
+        FiniteGroup.product.__set__(self, table)
+        self.__class__ = FiniteGroup
+        return table
 
 
 def _check_axioms(table: np.ndarray) -> None:
@@ -334,14 +357,18 @@ class Subgroup:
         if not member[parent.inverse[arr]].all():
             raise ValueError("element set is not closed under inverses")
 
-    def _fill(self, parent, elements, mask=None, gens=None) -> None:
+    def _fill(self, parent, elements, mask=None, gens=None,
+              memos=None) -> None:
         """``elements`` is a sorted tuple of Python ints and ``mask``
         its bitmask, computed when not given; ``gens``, the generators
-        a closure walk adopted, seeds :func:`subgroup_generators`."""
+        a closure walk adopted, seeds :func:`subgroup_generators`, and
+        ``memos`` whatever else the build already knows."""
         self.parent = parent
         self.elements = elements
         self.mask = _mask_of(elements) if mask is None else mask
-        self._cache = {} if gens is None else {"gens": gens}
+        self._cache = {} if memos is None else dict(memos)
+        if gens is not None:
+            self._cache["gens"] = gens
 
     @property
     def order(self) -> int:
@@ -480,9 +507,7 @@ def interned(G: FiniteGroup, mask: int, gens: Optional[tuple] = None,
     if S is None:
         if elements is None:
             elements = _mask_elements(mask)
-        S = table[mask] = Subgroup._trusted(G, elements, mask, gens)
-        if memos:
-            S._cache.update(memos)
+        S = table[mask] = Subgroup._trusted(G, elements, mask, gens, memos)
         return S
     if gens is not None:
         S._cache.setdefault("gens", gens)
@@ -935,15 +960,20 @@ def isomorphisms_iter(G1: FiniteGroup, G2: FiniteGroup,
         return
     gens, walk, n = generating_sequence(G1), _generator_walk(G1), G1.order
     rows = [(1 << n) - 1 if fiber is None else fiber(g) for g in gens]
-
-    def rec(img, used, cols):
+    rows.append(0)  # no generator after the last
+    # depth first, one stack entry per partial map on g_0..g_{j-1}: its
+    # images, the images used, their columns and the candidates left for
+    # g_j; a map that grows is resumed after the subtree it opens
+    stack = [([0] + [-1] * (n - 1), [True] + [False] * (n - 1), [], rows[0])]
+    while stack:
+        img, used, cols, left = stack.pop()
         j = len(cols)
         if j == len(gens):
             # cheap final guard; the walk already kept every step
             if len(set(img)) == n:
                 yield GroupHom._trusted(G1, G2, img)
-            return
-        want, left = prof1[gens[j]], rows[j]
+            continue
+        want = prof1[gens[j]]
         while left:  # the set bits of left, least first
             y = (left & -left).bit_length() - 1
             left &= left - 1
@@ -958,9 +988,9 @@ def isomorphisms_iter(G1: FiniteGroup, G2: FiniteGroup,
                 elif new or grown[z] != w:
                     break
             else:
-                yield from rec(grown, taken, tried)
-
-    yield from rec([0] + [-1] * (n - 1), [True] + [False] * (n - 1), [])
+                stack.append((img, used, cols, left))
+                stack.append((grown, taken, tried, rows[j + 1]))
+                break
 
 
 def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[GroupHom]:

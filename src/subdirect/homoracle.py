@@ -6,10 +6,11 @@ homomorphisms.  Coefficients are cyclic C_m written additively; a prime
 p is decided with m = p ** v_p(exponent), which carries the same
 information as any larger p-power coefficient.
 
-|Hom(U, C_m)| is the m-torsion of U/[U, U], counted with m-th powers in
-the parent's own table, so no quotient group is built and no hom of U
-is listed.  The homs of a factor group come from one walk over the
-cosets of its derived subgroup, :func:`_value_tables`.  The restriction
+|Hom(U, C_m)| is the m-torsion of U/[U, U], counted with a table of
+m-th powers, so no quotient group is built and no hom of U is listed;
+for a subgroup of G x H both come from the factors' tables.  The homs
+of a factor group come from one walk over the cosets of its derived
+subgroup, :func:`_value_tables`.  The restriction
 image is compared on the generators of U, which fix a hom.
 """
 
@@ -31,7 +32,7 @@ from .groups import (
     p_part,
     subgroup_generators,
 )
-from .products import product_of, require_subdirect
+from .products import derived_subgroup, product_of, require_subdirect
 
 RAW_SEARCH_LIMIT = 1 << 22
 # Entries of the n x n hom test per block of raw candidate tables.
@@ -268,24 +269,41 @@ def _hom_count(U: Subgroup, m: int) -> int:
     """|Hom(U, C_m)| as the m-torsion of A = U/[U, U]: every such hom
     factors through the finite abelian A, and |Hom(A, C_m)| = |A/mA| =
     |A[m]| = #{x in U : x**m in [U, U]} / |[U, U]|.  The m-th powers come
-    from square-and-multiply in the parent's table; the walk over U of
+    from the parent's :func:`_power_table`, and [U, U] of a subgroup of a
+    direct product from its factors; the walk over U of
     :func:`_value_tables` counts the same homs, the tests' reference."""
     G = U.parent
-    D = mutual_commutator(U, U)
+    D = (mutual_commutator(U, U) if G.product_info is None
+         else derived_subgroup(U))
     in_d = np.zeros(G.order, dtype=bool)
     in_d[np.array(D.elements)] = True
-    base, e = np.array(U.elements), m
-    power = np.zeros(U.order, np.int64)  # x**0, the identity at index 0
-    while e:
-        if e & 1:
-            power = G.product[power, base]
-        base, e = G.product[base, base], e >> 1
+    power = _power_table(G, m)[np.array(U.elements)]
     torsion = int(np.count_nonzero(in_d[power]))
     if torsion % D.order:
         raise InternalInconsistency(
             f"{torsion} elements of a subgroup of order {U.order} have "
             f"{m}-th powers in [U, U] of order {D.order}")
     return torsion // D.order
+
+
+@memoised("powers")
+def _power_table(G: FiniteGroup, m: int) -> np.ndarray:
+    """x**m for every element x of G, read-only: a direct product's from
+    its factors' tables, (g, h)**m being (g**m, h**m), and any other
+    group's by square-and-multiply in its own table."""
+    info = G.product_info
+    if info is not None:
+        power = (_power_table(info.left, m)[:, None] * info.right.order
+                 + _power_table(info.right, m)).ravel()
+    else:
+        base, e = np.arange(G.order), m
+        power = np.zeros(G.order, np.int64)  # x**0, the identity at index 0
+        while e:
+            if e & 1:
+                power = G.product[power, base]
+            base, e = G.product[base, base], e >> 1
+    power.setflags(write=False)
+    return power
 
 
 def oracle_is_p_extensible(U: Subgroup, p: int) -> bool:

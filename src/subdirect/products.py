@@ -26,11 +26,13 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _DeferredTable,
     _coset_minima,
     _interned_table,
     _mask_of,
     _quotient,
     all_subgroups,
+    generating_sequence,
     identity_hom,
     interned,
     isomorphism_class,
@@ -60,6 +62,20 @@ class ProductGroup:
         """Left and right factor indices of product elements, as arrays."""
         return np.divmod(np.asarray(elements), self.right.order)
 
+    def table(self) -> np.ndarray:
+        """The dense |G·H|^2 table of ``group``, read-only, which the group
+        builds from this on the first read of its ``product``."""
+        G, H = self.left, self.right
+        gn, hn = G.order, H.order
+        # (g, h) * (g', h') at [g, h, g', h'], filled in place: no n x n
+        # intermediate besides the table itself
+        table = np.empty((gn, hn, gn, hn), dtype=G.product.dtype)
+        np.multiply(G.product[:, None, :, None], hn, out=table)
+        table += H.product[None, :, None, :]
+        table = table.reshape(gn * hn, gn * hn)
+        table.setflags(write=False)
+        return table
+
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, *,
                    max_order: int = DEFAULT_PRODUCT_CAP) -> ProductGroup:
@@ -73,15 +89,12 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, *,
 @memoised("product")
 def _product(G: FiniteGroup, H: FiniteGroup) -> ProductGroup:
     """G x H with no cap, memoised on G per right factor H, so it lives as
-    long as G: the products the library derives from groups it has."""
-    gn, hn = G.order, H.order
-    n = gn * hn
-    # (g, h) * (g', h') at [g, h, g', h'], filled in place: no n x n
-    # intermediate besides the table itself
-    table = np.empty((gn, hn, gn, hn), dtype=G.product.dtype)
-    np.multiply(G.product[:, None, :, None], hn, out=table)
-    table += H.product[None, :, None, :]
-    group = FiniteGroup._trusted(table.reshape(n, n), f"{G.label}x{H.label}")
+    long as G: the products the library derives from groups it has.  The
+    group gets its inverses from the factors' and its table only when
+    something reads it, see :meth:`ProductGroup.table`."""
+    inverse = (G.inverse[:, None] * H.order + H.inverse).ravel()
+    inverse.setflags(write=False)
+    group = _DeferredTable(G.order * H.order, inverse, f"{G.label}x{H.label}")
     product = ProductGroup(G, H, group)
     group.product_info = product
     return product
@@ -131,6 +144,70 @@ def require_subdirect(U: Subgroup) -> None:
         d = projections_kernels(U)
         raise NotSubdirect(
             f"projections have orders {d.p1.order} and {d.p2.order}")
+
+
+@memoised("derived")
+def derived_subgroup(U: Subgroup) -> Subgroup:
+    """[U, U] for U in a direct product, memoised on U, from the factor
+    tables alone: the normal closure in U of the commutators [s, t] of
+    the generators of U, walked on pairs (g, h), whose product with
+    (g', h') is (gg', hh').
+
+    The walk is :func:`groups._closure`'s: the set stays closed under
+    right multiplication by each generator it adopts, old elements step
+    by the new generator only and new ones by every generator.  Each
+    adopted generator is conjugated by the generators of U, and a
+    conjugate outside the set is adopted in turn, so the set ends normal
+    in U.  U modulo it is abelian, as the generators of U commute there:
+    it is [U, U].  The result carries the generators the walk adopted and
+    the projections and kernels of the pairs it reached."""
+    info = product_of(U)
+    G, H, hn = info.left, info.right, info.right.order
+    us = [divmod(u, hn) for u in subgroup_generators(U)]
+    # x -> u^-1 x u on each side: the row of u^-1, then the column of u
+    conj = [(G.product[G.inverse[a]].tolist(), G.product[:, a].tolist(),
+             H.product[H.inverse[b]].tolist(), H.product[:, b].tolist())
+            for a, b in us]
+    # [s, t] = s^-1 (t^-1 s t)
+    pending = [ls[ct[lt[a]]] * hn + ks[dt[kt[b]]]
+               for i, ((a, b), (ls, _, ks, _)) in enumerate(zip(us, conj))
+               for lt, ct, kt, dt in conj[i + 1:]]
+    have, reached, gens, cols = {0}, [(0, 0)], [], []
+    while pending:
+        done = len(gens)
+        for s in pending:
+            if s in have:
+                continue
+            gens.append(s)
+            a, b = divmod(s, hn)
+            cols.append((G.product[:, a].tolist(), H.product[:, b].tolist()))
+            frontier, step = reached[:], cols[-1:]
+            while frontier:
+                fresh = []
+                for cg, ch in step:
+                    for g, h in frontier:
+                        x, y = cg[g], ch[h]
+                        z = x * hn + y
+                        if z not in have:
+                            have.add(z)
+                            fresh.append((x, y))
+                reached += fresh
+                frontier, step = fresh, cols
+        pending = [cg[lg[g]] * hn + ch[lh[h]]
+                   for g, h in (divmod(x, hn) for x in gens[done:])
+                   for lg, cg, lh, ch in conj]
+    p1 = k1 = p2 = k2 = 0
+    for g, h in reached:
+        p1 |= 1 << g
+        p2 |= 1 << h
+        if not h:
+            k1 |= 1 << g
+        if not g:
+            k2 |= 1 << h
+    data = ProjectionData(interned(G, p1), interned(G, k1),
+                          interned(H, p2), interned(H, k2))
+    return Subgroup._trusted(info.group, tuple(sorted(have)), None,
+                             tuple(gens), {"projections": data})
 
 
 # -- Goursat data -------------------------------------------------------------
@@ -356,12 +433,14 @@ def star_product(U: Subgroup, V: Subgroup) -> Subgroup:
 
 
 def twisted_diagonal(G: FiniteGroup, phi: GroupHom) -> Subgroup:
-    """{(g, phi(g))} inside G x G."""
+    """{(g, phi(g))} inside G x G, generated by the lifts (g, phi(g)) of
+    ``generating_sequence(G)``."""
     if phi.domain is not G or phi.codomain is not G or not phi.is_bijective:
         raise NotAutomorphism("twist must be an automorphism of G")
     info = _product(G, G)
-    coded = info.encode(np.arange(G.order, dtype=np.int64), phi.image)
-    return Subgroup._trusted(info.group, tuple(coded.tolist()))
+    coded = info.encode(np.arange(G.order, dtype=np.int64), phi.image).tolist()
+    gens = tuple(coded[g] for g in generating_sequence(G))
+    return Subgroup._trusted(info.group, tuple(coded), None, gens)
 
 
 def diagonal(G: FiniteGroup) -> Subgroup:

@@ -67,6 +67,7 @@ from .products import (
     compose_relations,
     composite_subgroup,
     contains_twisted_diagonal,
+    derived_subgroup,
     direct_product,
     enumerate_subdirect,
     goursat_quintuple,
@@ -377,9 +378,10 @@ def check_product_order_identity(U: Subgroup) -> Optional[str]:
 
 @check(lambda ctx: ctx.lattice_cases())
 def check_commutator_projection(U: Subgroup) -> Optional[str]:
-    """p_i(U') equals (p_i(U))' for every product subgroup."""
+    """p_i(U') equals (p_i(U))' for every product subgroup, U' walked in
+    the factors as the criterion takes it."""
     d = projections_kernels(U)
-    dp = projections_kernels(mutual_commutator(U, U))
+    dp = projections_kernels(derived_subgroup(U))
     if dp.p1 != mutual_commutator(d.p1, d.p1) \
             or dp.p2 != mutual_commutator(d.p2, d.p2):
         return "p_i(U') is not p_i(U)'"

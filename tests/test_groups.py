@@ -767,6 +767,7 @@ def test_normal_scan_above_the_lattice_cap_is_complete(F):
     included (0.82 MB), would not."""
     G = direct_product(F, F, max_order=F.order ** 2).group
     normal_subgroups(symmetric(3))  # any lazy import happens untraced
+    G.product  # the scan reads the table, which is built on first read
     tracemalloc.start()
     try:
         normals = normal_subgroups(G)

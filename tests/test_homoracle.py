@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 import helpers
 
 import subdirect.homoracle as homoracle
+import subdirect.products as products
 from subdirect import (
     CyclicHom,
     InternalInconsistency,
@@ -457,15 +458,38 @@ MODULI = (1, 2, 3, 4, 6, 8, 9, 12)
 
 def test_value_tables_count_the_homs_of_every_subgroup():
     """One row per hom P -> C_m, as many as the invariants of P/[P, P]
-    give, for every subgroup P: Hom(D8, C12) has 4."""
+    give and as ``_hom_count`` counts in a group that is no direct
+    product, for every subgroup P: Hom(D8, C12) has 4."""
     for G in (symmetric(4), dihedral(8)):
         for P in all_subgroups(G):
             Q, _ = subgroup_quotient(P, mutual_commutator(P, P))
             divisors = abelian_invariants(Q).divisors
             for m in MODULI:
-                assert (len(homoracle._value_tables(P, m))
-                        == hom_count_formula(divisors, m)), (P, m)
+                count = hom_count_formula(divisors, m)
+                assert len(homoracle._value_tables(P, m)) == count, (P, m)
+                assert homoracle._hom_count(P, m) == count, (P, m)
     assert len(homoracle._value_tables(dihedral(8).full(), 12)) == 4
+
+
+def test_power_tables_are_repeated_products(monkeypatch):
+    """x**m for every x: a plain group's by square-and-multiply, a direct
+    product's composed from its factors' tables without its own."""
+    build = products.ProductGroup.table
+    built = []
+    monkeypatch.setattr(products.ProductGroup, "table",
+                        lambda info: built.append(info) or build(info))
+    S3, D8 = symmetric(3), dihedral(8)
+    info = direct_product(S3, D8)
+    nested = direct_product(info.group, cyclic(3))
+    powers = {(G, m): homoracle._power_table(G, m)
+              for G in (S3, D8, info.group, nested.group) for m in MODULI}
+    assert built == []
+    for (G, m), power in powers.items():
+        want = np.zeros(G.order, dtype=np.int64)
+        for _ in range(m):
+            want = G.product[want, np.arange(G.order)]
+        assert power.tolist() == want.tolist(), (G, m)
+        assert not power.flags.writeable
 
 
 @functools.cache

@@ -139,24 +139,108 @@ def test_derived_products_build_above_the_cap_on_a_cold_cache():
             direct_product(A5, A5)
 
 
+def _spy_on_tables(monkeypatch) -> list:
+    """The ProductGroup of every table built from now on."""
+    built = []
+    build = products.ProductGroup.table
+
+    def spy(info):
+        built.append(info)
+        return build(info)
+
+    monkeypatch.setattr(products.ProductGroup, "table", spy)
+    return built
+
+
 @pytest.mark.parametrize("left, right", [("C1", "S3"), ("S3", "C4"),
                                          ("D8", "Q8"), ("A4", "C3"),
                                          ("C32", "C32")])
-def test_direct_product_table_matches_the_dense_formula(left, right):
+def test_direct_product_table_matches_the_dense_formula(monkeypatch, left,
+                                                       right):
+    """A product starts with its inverses, from the factors', and no
+    table; the first read of ``product`` builds the dense formula's
+    table, read-only, and later reads return it."""
+    built = _spy_on_tables(monkeypatch)
     G, H = load_group(left), load_group(right)
-    assert direct_product(G, H).group.product.tobytes() \
-        == helpers.dense_product_table(G, H).tobytes()
+    info = direct_product(G, H)
+    assert built == []
+    dense = helpers.dense_product_table(G, H)
+    assert info.group.inverse.tolist() \
+        == groups._inverse_table(dense).tolist()
+    table = info.group.product
+    assert built == [info]
+    assert table.dtype == dense.dtype and table.tobytes() == dense.tobytes()
+    assert not table.flags.writeable
+    assert info.group.product is table and built == [info]
 
 
 def test_direct_product_builds_no_wide_intermediate():
     C = cyclic(32)
+    P = direct_product(C, C).group
     tracemalloc.start()
     try:
-        P = direct_product(C, C).group
+        table = P.product  # built here, on its first read
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * P.product.nbytes
+    assert peak < 3 * table.nbytes
+
+
+def test_analysis_builds_no_product_table(monkeypatch):
+    """The analysis of a subdirect product reads only its factors'
+    tables: the subdirects of S4 x S4, the diagonal and a twisted
+    diagonal of A5 and the quintuple-built A5 x A5."""
+    built = _spy_on_tables(monkeypatch)
+    S4, A5 = symmetric(4), alternating(5)
+    subgroups = list(enumerate_subdirect(S4, S4))
+    full = A5.full()
+    subgroups += [diagonal(A5),
+                  twisted_diagonal(A5, next(isomorphisms_iter(A5, A5))),
+                  subgroup_from_quintuple(make_quintuple(full, full, full,
+                                                         full, [(0, 0)]))]
+    for U in subgroups:
+        assert analyze_subgroup(U).subdirect, U
+    products_analysed = {U.parent for U in subgroups}
+    assert not any(info.group in products_analysed for info in built)
+
+
+def _assert_derived_in_factor_coordinates(U: Subgroup) -> None:
+    """[U, U] from the factors is the all-pairs commutator subgroup, its
+    seeded projections and kernels are those its elements give, and its
+    generators close to it under the walk of groups._closure."""
+    D = products.derived_subgroup.__wrapped__(U)
+    assert D.parent is U.parent
+    assert D.elements == helpers.all_pairs_commutator(U, U), U
+    seeded, derived = (projections_kernels(D),
+                       projections_kernels.__wrapped__(D))
+    for piece in ("p1", "k1", "p2", "k2"):
+        assert getattr(seeded, piece) is getattr(derived, piece), (U, piece)
+    assert groups._closure(U.parent, groups.subgroup_generators(D))[0] \
+        == D.elements, U
+
+
+def test_derived_subgroup_matches_all_pairs_on_the_catalog_lattice():
+    ctx = CheckContext([catalog_group(name) for name in catalog_names()])
+    for G, H in ctx.scan_pairs():
+        for U in ctx.lattice(G, H):
+            _assert_derived_in_factor_coordinates(U)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(helpers.permutation_groups(4), helpers.permutation_groups(4),
+       st.data())
+def test_derived_subgroup_matches_all_pairs_on_permutation_groups(G, H,
+                                                                   data):
+    """Subgroups generated by drawn pairs, and every subdirect product,
+    whose generators come from its Goursat data."""
+    info = direct_product(G, H)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, G.order - 1),
+                                         st.integers(0, H.order - 1)),
+                               max_size=3))
+    _assert_derived_in_factor_coordinates(
+        subgroup_generated(info.group, [info.encode(g, h) for g, h in pairs]))
+    for U in enumerate_subdirect(G, H):
+        _assert_derived_in_factor_coordinates(U)
 
 
 def test_product_center_and_exponent():
@@ -652,6 +736,35 @@ def test_twisted_diagonal_search_lists_no_automorphisms(monkeypatch,
     assert got.image.tolist() == phi.image.tolist()
     assert cli.main(["analyze", "--G", "C2xC2xC2xC2xC2", "--U", "full"]) == 0
     assert "contains diagonal: yes" in capsys.readouterr().out
+
+
+def test_twisted_diagonal_searches_leave_no_cyclic_garbage():
+    """The search keeps its partial maps on an explicit stack, so the
+    containment searches over the subdirects of D8 x D8, built fresh,
+    leave nothing for the cyclic collector."""
+    D8 = dihedral(8)
+    fresh = [Subgroup(U.parent, U.elements)
+             for U in enumerate_subdirect(D8, D8)]
+    assert len(fresh) == 24
+    gc.collect()
+    gc.disable()
+    try:
+        found = [contains_twisted_diagonal(U) for U in fresh]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert sum(phi is not None for phi in found) == 16
+
+
+def test_twisted_diagonal_is_generated_by_the_lifts_of_the_generators():
+    for G in (symmetric(3), dihedral(8), alternating(5)):
+        for phi in itertools.islice(isomorphisms_iter(G, G), 3):
+            U = twisted_diagonal(G, phi)
+            info = product_of(U)
+            assert groups.subgroup_generators(U) == tuple(
+                info.encode(g, phi(g)) for g in groups.generating_sequence(G))
+            assert groups._closure(U.parent, groups.subgroup_generators(U))[0] \
+                == U.elements
 
 
 def test_is_section_examples():

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 import weakref
 
@@ -992,6 +993,51 @@ def test_cli_products_do_not_outlive_their_factors(capsys):
     gc.collect()
     known = {id(obj) for obj in before}
     assert [obj for obj in live_products() if id(obj) not in known] == []
+
+
+S5_SQUARE_VERDICTS = [
+    "G: S5 (order 120) x H: S5 (order 120); U order 120",
+    "subdirect: yes (p1 120, k1 1 | p2 120, k2 1); contains diagonal: yes",
+    "common section q(U): order 120, unidentified",
+    "p=2: extensible [exact-criterion]; oracle: extensible",
+    "p=3: extensible [exact-criterion]; oracle: extensible",
+    "p=5: extensible [exact-criterion]; oracle: extensible",
+    "overall: extensible for pi=[2, 3, 5] (oracle agrees)",
+]
+
+
+def test_cli_large_product_analysis_builds_no_product_table(capsys,
+                                                            monkeypatch):
+    """`subdirects` and `analyze --U diagonal` on S5 x S5 read only the
+    factors' tables: the product's 830 MB table is never built, and each
+    command's traced peak stays far below it."""
+    build = products.ProductGroup.table
+
+    def refuse(info):
+        if info.group.order == 120 * 120:
+            raise AssertionError(f"the table of {info.group.label} was built")
+        return build(info)
+
+    monkeypatch.setattr(products.ProductGroup, "table", refuse)
+    outputs, peaks = {}, {}
+    for argv in (("subdirects", "--G", "S5", "--H", "S5"),
+                 ("analyze", "--G", "S5", "--H", "S5", "--U", "diagonal")):
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--max-order", "20000"])
+            peaks[argv[0]] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        outputs[argv[0]] = out.splitlines()
+    assert max(peaks.values()) < 32 << 20, peaks
+    records = outputs["subdirects"]
+    assert len(records) == 123
+    assert records[-1] == ('{"count": 122, "extensible_count": '
+                           '{"2": 122, "3": 122, "5": 122}, '
+                           '"inconsistent_count": 0}')
+    assert outputs["analyze"] == S5_SQUARE_VERDICTS
 
 
 def test_cli_repeated_star_runs_keep_the_live_groups_steady(capsys):
