@@ -39,7 +39,7 @@ from .records import (
     star_analysis,
     write_records,
 )
-from .specs import load_group, load_product_subgroup
+from .specs import _as_int, load_group, load_product_subgroup
 from .verification import CheckContext, run_checks
 
 EXIT_OK = 0
@@ -147,6 +147,7 @@ def _primes_from(args) -> Optional[list]:
     if not chosen:
         return None
     for p in chosen:
+        _as_int(p, "prime")  # before is_prime's trial division
         if not is_prime(p):
             raise ParseError(f"{p} is not a prime")
     return sorted(chosen)

@@ -40,7 +40,6 @@ from .groups import (
 )
 from .products import (
     contains_twisted_diagonal,
-    derived_subgroup,
     diagonal,
     goursat_quotient,
     product_of,
@@ -72,7 +71,7 @@ class KernelCommutatorData:
 @memoised("kernel_commutator")
 def kernel_commutator_data(U: Subgroup) -> KernelCommutatorData:
     d = projections_kernels(U)
-    dd = projections_kernels(derived_subgroup(U))
+    dd = projections_kernels(mutual_commutator(U, U))
     c1 = mutual_commutator(d.k1, d.p1)
     c2 = mutual_commutator(d.k2, d.p2)
     info = product_of(U)

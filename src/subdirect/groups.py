@@ -27,6 +27,11 @@ derived from groups the library has are uncapped; the lattice and
 normal subgroup scans stop after :data:`SCAN_SUBGROUP_CAP` subgroups,
 and a scan that stopped raises again at once when asked again.
 
+Walk rule: :func:`_closure` is the one walk that generates subgroups,
+commutator subgroups included.  It steps in factor coordinates, an
+element of G x H as a pair in the tables of G and H and one of any
+other group in its own table, so it never builds a product's table.
+
 Derived data such as element orders, conjugacy classes and the full
 subgroup lattice is memoised in the ``_cache`` dict of the instance that
 owns it.  :func:`memoised` is the one helper that reads those dicts, in
@@ -79,6 +84,10 @@ DEFAULT_PRODUCT_CAP = 1296  # default max_order of every capped table
 # both scans are memoised per group, so a per-call cap would make a
 # scan's result depend on which call ran first.
 SCAN_SUBGROUP_CAP = 1 << 15
+
+# Longest sequence _mask_of ORs one bit at a time: below it the loop
+# beats the array's fixed cost on groups of a few hundred elements.
+_MASK_LOOP_LIMIT = 128
 
 _MISSING = object()
 
@@ -413,10 +422,18 @@ class Subgroup:
 
 
 def _mask_of(elems) -> int:
-    m = 0
-    for e in elems:
-        m |= 1 << int(e)
-    return m
+    """The bitmask of a sequence of Python ints, repeats allowed.  Each OR
+    copies the int built so far, so a long sequence sets its bits in one
+    bool array instead, which is converted once."""
+    if len(elems) < _MASK_LOOP_LIMIT:
+        m = 0
+        for e in elems:
+            m |= 1 << e
+        return m
+    at = np.array(elems, dtype=np.intp)
+    bits = np.zeros(int(at.max()) + 1, dtype=bool)
+    bits[at] = True
+    return int.from_bytes(np.packbits(bits, bitorder="little"), "little")
 
 
 def _mask_elements(mask: int) -> tuple:
@@ -432,33 +449,70 @@ def _distinct(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def _closure(G: FiniteGroup, seed: Iterable[int], elements: tuple = (0,),
-             gens: tuple = ()) -> tuple[tuple, tuple]:
+             gens: tuple = (),
+             normalisers: Sequence = ()) -> tuple[tuple, tuple]:
     """Sorted elements of <elements, seed>, and ``gens`` followed by the
     seed elements adopted as generators: those not yet generated when the
     walk reaches them.  ``elements`` must be the subgroup that ``gens``
     generate.  The set stays closed under right multiplication by every
     generator, so old elements meet only the new one and new elements
-    meet them all."""
+    meet them all.
+
+    The walk reads no direct product's table: x steps as the pair
+    (g, h) = divmod(x, |H|) of :func:`_factors`, in the factors' tables.
+    With ``normalisers``, maps x -> u^-1 x u from :func:`_conjugations`,
+    the conjugates of each adopted generator are seeded in turn, so the
+    result is the smallest subgroup over the seed that each u normalises,
+    given that it normalises ``elements``."""
+    left, right = _factors(G)
+    lt, rt, hn = left.product.T, right.product.T, right.order
     have = set(elements)
     gens = list(gens)
-    cols = [G.product[:, g].tolist() for g in gens]
-    for s in seed:
-        s = int(s)
-        if s in have:
-            continue
-        gens.append(s)
-        cols.append(G.product[:, s].tolist())
-        frontier, step = list(have), cols[-1:]
-        while frontier:
-            fresh = []
-            for col in step:
-                for x in frontier:
-                    y = col[x]
-                    if y not in have:
-                        have.add(y)
-                        fresh.append(y)
-            frontier, step = fresh, cols
-    return tuple(sorted(have)), tuple(gens)
+    cols = [(lt[x // hn].tolist(), rt[x % hn].tolist()) for x in gens]
+    pending = seed
+    while True:
+        done = len(gens)
+        for s in pending:
+            s = int(s)
+            if s in have:
+                continue
+            gens.append(s)
+            cols.append((lt[s // hn].tolist(), rt[s % hn].tolist()))
+            frontier, step = list(have), cols[-1:]
+            while frontier:
+                fresh = []
+                for cg, ch in step:
+                    for x in frontier:
+                        y = cg[x // hn] * hn + ch[x % hn]
+                        if y not in have:
+                            have.add(y)
+                            fresh.append(y)
+                frontier, step = fresh, cols
+        if not normalisers or len(gens) == done:
+            return tuple(sorted(have)), tuple(gens)
+        pending = [cg[lg[x // hn]] * hn + ch[lh[x % hn]]
+                   for x in gens[done:] for lg, cg, lh, ch in normalisers]
+
+
+_TRIVIAL = FiniteGroup._trusted(np.zeros((1, 1), dtype=_DTYPE), "1")
+
+
+def _factors(G: FiniteGroup) -> tuple[FiniteGroup, FiniteGroup]:
+    """The factors whose tables :func:`_closure` steps on: a direct
+    product's two, any other group with the trivial group on the right."""
+    info = G.product_info
+    return (G, _TRIVIAL) if info is None else (info.left, info.right)
+
+
+def _conjugations(G: FiniteGroup, us: Sequence[int]) -> list:
+    """x -> u^-1 x u for each u, in the coordinates of :func:`_factors`:
+    per factor, the row of u^-1 and then the column of u, as lists."""
+    left, right = _factors(G)
+    lp, li, rp, ri, hn = (left.product, left.inverse, right.product,
+                          right.inverse, right.order)
+    return [(lp[li[a]].tolist(), lp[:, a].tolist(),
+             rp[ri[b]].tolist(), rp[:, b].tolist())
+            for a, b in (divmod(u, hn) for u in us)]
 
 
 def subgroup_generated(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
@@ -534,13 +588,11 @@ def mutual_commutator(X: Subgroup, Y: Subgroup) -> Subgroup:
     """Subgroup generated by all commutators [x, y] with x in X, y in Y,
     memoised on X.
 
-    Only the |X| * |gens(Y)| commutators [x, t] are formed, for the
-    generators t of Y.  Their closure N is normalised by X, as
-    [x, t]^x' = [xx', t] [x', t]^-1, and [x, yt] = [x, t] [x, y]^t, so
-    N = [X, Y] once Y also normalises N.  That holds when Y <= X, and the
-    pair is swapped when X <= Y, as [X, Y] = [Y, X]: the generators come
-    from the smaller of a nested pair.  Otherwise N is closed under
-    conjugation by the generators of Y."""
+    It is the normal closure in <X, Y> of the commutators [s, t] of the
+    generators s of X and t of Y, walked by :func:`_closure` with the
+    generators of X and Y as normalisers.  That closure lies in [X, Y],
+    which <X, Y> normalises, and modulo it each s commutes with each t,
+    so X and Y commute: it is [X, Y]."""
     if Y.parent is not X.parent:
         raise ValueError("subgroups of different parents")
     return _commutator_with(X, Y)
@@ -549,24 +601,24 @@ def mutual_commutator(X: Subgroup, Y: Subgroup) -> Subgroup:
 @memoised("commutator")
 def _commutator_with(X: Subgroup, Y: Subgroup) -> Subgroup:
     G = X.parent
-    if X.is_subset_of(Y):
-        X, Y = Y, X
-    xa = np.array(X.elements)
-    ta = np.array(subgroup_generators(Y), dtype=np.int64)
-    c = G.product[G.inverse[xa][:, None], G.inverse[ta]]
-    c = G.product[c, xa[:, None]]
-    c = G.product[c, ta[None, :]]
-    N = subgroup_generated(G, _distinct(c, G.order))
-    if Y.is_subset_of(X):
-        return N
-    while True:
-        conj = G.product[G.product[G.inverse[ta][:, None],
-                                   np.array(N.elements)], ta[:, None]]
-        fresh = [x for x in _distinct(conj, G.order).tolist()
-                 if not (N.mask >> x) & 1]
-        if not fresh:
-            return N
-        N = _extended(N, fresh)
+    xs, ys = subgroup_generators(X), subgroup_generators(Y)
+    # [s, t] and [t, s] are inverse: one of each pair is enough
+    if X.mask == Y.mask:
+        us, pairs = xs, [(i, j) for j in range(len(xs)) for i in range(j)]
+    else:
+        us = tuple(dict.fromkeys(xs + ys))
+        pairs = [(i, us.index(t)) for i, s in enumerate(xs)
+                 for t in ys if s != t]
+    conj = _conjugations(G, us)
+    hn = _factors(G)[1].order
+    seed = []
+    for i, j in pairs:
+        a, b = divmod(us[i], hn)
+        ls, _, ks, _ = conj[i]
+        lt, ct, kt, dt = conj[j]
+        seed.append(ls[ct[lt[a]]] * hn + ks[dt[kt[b]]])  # s^-1 (t^-1 s t)
+    elements, gens = _closure(G, seed, normalisers=conj)
+    return Subgroup._trusted(G, elements, None, gens)
 
 
 @memoised("derived")
@@ -697,7 +749,8 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
             o = int(orders[x])
             if x in P or p_part(o, (p,)) != o:
                 continue
-            if _mask_of(G.product[G.product[G.inverse[x], arr], x]) == P.mask:
+            conj = G.product[G.product[G.inverse[x], arr], x].tolist()
+            if _mask_of(conj) == P.mask:
                 P = _extended(P, (x,))
                 break
         else:

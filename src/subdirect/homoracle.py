@@ -8,7 +8,9 @@ information as any larger p-power coefficient.
 
 |Hom(U, C_m)| is the m-torsion of U/[U, U], counted with a table of
 m-th powers, so no quotient group is built and no hom of U is listed;
-for a subgroup of G x H both come from the factors' tables.  The homs
+for a subgroup of G x H both come from the factors' tables: the powers
+composed from the factors' powers, and [U, U] from
+``groups.mutual_commutator``, whose walk steps in the factors.  The homs
 of a factor group come from one walk over the cosets of its derived
 subgroup, :func:`_value_tables`.  The restriction
 image is compared on the generators of U, which fix a hom.
@@ -32,7 +34,7 @@ from .groups import (
     p_part,
     subgroup_generators,
 )
-from .products import derived_subgroup, product_of, require_subdirect
+from .products import product_of, require_subdirect
 
 RAW_SEARCH_LIMIT = 1 << 22
 # Entries of the n x n hom test per block of raw candidate tables.
@@ -269,12 +271,12 @@ def _hom_count(U: Subgroup, m: int) -> int:
     """|Hom(U, C_m)| as the m-torsion of A = U/[U, U]: every such hom
     factors through the finite abelian A, and |Hom(A, C_m)| = |A/mA| =
     |A[m]| = #{x in U : x**m in [U, U]} / |[U, U]|.  The m-th powers come
-    from the parent's :func:`_power_table`, and [U, U] of a subgroup of a
-    direct product from its factors; the walk over U of
-    :func:`_value_tables` counts the same homs, the tests' reference."""
+    from the parent's :func:`_power_table` and [U, U] from
+    ``mutual_commutator``, the one route for every parent, which reads
+    no direct product's table; the walk over U of :func:`_value_tables`
+    counts the same homs, the tests' reference."""
     G = U.parent
-    D = (mutual_commutator(U, U) if G.product_info is None
-         else derived_subgroup(U))
+    D = mutual_commutator(U, U)
     in_d = np.zeros(G.order, dtype=bool)
     in_d[np.array(D.elements)] = True
     power = _power_table(G, m)[np.array(U.elements)]

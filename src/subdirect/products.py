@@ -119,18 +119,22 @@ class ProjectionData:
 
 @memoised("projections")
 def projections_kernels(U: Subgroup) -> ProjectionData:
-    """The four factor subgroups of U, interned on their factor, so
-    subgroups with a common section share them and their memos."""
+    """The four factor subgroups of U, from one pass over its pairs,
+    interned on their factor, so subgroups with a common section share
+    them and their memos."""
     info = product_of(U)
-    gs, hs = info.split(U.elements)
-
-    def factor_subgroup(F: FiniteGroup, elements: np.ndarray) -> Subgroup:
-        return interned(F, _mask_of(elements.tolist()))
-
-    return ProjectionData(factor_subgroup(info.left, gs),
-                          factor_subgroup(info.left, gs[hs == 0]),
-                          factor_subgroup(info.right, hs),
-                          factor_subgroup(info.right, hs[gs == 0]))
+    hn = info.right.order
+    p1 = k1 = p2 = k2 = 0
+    for x in U.elements:
+        g, h = divmod(x, hn)
+        p1 |= 1 << g
+        p2 |= 1 << h
+        if not h:
+            k1 |= 1 << g
+        if not g:
+            k2 |= 1 << h
+    return ProjectionData(interned(info.left, p1), interned(info.left, k1),
+                          interned(info.right, p2), interned(info.right, k2))
 
 
 def is_subdirect(U: Subgroup) -> bool:
@@ -144,70 +148,6 @@ def require_subdirect(U: Subgroup) -> None:
         d = projections_kernels(U)
         raise NotSubdirect(
             f"projections have orders {d.p1.order} and {d.p2.order}")
-
-
-@memoised("derived")
-def derived_subgroup(U: Subgroup) -> Subgroup:
-    """[U, U] for U in a direct product, memoised on U, from the factor
-    tables alone: the normal closure in U of the commutators [s, t] of
-    the generators of U, walked on pairs (g, h), whose product with
-    (g', h') is (gg', hh').
-
-    The walk is :func:`groups._closure`'s: the set stays closed under
-    right multiplication by each generator it adopts, old elements step
-    by the new generator only and new ones by every generator.  Each
-    adopted generator is conjugated by the generators of U, and a
-    conjugate outside the set is adopted in turn, so the set ends normal
-    in U.  U modulo it is abelian, as the generators of U commute there:
-    it is [U, U].  The result carries the generators the walk adopted and
-    the projections and kernels of the pairs it reached."""
-    info = product_of(U)
-    G, H, hn = info.left, info.right, info.right.order
-    us = [divmod(u, hn) for u in subgroup_generators(U)]
-    # x -> u^-1 x u on each side: the row of u^-1, then the column of u
-    conj = [(G.product[G.inverse[a]].tolist(), G.product[:, a].tolist(),
-             H.product[H.inverse[b]].tolist(), H.product[:, b].tolist())
-            for a, b in us]
-    # [s, t] = s^-1 (t^-1 s t)
-    pending = [ls[ct[lt[a]]] * hn + ks[dt[kt[b]]]
-               for i, ((a, b), (ls, _, ks, _)) in enumerate(zip(us, conj))
-               for lt, ct, kt, dt in conj[i + 1:]]
-    have, reached, gens, cols = {0}, [(0, 0)], [], []
-    while pending:
-        done = len(gens)
-        for s in pending:
-            if s in have:
-                continue
-            gens.append(s)
-            a, b = divmod(s, hn)
-            cols.append((G.product[:, a].tolist(), H.product[:, b].tolist()))
-            frontier, step = reached[:], cols[-1:]
-            while frontier:
-                fresh = []
-                for cg, ch in step:
-                    for g, h in frontier:
-                        x, y = cg[g], ch[h]
-                        z = x * hn + y
-                        if z not in have:
-                            have.add(z)
-                            fresh.append((x, y))
-                reached += fresh
-                frontier, step = fresh, cols
-        pending = [cg[lg[g]] * hn + ch[lh[h]]
-                   for g, h in (divmod(x, hn) for x in gens[done:])
-                   for lg, cg, lh, ch in conj]
-    p1 = k1 = p2 = k2 = 0
-    for g, h in reached:
-        p1 |= 1 << g
-        p2 |= 1 << h
-        if not h:
-            k1 |= 1 << g
-        if not g:
-            k2 |= 1 << h
-    data = ProjectionData(interned(G, p1), interned(G, k1),
-                          interned(H, p2), interned(H, k2))
-    return Subgroup._trusted(info.group, tuple(sorted(have)), None,
-                             tuple(gens), {"projections": data})
 
 
 # -- Goursat data -------------------------------------------------------------

@@ -67,7 +67,6 @@ from .products import (
     compose_relations,
     composite_subgroup,
     contains_twisted_diagonal,
-    derived_subgroup,
     direct_product,
     enumerate_subdirect,
     goursat_quintuple,
@@ -381,7 +380,7 @@ def check_commutator_projection(U: Subgroup) -> Optional[str]:
     """p_i(U') equals (p_i(U))' for every product subgroup, U' walked in
     the factors as the criterion takes it."""
     d = projections_kernels(U)
-    dp = projections_kernels(derived_subgroup(U))
+    dp = projections_kernels(mutual_commutator(U, U))
     if dp.p1 != mutual_commutator(d.p1, d.p1) \
             or dp.p2 != mutual_commutator(d.p2, d.p2):
         return "p_i(U') is not p_i(U)'"

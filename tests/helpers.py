@@ -540,16 +540,15 @@ def signed_residue_table(order: int) -> np.ndarray:
 
 def all_pairs_commutator(X, Y) -> tuple:
     """Elements of [X, Y], closed from all |X| * |Y| commutators
-    x^-1 y^-1 x y."""
+    x^-1 y^-1 x y by :func:`squaring_closure`, so no code of the
+    library's closure walk is shared."""
     import numpy as np
-
-    from subdirect.groups import subgroup_generated
 
     G = X.parent
     xa, ya = np.array(X.elements), np.array(Y.elements)
     t = G.product[G.inverse[xa][:, None], G.inverse[ya]]
     t = G.product[G.product[t, xa[:, None]], ya[None, :]]
-    return subgroup_generated(G, np.unique(t)).elements
+    return squaring_closure(G, np.unique(t).tolist())
 
 
 def join_scan_lattice(G) -> list:

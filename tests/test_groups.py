@@ -3,6 +3,7 @@
 import collections
 import inspect
 import itertools
+import random
 import tracemalloc
 import types
 
@@ -125,6 +126,27 @@ def test_subgroup_generated_empty_seed():
     S = subgroup_generated(G, [])
     assert S.order == 1
     assert S.elements == (0,)
+
+
+def _bit_loop_mask(elems) -> int:
+    m = 0
+    for e in elems:
+        m |= 1 << e
+    return m
+
+
+def test_mask_of_matches_the_bit_loop():
+    """Both sides of the loop limit: random sequences with repeats, the
+    empty one, and indices far above the sequence's length."""
+    rng = random.Random(7)
+    limit = groups._MASK_LOOP_LIMIT
+    for size in (0, 1, 5, limit - 1, limit, 3 * limit):
+        for top in (1, 64, 600, 518400):
+            for _ in range(5):
+                elems = [rng.randrange(top) for _ in range(size)]
+                want = _bit_loop_mask(elems)
+                assert groups._mask_of(elems) == want
+                assert groups._mask_of(tuple(sorted(set(elems)))) == want
 
 
 def test_subgroup_generated_matches_brute_closure():
@@ -283,43 +305,82 @@ def _commutator_seed(G, X, Y) -> np.ndarray:
                       for x in X.elements for y in Y.elements])
 
 
-@pytest.mark.parametrize("G", _COSET_GROUPS, ids=lambda G: G.label)
+def _deferred_products() -> list:
+    """Products of fresh copies of small groups, so no other test has
+    read their tables, which are built only when something does."""
+    def copy(F):
+        return FiniteGroup._trusted(F.product, F.label)
+
+    return [direct_product(copy(G), copy(H)).group
+            for G, H in ((dihedral(8), cyclic(3)), (cyclic(2), alternating(4)),
+                         (quaternion8(), cyclic(2)))]
+
+
+def _lattice(G) -> list:
+    """all_subgroups(G); for a product whose table is not built, those
+    of a plain twin with the same table, moved over by elements, so G's
+    own table stays unbuilt."""
+    if type(G) is not groups._DeferredTable:
+        return all_subgroups(G)
+    twin = FiniteGroup._trusted(G.product_info.table(), G.label)
+    return [Subgroup._trusted(G, S.elements, S.mask)
+            for S in all_subgroups(twin)]
+
+
+def _commutator(G, x, y) -> int:
+    return int(G.product[G.product[G.inverse[x], G.inverse[y]],
+                         G.product[x, y]])
+
+
+@pytest.mark.parametrize("G", _COSET_GROUPS + _deferred_products(),
+                         ids=lambda G: G.label)
 def test_closure_matches_the_squaring_route(G):
+    """The last three groups are products whose tables are not built:
+    the walks step on their factors' tables and leave theirs unbuilt,
+    and the references, which read it, run afterwards."""
+    deferred = type(G) is groups._DeferredTable
     seeds = [(x,) for x in range(G.order)]
     seeds += itertools.product(range(G.order), repeat=2)
-    for seed in seeds:
-        assert subgroup_generated(G, seed).elements == \
-            helpers.squaring_closure(G, seed)
-    subgroups = all_subgroups(G)
-    for X in subgroups:
-        for Y in subgroups:
-            seed = _commutator_seed(G, X, Y)
-            want = helpers.squaring_closure(G, seed)
-            assert subgroup_generated(G, seed).elements == want
-            assert mutual_commutator(X, Y).elements == want
-    assert generating_sequence(G) == helpers.greedy_generating_sequence(G)
+    closures = [subgroup_generated(G, seed).elements for seed in seeds]
+    pairs = list(itertools.product(_lattice(G), repeat=2))
+    commutators = [mutual_commutator(X, Y).elements for X, Y in pairs]
+    greedy = generating_sequence(G)
+    assert (type(G) is groups._DeferredTable) == deferred
+    for seed, elements in zip(seeds, closures):
+        assert elements == helpers.squaring_closure(G, seed)
+    for (X, Y), elements in zip(pairs, commutators):
+        seed = _commutator_seed(G, X, Y)
+        want = helpers.squaring_closure(G, seed)
+        assert subgroup_generated(G, seed).elements == want
+        assert elements == want
+    assert greedy == helpers.greedy_generating_sequence(G)
 
 
 def test_mutual_commutator_matches_all_pairs():
-    """Every ordered pair of subgroups of the registry groups, S4 and A5,
-    against the closure of all |X| * |Y| commutators; both the nested
-    pairs and pairs that need the conjugation closure occur."""
-    nested = closed = 0
-    for G in [G for _, G in _small_registry()] + [symmetric(4), alternating(5)]:
-        subgroups = all_subgroups(G)
-        for X in subgroups:
-            for Y in subgroups:
-                want = helpers.all_pairs_commutator(X, Y)
-                assert mutual_commutator(X, Y).elements == want, (G, X, Y)
-                if X.is_subset_of(Y) or Y.is_subset_of(X):
-                    nested += 1
-                    continue
-                gens = subgroup_generators(Y)
-                seed = [int(G.product[G.product[G.inverse[x], G.inverse[t]],
-                                      G.product[x, t]])
-                        for x in X.elements for t in gens]
-                closed += subgroup_generated(G, seed).elements != want
-    assert nested > 0 and closed > 0, (nested, closed)
+    """Every ordered pair of subgroups of the registry groups, S4, A5 and
+    three products whose tables are not built (and stay unbuilt), against
+    the closure of all |X| * |Y| commutators.  Nested pairs occur, and
+    pairs where the commutators of generator pairs close to less than
+    [X, Y]: there the walk adopts a generator outside that closure, which
+    only the conjugation step can give."""
+    nested = conjugated = 0
+    for G in ([G for _, G in _small_registry()]
+              + [symmetric(4), alternating(5)] + _deferred_products()):
+        deferred = type(G) is groups._DeferredTable
+        pairs = list(itertools.product(_lattice(G), repeat=2))
+        got = [mutual_commutator(X, Y) for X, Y in pairs]
+        assert (type(G) is groups._DeferredTable) == deferred, G
+        for (X, Y), D in zip(pairs, got):
+            want = helpers.all_pairs_commutator(X, Y)
+            assert D.elements == want, (G, X, Y)
+            nested += X.is_subset_of(Y) or Y.is_subset_of(X)
+            seeded = subgroup_generated(
+                G, [_commutator(G, s, t) for s in subgroup_generators(X)
+                    for t in subgroup_generators(Y)])
+            if seeded.elements != want:
+                conjugated += 1
+                assert any(t not in seeded for t in subgroup_generators(D))
+    assert nested > 0 and conjugated > 0, (nested, conjugated)
 
 
 def _lattice_groups():

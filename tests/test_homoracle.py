@@ -458,8 +458,10 @@ MODULI = (1, 2, 3, 4, 6, 8, 9, 12)
 
 def test_value_tables_count_the_homs_of_every_subgroup():
     """One row per hom P -> C_m, as many as the invariants of P/[P, P]
-    give and as ``_hom_count`` counts in a group that is no direct
-    product, for every subgroup P: Hom(D8, C12) has 4."""
+    give and as ``_hom_count`` counts, for every subgroup P of two groups
+    that are no direct product, whose [P, P] the commutator walk takes
+    in their own tables, paired with the trivial group: Hom(D8, C12)
+    has 4."""
     for G in (symmetric(4), dihedral(8)):
         for P in all_subgroups(G):
             Q, _ = subgroup_quotient(P, mutual_commutator(P, P))

@@ -1008,9 +1008,9 @@ S5_SQUARE_VERDICTS = [
 
 def test_cli_large_product_analysis_builds_no_product_table(capsys,
                                                             monkeypatch):
-    """`subdirects` and `analyze --U diagonal` on S5 x S5 read only the
-    factors' tables: the product's 830 MB table is never built, and each
-    command's traced peak stays far below it."""
+    """`subdirects` and `analyze` with `--U` diagonal, full or pairs on
+    S5 x S5 read only the factors' tables: the product's 830 MB table is
+    never built, and each command's traced peak stays far below it."""
     build = products.ProductGroup.table
 
     def refuse(info):
@@ -1020,24 +1020,40 @@ def test_cli_large_product_analysis_builds_no_product_table(capsys,
 
     monkeypatch.setattr(products.ProductGroup, "table", refuse)
     outputs, peaks = {}, {}
-    for argv in (("subdirects", "--G", "S5", "--H", "S5"),
-                 ("analyze", "--G", "S5", "--H", "S5", "--U", "diagonal")):
+    for name, argv in (("subdirects", ("subdirects",)),
+                       ("diagonal", ("analyze", "--U", "diagonal")),
+                       ("full", ("analyze", "--U", "full")),
+                       ("pairs", ("analyze", "--U",
+                                  '{"pairs": [[1, 0], [0, 1]]}'))):
         tracemalloc.start()
         try:
-            code = main([*argv, "--max-order", "20000"])
-            peaks[argv[0]] = tracemalloc.get_traced_memory()[1]
+            code = main([*argv, "--G", "S5", "--H", "S5",
+                         "--max-order", "20000"])
+            peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         out, err = capsys.readouterr()
         assert code == 0, err
-        outputs[argv[0]] = out.splitlines()
+        outputs[name] = out.splitlines()
     assert max(peaks.values()) < 32 << 20, peaks
     records = outputs["subdirects"]
     assert len(records) == 123
     assert records[-1] == ('{"count": 122, "extensible_count": '
                            '{"2": 122, "3": 122, "5": 122}, '
                            '"inconsistent_count": 0}')
-    assert outputs["analyze"] == S5_SQUARE_VERDICTS
+    assert outputs["diagonal"] == S5_SQUARE_VERDICTS
+    assert outputs["full"] == [
+        "G: S5 (order 120) x H: S5 (order 120); U order 14400",
+        "subdirect: yes (p1 120, k1 120 | p2 120, k2 120); "
+        "contains diagonal: yes",
+        "common section q(U): order 1, 1, invariants []",
+        *(f"p={p}: extensible [exact-criterion, cyclic-sylow]; "
+          "oracle: extensible" for p in (2, 3, 5)),
+        "overall: extensible for pi=[2, 3, 5] (oracle agrees)"]
+    assert outputs["pairs"] == [
+        "G: S5 (order 120) x H: S5 (order 120); U order 4",
+        "subdirect: no (p1 2, k1 2 | p2 2, k2 2); contains diagonal: no",
+        "no extensibility verdicts: U is not subdirect"]
 
 
 def test_cli_repeated_star_runs_keep_the_live_groups_steady(capsys):
@@ -1174,6 +1190,33 @@ def test_cli_composite_prime_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert "is not a prime" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--pi", "1000000000000000003"), ("--prime", "1000000000000000003"),
+    ("--pi", "2147483648"), ("--prime", "-2147483649"),
+])
+def test_cli_prime_outside_int32_exits_2_before_any_primality_test(
+        capsys, monkeypatch, flag, value):
+    """The first value is prime: trial division would run up to 10^9.
+    The same int32 rule as the specs' integers refuses it first."""
+    def refuse(p):
+        raise AssertionError(f"is_prime({p}) ran")
+
+    monkeypatch.setattr(cli, "is_prime", refuse)
+    code, out, err = run_cli(capsys, "analyze", "--G", "S3",
+                             "--U", "diagonal", flag, value)
+    assert code == 2 and out == ""
+    assert f"prime {value} is outside the int32 range" in err
+
+
+@pytest.mark.parametrize("flag", ["--pi", "--prime"])
+def test_cli_largest_int32_prime_is_decided(capsys, flag):
+    code, out, err = run_cli(capsys, "analyze", "--G", "S3",
+                             "--U", "diagonal", flag, "2147483647")
+    assert code == 0, err
+    assert out.splitlines()[-1] == ("overall: extensible for "
+                                    "pi=[2147483647] (oracle agrees)")
 
 
 @pytest.mark.parametrize("argv", [
