@@ -40,7 +40,7 @@ from .records import (
     write_records,
 )
 from .specs import _as_int, load_group, load_product_subgroup
-from .verification import CheckContext, run_checks
+from .verification import CheckContext, iter_checks
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -298,11 +298,12 @@ def cmd_verify(args) -> int:
         groups = [_selected_group(name, args.max_order)
                   for name in _selection(args.G)]
     ctx = CheckContext(groups, product_cap=args.max_order)
-    results = run_checks(ctx)
-    for result in results:
-        print(result.line())
+    results = []
+    for result in iter_checks(ctx):  # each line as its check finishes
+        results.append(result)
+        print(result.line(), flush=True)
         print(f"time {result.name}: {result.seconds * 1e3:.1f} ms",
-              file=sys.stderr)
+              file=sys.stderr, flush=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             for result in results:

@@ -573,9 +573,15 @@ def interned(G: FiniteGroup, mask: int, gens: Optional[tuple] = None,
 
 def set_product(A: Subgroup, B: Subgroup) -> Subgroup:
     """The product set AB, checked to be a subgroup: it is one exactly
-    when AB = BA, as whenever one factor is normal."""
+    when AB = BA, as whenever one factor is normal.  Memoised on A per
+    B's mask; a product set that is no subgroup raises each time."""
     if A.parent is not B.parent:
         raise ValueError("subgroups of different parents")
+    return _set_product(A, B)
+
+
+@memoised("set_product")
+def _set_product(A: Subgroup, B: Subgroup) -> Subgroup:
     G, a, b = A.parent, np.array(A.elements), np.array(B.elements)
     ab, ba = np.zeros((2, G.order), dtype=bool)
     ab[G.product[a[:, None], b]] = ba[G.product[b[:, None], a]] = True
@@ -1095,11 +1101,20 @@ def _joins(G: FiniteGroup, normal: bool) -> list:
 
     The scan starts from the trivial subgroup and extends the closure
     walk of each subgroup S it finds by a set R that starts with an
-    element x: the coset xS for the lattice, giving <S, x>, and the
-    conjugacy class x^G from :func:`conjugacy_classes` for the normal
-    subgroups, so that the join of a normal S is normal.  The join depends only on the block S·R, the double
-    coset SxS or S·x^G, so x walks up from 0 past the marked elements
-    and each block is joined once and marked with |S|·|R| products.
+    element x of prime-power order: the coset xS for the lattice, giving
+    <S, x>, and the conjugacy class x^G from :func:`conjugacy_classes`
+    for the normal subgroups, so that the join of a normal S is normal.
+    The join depends only on the block S·R, the double coset SxS or
+    S·x^G, so x walks up from 0 past the marked elements and each block
+    that holds an element of prime-power order is joined once and marked
+    with |S|·|R| products.
+
+    That reaches every subgroup.  Each element g is a product of commuting
+    powers of g of prime-power order, so a subgroup T is generated by its
+    elements y1, ..., yk of prime-power order, and the chain
+    <y1> <= <y1, y2> <= ... <= T climbs from the trivial subgroup by
+    joins with such elements, each found before the next is joined.  A
+    normal T is likewise the join of the classes y1^G, ..., yk^G.
 
     Every subgroup comes from G's interned table, so the lattice and the
     normal subgroups share their objects and memos.  The scan reads the
@@ -1111,9 +1126,14 @@ def _joins(G: FiniteGroup, normal: bool) -> list:
     found = {G.trivial().mask: G.trivial()}
     queue = list(found.values())
     class_of, classes = conjugacy_classes(G) if normal else (None, None)
+    orders = G.element_orders()
+    # marked from the start: the identity and the elements whose order
+    # is not a prime power
+    skipped = ~np.isin(orders, [q for q in set(orders.tolist())
+                                if len(prime_factors(q)) == 1])
     for S in queue:
         elems = np.array(S.elements)
-        marked = np.zeros(G.order, dtype=bool)
+        marked = skipped.copy()
         marked[elems] = True
         x = int(marked.argmin())
         while x:  # argmin is 0, in S, only once everything is marked
@@ -1134,8 +1154,10 @@ def _joins(G: FiniteGroup, normal: bool) -> list:
 
 
 def all_subgroups(G: FiniteGroup) -> list:
-    """Every subgroup, as joins <S, x> of the subgroups S found before,
-    one per double coset SxS.
+    """Every subgroup, as joins <S, x> of the subgroups S found before
+    with an element x of prime-power order, one per double coset SxS
+    that holds such an element: every subgroup is generated by its
+    elements of prime-power order (see :func:`_joins`).
 
     Kept as the exhaustive cross-check for the targeted constructions;
     the lattice grows quickly, so the scan stops after SCAN_SUBGROUP_CAP
@@ -1146,8 +1168,11 @@ def all_subgroups(G: FiniteGroup) -> list:
 
 def normal_subgroups(G: FiniteGroup) -> list:
     """Every normal subgroup, as joins <N, x^G> of the normal subgroups N
-    found before with a conjugacy class, one per block N·x^G.  Like the
-    lattice scan, it stops after SCAN_SUBGROUP_CAP subgroups."""
+    found before with the class of an element x of prime-power order,
+    one per block N·x^G that holds such an element: a normal subgroup is
+    the join of the classes of its elements of prime-power order (see
+    :func:`_joins`).  Like the lattice scan, it stops after
+    SCAN_SUBGROUP_CAP subgroups."""
     return _scan(G, True)
 
 

@@ -231,9 +231,11 @@ def restriction_kernel_image_sizes(U: Subgroup, m: int) -> tuple[int, int]:
     return kernel, len(fibers)
 
 
+@memoised("fibers")
 def restriction_kernel_fibers(U: Subgroup, m: int) -> tuple[int, tuple]:
     """Kernel size of the restriction map, and the multiplicity of each
-    distinct restricted hom, sorted ascending, from one matrix.
+    distinct restricted hom, sorted ascending, from one matrix; memoised
+    on U per m.
 
     All fiber counts equal the kernel size: fibers of a group
     homomorphism of hom-groups are cosets, so kernel * image must be the

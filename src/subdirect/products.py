@@ -9,7 +9,7 @@ kernels can be recovered from U alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -306,7 +306,7 @@ def subdirect_by_scan(G: FiniteGroup, H: FiniteGroup) -> list:
 # -- composition ---------------------------------------------------------------
 
 
-# Largest float32 product (elements) one chunk of compose_relations forms.
+# Largest float32 product (elements) one chunk of compose_chunks forms.
 COMPOSE_BUDGET = 1 << 20
 
 
@@ -326,9 +326,22 @@ def compose_relations(Us: Sequence[Subgroup],
     Returns a uint8 array of shape (len(Us), len(Vs), bytes): entry
     [i, j] is the membership row of Us[i] * Vs[j] in element order
     f * |H| + h, packed little-endian, so ``int.from_bytes(row, "little")``
-    is the subgroup mask.  All composites come from one matrix product,
-    taken over chunks of Us of at most COMPOSE_BUDGET output elements.
+    is the subgroup mask.  The rows are those of :func:`compose_chunks`.
     """
+    out = None
+    for lo, rows in compose_chunks(Us, Vs):
+        if out is None:
+            out = np.empty((len(Us), *rows.shape[1:]), dtype=np.uint8)
+        out[lo:lo + len(rows)] = rows
+    return out
+
+
+def compose_chunks(Us: Sequence[Subgroup],
+                   Vs: Sequence[Subgroup]) -> Iterator[tuple[int, np.ndarray]]:
+    """:func:`compose_relations` chunk by chunk: pairs (lo, rows), rows[i, j]
+    being the packed row of Us[lo + i] * Vs[j].  All composites come from
+    one matrix product, taken over chunks of Us of at most COMPOSE_BUDGET
+    output elements, so a caller that streams the chunks holds one."""
     if not Us or not Vs:
         raise ValueError("nothing to compose")
     PU = product_of(Us[0])
@@ -342,16 +355,21 @@ def compose_relations(Us: Sequence[Subgroup],
     fn, gn, hn = PU.left.order, PU.right.order, PV.right.order
     n, m = len(Us), len(Vs)
     right = _relation_tensor(Vs, gn, hn).transpose(1, 0, 2).reshape(gn, m * hn)
-    out = np.empty((n, m, (fn * hn + 7) // 8), dtype=np.uint8)
     step = max(1, COMPOSE_BUDGET // (fn * m * hn))
     for lo in range(0, n, step):
-        left = _relation_tensor(Us[lo:lo + step], fn, gn)
-        c = len(left)
-        related = (left.reshape(c * fn, gn) @ right) > 0
-        rows = related.reshape(c, fn, m, hn).transpose(0, 2, 1, 3)
-        out[lo:lo + c] = np.packbits(rows.reshape(c, m, fn * hn), axis=-1,
-                                     bitorder="little")
-    return out
+        yield lo, _composed(_relation_tensor(Us[lo:lo + step], fn, gn),
+                            right, m, hn)
+
+
+def _composed(left: np.ndarray, right: np.ndarray, m: int,
+              hn: int) -> np.ndarray:
+    """The packed composite rows of a chunk, its temporaries freed on
+    return."""
+    c, fn, gn = left.shape
+    related = (left.reshape(c * fn, gn) @ right) > 0
+    rows = related.reshape(c, fn, m, hn).transpose(0, 2, 1, 3)
+    return np.packbits(rows.reshape(c, m, fn * hn), axis=-1,
+                       bitorder="little")
 
 
 def composite_subgroup(group: FiniteGroup, row: np.ndarray) -> Subgroup:
@@ -363,6 +381,30 @@ def composite_subgroup(group: FiniteGroup, row: np.ndarray) -> Subgroup:
         S = Subgroup(group,
                      np.flatnonzero(np.unpackbits(row, bitorder="little")))
     return S
+
+
+def packed_masks(masks: Sequence[int], n: int) -> np.ndarray:
+    """Masks of subsets of n elements as packed rows, shape (len(masks),
+    bytes), in the byte order of :func:`compose_relations`."""
+    size = (n + 7) // 8
+    return np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks),
+                         dtype=np.uint8).reshape(len(masks), size)
+
+
+def interned_row_test(group: FiniteGroup) -> Callable[[np.ndarray], np.ndarray]:
+    """A test of packed membership rows of group, shape (..., bytes) as
+    :func:`compose_relations` gives them: which rows are the mask of a
+    subgroup interned on group when the test was made, as a boolean
+    array of the leading shape.  One sorted search, no loop over rows."""
+    rows = packed_masks(list(_interned_table(group)), group.order)
+    row = np.dtype((np.void, rows.shape[1]))
+    known = np.sort(rows.view(row)[:, 0])
+
+    def test(rows: np.ndarray) -> np.ndarray:
+        flat = np.ascontiguousarray(rows).view(row)[..., 0]
+        at = np.searchsorted(known, flat)
+        return known[np.minimum(at, len(known) - 1)] == flat
+    return test
 
 
 def star_product(U: Subgroup, V: Subgroup) -> Subgroup:

@@ -10,7 +10,16 @@ with ``@check(cases)``, where ``cases(ctx)`` gives the case tuples of a
 :class:`CheckContext`.  The probe's name names the check
 (``check_star_preservation`` is ``star-preservation``) and its place in
 this module fixes the check's place in :data:`ALL_CHECKS` and in the
-verify output.
+verify output.  A probe decorated with ``@check_blocks(blocks)`` takes a
+whole block of cases instead and counts them itself: star-monotonicity
+compares every composite of a block as arrays, with no call per case.
+
+One sweep computes each fact once.  The context composes each block of
+composable triples once, packed, and the checks that read composites
+read that block; the lattice blocks of star-monotonicity are composed
+chunk by chunk and held by no one.  Kernels, twists, kernel products and
+restriction fibers are memoised on the interned subgroups they belong
+to, so a case that repeats one reads it.
 """
 
 from __future__ import annotations
@@ -21,7 +30,9 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
+
+import numpy as np
 
 from .errors import OrderLimitExceeded, SubdirectError
 from .extensibility import (
@@ -45,6 +56,7 @@ from .groups import (
     has_cyclic_sylows,
     is_isomorphic,
     isomorphism_class,
+    memoised,
     mutual_commutator,
     normal_subgroups,
     p_part,
@@ -64,6 +76,7 @@ from .homoracle import (
 )
 from .products import (
     DEFAULT_PRODUCT_CAP,
+    compose_chunks,
     compose_relations,
     composite_subgroup,
     contains_twisted_diagonal,
@@ -71,7 +84,9 @@ from .products import (
     enumerate_subdirect,
     goursat_quintuple,
     goursat_quotient,
+    interned_row_test,
     is_section,
+    packed_masks,
     product_of,
     projections_kernels,
     subdirect_by_scan,
@@ -102,19 +117,23 @@ class CheckResult:
 
 
 class CheckContext:
-    """Shared scan state: the selection and its product cap.
+    """Shared scan state: the selection, its product cap and the blocks
+    of composable triples.
 
     The subgroups the context hands out are the interned objects of
-    their product group, and :meth:`star_block` resolves each composite
-    to the interned subgroup with the same elements, so projections,
-    Goursat data and sections are computed once per subgroup rather
-    than once per composition.
+    their product group, and each composite resolves to the interned
+    subgroup with the same elements, so projections, Goursat data and
+    sections are computed once per subgroup rather than once per
+    composition.  The blocks of :meth:`triple_blocks` are composed on
+    first use and held, packed, in ``triple_rows``; the context holds no
+    table from masks to subgroups.
     """
 
     def __init__(self, groups: Iterable[FiniteGroup], *,
                  product_cap: int = DEFAULT_PRODUCT_CAP):
         self.groups = list(groups)
         self.product_cap = product_cap
+        self.triple_rows: Optional[list] = None
 
     def star_block(self, Us: list, Vs: list):
         """(U, V, U*V) for every U in Us and V in Vs, row by row.
@@ -123,14 +142,14 @@ class CheckContext:
         composite_subgroup resolves each row.  Its home F x H must fit
         the context's product cap.
         """
-        if not Us or not Vs:
-            return
+        if Us and Vs:
+            yield from _resolved(self._home(Us, Vs), Us, Vs,
+                                 compose_relations(Us, Vs))
+
+    def _home(self, Us: list, Vs: list) -> FiniteGroup:
+        """F x H, the home of the composites of Us <= F x G, Vs <= G x H."""
         F, H = product_of(Us[0]).left, product_of(Vs[0]).right
-        group = direct_product(F, H, max_order=self.product_cap).group
-        rows = compose_relations(Us, Vs)
-        for U, U_rows in zip(Us, rows):
-            for V, row in zip(Vs, U_rows):
-                yield U, V, composite_subgroup(group, row)
+        return direct_product(F, H, max_order=self.product_cap).group
 
     def pairs(self) -> list:
         return [(G, H) for G in self.groups for H in self.groups
@@ -180,50 +199,90 @@ class CheckContext:
         return [(U, phi) for U in self.subdirects(G, G)
                 if (phi := contains_twisted_diagonal(U)) is not None]
 
-    def composable_triples(self):
-        """(U, V, U*V) with U <= F x G, V <= G x H subdirect.
+    def triple_blocks(self) -> list:
+        """(F x H, Us, Vs, rows) per (F, G, H) within the cap: Us the
+        subdirects of F x G, Vs those of G x H and rows their
+        :func:`compose_relations` block.
 
-        One block per (F, G, H).  A composite of subdirect products is
-        subdirect, so the subdirect products of F x H are enumerated
-        first and every composite is an interned subgroup.
+        Composed once, on the first call, and kept in ``triple_rows``.  A
+        composite of subdirect products is subdirect, so the subdirect
+        products of F x H are enumerated first and every composite row
+        is the mask of an interned subgroup.
         """
-        cap = self.product_cap
-        for F in self.groups:
-            for G in self.groups:
-                if F.order * G.order > cap:
-                    continue
-                for H in self.groups:
-                    if G.order * H.order > cap:
+        if self.triple_rows is None:
+            cap, blocks = self.product_cap, []
+            for F in self.groups:
+                for G in self.groups:
+                    if F.order * G.order > cap:
                         continue
-                    if F.order * H.order <= cap:
-                        self.subdirects(F, H)
-                    yield from self.star_block(self.subdirects(F, G),
-                                               self.subdirects(G, H))
+                    for H in self.groups:
+                        if G.order * H.order > cap:
+                            continue
+                        if F.order * H.order <= cap:
+                            self.subdirects(F, H)
+                        Us, Vs = self.subdirects(F, G), self.subdirects(G, H)
+                        blocks.append((self._home(Us, Vs), Us, Vs,
+                                       compose_relations(Us, Vs)))
+            self.triple_rows = blocks
+        return self.triple_rows
+
+    def composable_triples(self):
+        """(U, V, U*V) with U <= F x G, V <= G x H subdirect, row by row
+        from :meth:`triple_blocks`."""
+        for block in self.triple_blocks():
+            yield from _resolved(*block)
 
 
-def _run(name: str, cases: Iterable, probe: Callable) -> CheckResult:
-    """Sweep probe over cases, tuples of its arguments.
+def _resolved(home: FiniteGroup, Us: list, Vs: list, rows: np.ndarray):
+    """(U, V, U*V) for a composed block, each composite resolved by
+    composite_subgroup."""
+    for U, U_rows in zip(Us, rows):
+        for V, row in zip(Vs, U_rows):
+            yield U, V, composite_subgroup(home, row)
+
+
+def _run(name: str, tallies: Iterable) -> CheckResult:
+    """Sum a check's tallies, pairs (cases, failure lines).
+
+    A SubdirectError raised while the tallies are made, outside any one
+    case, ends the check with one failure that names the check, the
+    cases reached and the error; the other checks still run.
+    OrderLimitExceeded propagates instead: a cap was exceeded, so no
+    verdict exists.
+    """
+    failures = []
+    checked = 0
+    try:
+        for cases, lines in tallies:
+            checked += cases
+            failures += lines
+    except SubdirectError as exc:
+        if isinstance(exc, OrderLimitExceeded):
+            raise
+        failures.append(f"{name} stopped after {checked} cases: "
+                        f"{type(exc).__name__}: {exc}")
+    return CheckResult(name, not failures, checked, failures)
+
+
+def _probe_each(cases: Iterable, probe: Callable) -> Iterator[tuple]:
+    """One tally per case, a tuple of probe's arguments.
 
     probe returns None (ok) or the reason a case fails.  Every failure
     line is the case's label, the reprs of its groups, subgroups, homs
     and integers, then the reason.  A SubdirectError the probe raises
-    fails its case and the sweep goes on, except OrderLimitExceeded: a
-    cap was exceeded, so no verdict exists.  Errors raised while the
-    cases are generated propagate.
+    fails its case and the sweep goes on, except OrderLimitExceeded.
     """
-    failures = []
-    checked = 0
     for case in cases:
-        checked += 1
         try:
             reason = probe(*case)
         except SubdirectError as exc:
             if isinstance(exc, OrderLimitExceeded):
                 raise
             reason = f"{type(exc).__name__}: {exc}"
-        if reason is not None:
-            failures.append(f"{', '.join(map(repr, case))}: {reason}")
-    return CheckResult(name, not failures, checked, failures)
+        if reason is None:
+            yield 1, ()
+        else:
+            yield 1, (f"{', '.join(map(repr, case))}: {reason}",)
 
 
 ALL_CHECKS: list = []  # every check, in definition order
@@ -233,23 +292,32 @@ def _check_name(fn: Callable) -> str:
     return fn.__name__.removeprefix("check_").replace("_", "-")
 
 
+def _register(probe: Callable, tallies: Callable[[CheckContext], Iterable]):
+    """Append the check named after probe, check_x_y as x-y, which takes
+    a CheckContext and sums tallies(ctx) with :func:`_run`."""
+    name = _check_name(probe)
+
+    @functools.wraps(probe)
+    def run(ctx: CheckContext) -> CheckResult:
+        return _run(name, tallies(ctx))
+
+    ALL_CHECKS.append(run)
+    return run
+
+
 def check(cases: Callable[[CheckContext], Iterable]):
-    """Register the decorated probe as the next check.
+    """Register the decorated probe as the next check, swept over the
+    case tuples cases(ctx), one call per case."""
+    return lambda probe: _register(
+        probe, lambda ctx: _probe_each(cases(ctx), probe))
 
-    The check takes a CheckContext and sweeps the probe over the case
-    tuples cases(ctx) with :func:`_run`.  It is named after the probe,
-    check_x_y as x-y, and appended to ALL_CHECKS.
-    """
-    def register(probe: Callable) -> Callable[[CheckContext], CheckResult]:
-        name = _check_name(probe)
 
-        @functools.wraps(probe)
-        def run(ctx: CheckContext) -> CheckResult:
-            return _run(name, cases(ctx), probe)
-
-        ALL_CHECKS.append(run)
-        return run
-    return register
+def check_blocks(blocks: Callable[[CheckContext], Iterable]):
+    """Register the decorated block probe as the next check: for each
+    block, a tuple of its arguments from blocks(ctx), the probe yields
+    tallies (cases, failure lines) that count every case of the block."""
+    return lambda probe: _register(
+        probe, lambda ctx: (t for block in blocks(ctx) for t in probe(*block)))
 
 
 def _diagonal_cases(ctx: CheckContext):
@@ -282,12 +350,18 @@ def _plain_diagonal_stars(ctx: CheckContext,
             yield G, U, V, W
 
 
-def _lattice_stars(ctx: CheckContext):
-    """(U, V, U*V) for U, V in the lattice of each scanned square."""
+def _monotonicity_blocks(ctx: CheckContext):
+    """(F x H, Us, Vs, chunks) for star-monotonicity: each held block of
+    composable triples as one chunk, then the lattice of each scanned
+    square composed with itself chunk by chunk, so no lattice block is
+    ever held."""
+    for home, Us, Vs, rows in ctx.triple_blocks():
+        yield home, Us, Vs, [(0, rows)]
     for G in ctx.squares():
         if G.order * G.order <= SCAN_CAP:
             lattice = ctx.lattice(G, G)
-            yield from ctx.star_block(lattice, lattice)
+            yield (ctx._home(lattice, lattice), lattice, lattice,
+                   compose_chunks(lattice, lattice))
 
 
 # -- core group checks ----------------------------------------------------------
@@ -403,17 +477,44 @@ def check_enumeration_vs_scan(G, H) -> Optional[str]:
     return None
 
 
-@check(lambda ctx: itertools.chain(ctx.composable_triples(),
-                                   _lattice_stars(ctx)))
-def check_star_monotonicity(U, V, W) -> Optional[str]:
-    """k1 grows and p1 shrinks across a composition."""
-    dU = projections_kernels(U)
-    dW = projections_kernels(W)
-    if not dU.k1.is_subset_of(dW.k1):
-        return "k1(U) not inside k1(U*V)"
-    if not dW.p1.is_subset_of(dU.p1):
-        return "p1(U*V) not inside p1(U)"
-    return None
+@check_blocks(_monotonicity_blocks)
+def check_star_monotonicity(home, Us, Vs, chunks) -> Iterator[tuple]:
+    """k1 grows and p1 shrinks across a composition, one case per (U, V).
+
+    A chunk holds packed composite rows over F x H, bit f * |H| + h for
+    (f, h).  k1(U*V) is the column at the identity of H, so k1(U) lies
+    in it when the row has the bits of (f, 1) for f in k1(U); p1(U*V) is
+    the any-reduction over H, so it lies in p1(U) when the row has no
+    bit (f, h) for f outside p1(U).  Both are tested with U's masks as
+    byte arrays, for the whole chunk at once.  A row that is no interned
+    subgroup's mask fails its case.  Only a failing row is resolved to
+    its subgroup, to name it."""
+    hn = home.product_info.right.order
+    sides = [projections_kernels(U) for U in Us]
+    column = (1 << hn) - 1
+    kept = packed_masks([sum(1 << f * hn for f in d.k1.elements)
+                         for d in sides], home.order)
+    outside = packed_masks([(1 << home.order) - 1 - sum(
+        column << f * hn for f in d.p1.elements) for d in sides], home.order)
+    known = interned_row_test(home)
+    for lo, rows in chunks:
+        c, m = rows.shape[:2]
+        k1 = kept[lo:lo + c, None]
+        lost = ((rows & k1) != k1).any(axis=-1)
+        grown = (rows & outside[lo:lo + c, None]).any(axis=-1)
+        stray = ~known(rows)
+        lines = []
+        for i, j in zip(*np.nonzero(lost | grown | stray)):
+            U, V = Us[lo + i], Vs[j]
+            if stray[i, j]:
+                lines.append(f"{U!r}, {V!r}: U*V is no subgroup interned "
+                             f"on {home.label}")
+                continue
+            W = composite_subgroup(home, rows[i, j])
+            reason = ("k1(U) not inside k1(U*V)" if lost[i, j]
+                      else "p1(U*V) not inside p1(U)")
+            lines.append(f"{U!r}, {V!r}, {W!r}: {reason}")
+        yield c * m, lines
 
 
 @check(lambda ctx: ctx.composable_triples())
@@ -451,13 +552,31 @@ def check_twisted_kernel_transport(G, U, phi, V=None, psi=None,
         return None
     dV = projections_kernels(V)
     dW = projections_kernels(W)
-    want1 = set_product(dU.k1, phi.inverted().map_subgroup(dV.k1))
-    want2 = set_product(dV.k2, psi.map_subgroup(dU.k2))
+    want1 = set_product(dU.k1, _twist_preimage(U, dV.k1))
+    want2 = set_product(dV.k2, _twist_image(V, dU.k2))
     if dW.k1 != want1:
         return "k1(U*V) != k1(U) phi^-1(k1(V))"
     if dW.k2 != want2:
         return "k2(U*V) != k2(V) psi(k2(U))"
     return None
+
+
+@memoised("twist_preimage")
+def _twist_preimage(U: Subgroup, K: Subgroup) -> Subgroup:
+    """phi^-1(K) for U's twist phi, the memoised contains_twisted_diagonal(U)
+    that the diagonal cases carry, memoised on U per K's mask."""
+    return _twist_inverse(U).map_subgroup(K)
+
+
+@memoised("twist_inverse")
+def _twist_inverse(U: Subgroup):
+    return contains_twisted_diagonal(U).inverted()
+
+
+@memoised("twist_image")
+def _twist_image(V: Subgroup, K: Subgroup) -> Subgroup:
+    """psi(K) for V's twist psi, memoised on V per K's mask."""
+    return contains_twisted_diagonal(V).map_subgroup(K)
 
 
 # -- extensibility checks --------------------------------------------------------
@@ -606,20 +725,25 @@ def check_record_roundtrip(G, H, U) -> Optional[str]:
     return None
 
 
-def run_checks(ctx: CheckContext, names: Optional[Iterable[str]] = None) -> list:
-    """Run the selected checks (all by default), in definition order."""
+def iter_checks(ctx: CheckContext,
+                names: Optional[Iterable[str]] = None) -> Iterator[CheckResult]:
+    """Run the selected checks (all by default), in definition order,
+    yielding each result, timed, as its check finishes."""
     known = {_check_name(sweep): sweep for sweep in ALL_CHECKS}
     if names is not None:
         unknown = sorted(set(names) - set(known))
         if unknown:
             raise KeyError(f"unknown checks: {', '.join(unknown)}")
     wanted = None if names is None else set(names)
-    results = []
     for name, sweep in known.items():
         if wanted is not None and name not in wanted:
             continue
         start = time.perf_counter()
         result = sweep(ctx)
         result.seconds = time.perf_counter() - start
-        results.append(result)
-    return results
+        yield result
+
+
+def run_checks(ctx: CheckContext, names: Optional[Iterable[str]] = None) -> list:
+    """The results of :func:`iter_checks`, as a list."""
+    return list(iter_checks(ctx, names))

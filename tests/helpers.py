@@ -30,12 +30,15 @@ table formulas that the in-place fills of ``products.direct_product``,
 all-pairs commutators, the join scan that re-closes every subgroup with
 every cyclic subgroup and the all-element restriction matrix that the
 generator-based ``groups.mutual_commutator``, the one join per double
-coset of ``groups._joins`` and ``homoracle._restriction_matrix``
+coset (with an element of prime-power order) of ``groups._joins`` and
+``homoracle._restriction_matrix``
 replaced, and :func:`pairwise_extend_hom`
 is the loop over pairs of factor homs that the row search of
 ``homoracle.extend_hom`` replaced, and :func:`twisted_diagonal_by_scan`
 is the scan over all of Aut(G) that the fiber-cut search of
-``products.contains_twisted_diagonal`` replaced.
+``products.contains_twisted_diagonal`` replaced, and
+:func:`star_monotonicity_probe` is the per-case probe that the block
+arrays of verify's star-monotonicity replaced.
 :func:`preset_subdirects`, :func:`permutation_groups` and
 :func:`relabelled` are not oracles: they list the subdirect products,
 beyond the catalog, draw the small permutation groups and relabel the
@@ -272,6 +275,21 @@ def dict_loop_composite(U, V) -> frozenset:
             for h in by_mid_right.get(g, ()):
                 elements.add(f * hn + h)
     return frozenset(elements)
+
+
+def star_monotonicity_probe(U, V, W):
+    """None when k1(U) <= k1(U*V) and p1(U*V) <= p1(U) for the composite
+    W = U*V, else the reason, from the projections and kernels of U and
+    W: one call per case."""
+    from subdirect.products import projections_kernels
+
+    dU = projections_kernels(U)
+    dW = projections_kernels(W)
+    if not dU.k1.is_subset_of(dW.k1):
+        return "k1(U) not inside k1(U*V)"
+    if not dW.p1.is_subset_of(dU.p1):
+        return "p1(U*V) not inside p1(U)"
+    return None
 
 
 def squaring_closure(G, seed) -> tuple:

@@ -1151,6 +1151,62 @@ def test_cli_verify_cap_in_a_check_exits_3(capsys, monkeypatch):
     assert "cap exceeded: injected cap" in err
 
 
+def test_cli_verify_case_builder_error_fails_its_check_only(capsys, tmp_path,
+                                                          monkeypatch):
+    """An error raised while a check's cases are built, not by one case,
+    fails that check with one line naming it, the cases reached and the
+    error; the other checks run and --out is written."""
+    real = verification._plain_diagonal_stars
+
+    def broken(ctx, keep=lambda U: True):
+        yield from itertools.islice(real(ctx, keep), 2)
+        raise subdirect.InternalInconsistency("injected")
+
+    monkeypatch.setattr(verification, "_plain_diagonal_stars", broken)
+    path = tmp_path / "verify.jsonl"
+    code, out, err = run_cli(capsys, "verify", "--G", "C2,S3",
+                             "--out", str(path))
+    assert code == 1, err
+    assert "internal consistency failure" not in err
+    lines = out.splitlines()
+    checks = [line for line in lines if CHECK_LINE.fullmatch(line)]
+    assert len(checks) == 28
+    assert [c for c in checks if "FAIL" in c] == \
+        ["star-preservation: FAIL (2 cases)"]
+    at = lines.index("star-preservation: FAIL (2 cases)")
+    assert lines[at + 1] == ("  star-preservation stopped after 2 cases: "
+                             "InternalInconsistency: injected")
+    assert CHECK_LINE.fullmatch(lines[at + 2])
+    assert lines[-1].startswith("FAILED 1 of 28 checks (")
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(records) == 28
+    assert [(r["name"], r["checked"], r["failures"]) for r in records
+            if not r["passed"]] == [("star-preservation", 2, [
+                "star-preservation stopped after 2 cases: "
+                "InternalInconsistency: injected"])]
+
+
+def test_cli_verify_prints_each_check_as_it_finishes(capsys, monkeypatch):
+    """A cap exceeded in a late check exits 3 after the lines of the
+    checks that finished before it."""
+    def capped(U, m):
+        raise subdirect.OrderLimitExceeded("injected cap")
+
+    monkeypatch.setattr(verification, "restriction_kernel_image_sizes", capped)
+    code, out, err = run_cli(capsys, "verify", "--G", "C2,C3")
+    assert code == 3
+    names = [r.name for r in run_checks(CheckContext([]))]
+    late = names.index("restriction-kernel")
+    assert out.splitlines() == [
+        f"{name}: pass ({n} cases)" for name, n in zip(
+            names[:late], (6, 6, 4, 2, 14, 19, 19, 19, 19, 4, 86, 25, 25,
+                           18, 7, 9, 7, 9, 5, 8, 8, 7, 14, 10))]
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        f"time {name}" for name in names[:late]]
+    assert lines[-1] == "cap exceeded: injected cap"
+
+
 def test_cli_catalog(capsys):
     code, out, err = run_cli(capsys, "catalog")
     assert code == 0

@@ -1,9 +1,12 @@
 """The verify sweep's shared state: interned composites and case counts."""
 
 import dataclasses
+import itertools
 import json
 import pathlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import helpers
@@ -66,9 +69,19 @@ def test_star_of_lattice_subgroups_is_the_lattice_object(name):
 
 
 def test_context_keeps_no_subgroup_tables():
+    """The one state a context holds besides its selection is the packed
+    blocks of composable triples: rows and the subgroup lists they
+    compose, no table from masks to subgroups."""
     ctx = CheckContext([catalog_group("C2"), catalog_group("S3")])
     assert list(ctx.composable_triples())
-    assert set(vars(ctx)) == {"groups", "product_cap"}
+    assert set(vars(ctx)) == {"groups", "product_cap", "triple_rows"}
+    assert len(ctx.triple_rows) == 8
+    for home, Us, Vs, rows in ctx.triple_rows:
+        assert isinstance(home, FiniteGroup)
+        assert type(Us) is list and type(Vs) is list
+        assert all(type(S) is Subgroup for S in Us + Vs)
+        assert rows.dtype == np.uint8
+        assert rows.shape == (len(Us), len(Vs), (home.order + 7) // 8)
 
 
 def test_star_outside_the_context_is_fresh():
@@ -174,18 +187,25 @@ def test_memo_keys_are_strings_masks_and_ints(ctx):
 
 
 def test_fiber_uniformity_builds_one_matrix_per_case(monkeypatch):
+    """One matrix per distinct (U, m), memoised on U: the restriction
+    fibers of restriction-kernel's cases are fiber-uniformity's.  The
+    groups are fresh, as the catalog's are shared by the whole process."""
     built = []
     real = homoracle._restriction_matrix
 
     def counted(U, m):
-        built.append(U)
+        built.append((U.parent.label, U.mask, m))
         return real(U, m)
 
     monkeypatch.setattr(homoracle, "_restriction_matrix", counted)
-    ctx = CheckContext([catalog_group(n) for n in ("C2", "C3", "S3")])
+    ctx = CheckContext([load_group(n) for n in ("C2", "C3", "S3")])
     result = check_fiber_uniformity(ctx)
     assert result.passed
-    assert len(built) == result.checked == CASE_COUNTS["fiber-uniformity"]
+    assert len(built) == len(set(built)) == result.checked \
+        == CASE_COUNTS["fiber-uniformity"]
+    for res in run_checks(ctx, ["restriction-kernel", "fiber-uniformity"]):
+        assert res.passed, res.line()
+    assert len(built) == CASE_COUNTS["fiber-uniformity"]
 
 
 COMPOSING_CHECKS = ("star-monotonicity", "section-relation",
@@ -197,10 +217,15 @@ def test_composing_checks_compose_once_per_block(monkeypatch):
     ctx = CheckContext([catalog_group(n) for n in ("C2", "C3", "S3")])
     blocks = []
     real_compose = verification.compose_relations
+    real_chunks = verification.compose_chunks
 
     def compose(Us, Vs):
         blocks.append(len(Us) * len(Vs))
         return real_compose(Us, Vs)
+
+    def chunks(Us, Vs):
+        blocks.append(len(Us) * len(Vs))
+        return real_chunks(Us, Vs)
 
     checked = []
     real_init = Subgroup.__init__
@@ -211,16 +236,19 @@ def test_composing_checks_compose_once_per_block(monkeypatch):
             checked.append(self)
 
     monkeypatch.setattr(verification, "compose_relations", compose)
+    monkeypatch.setattr(verification, "compose_chunks", chunks)
     monkeypatch.setattr(Subgroup, "__init__", init)
     for res in run_checks(ctx, COMPOSING_CHECKS[:4]):
         assert res.passed, res.line()
-    # One block per (F, G, H) in each of three checks, one lattice block
-    # per square in star-monotonicity and one block of diagonal pairs
-    # per square in twisted-kernel-transport, whose other cases are the
-    # single subgroups that twisted-kernel-identity also counts.
-    assert len(blocks) == 3 * 27 + 3 + 3
-    pairs = sum(CASE_COUNTS[name] for name in COMPOSING_CHECKS[:4])
-    assert sum(blocks) == pairs - CASE_COUNTS["twisted-kernel-identity"]
+    # One block per (F, G, H), composed once for the three checks that
+    # read it, one lattice block per square in star-monotonicity,
+    # streamed, and one block of diagonal pairs per square in
+    # twisted-kernel-transport, whose other cases are the single
+    # subgroups that twisted-kernel-identity also counts.
+    assert len(blocks) == 27 + 3 + 3
+    assert sum(blocks) == (CASE_COUNTS["star-monotonicity"]
+                           + CASE_COUNTS["twisted-kernel-transport"]
+                           - CASE_COUNTS["twisted-kernel-identity"])
     assert checked == []
 
     del blocks[:]
@@ -247,21 +275,116 @@ def test_star_checks_reuse_the_block_composite(monkeypatch):
     assert calls == []
 
 
-def test_star_monotonicity_failure_names_its_groups(monkeypatch):
-    C2 = catalog_group("C2")
-    ctx = CheckContext([C2])
+def _planted_block(monkeypatch, ctx, mask: int) -> None:
+    """Make ctx's one block of composable triples (C2 x C2 full) * (C2 x
+    C2 full) with the composite row of the given mask, and sweep no
+    lattice."""
+    C2 = ctx.groups[0]
     full = ctx.lattice(C2, C2)[-1]
-    trivial = ctx.lattice(C2, C2)[0]
-    assert full.is_whole and trivial.order == 1
-    # A composite that loses k1: the probe must report the case.
-    monkeypatch.setattr(ctx, "composable_triples",
-                        lambda: iter([(full, full, trivial)]))
+    assert full.is_whole and full.parent.order == 4
+    rows = np.array([[[mask]]], dtype=np.uint8)
+    monkeypatch.setattr(ctx, "triple_blocks",
+                        lambda: [(full.parent, [full], [full], rows)])
     monkeypatch.setattr(ctx, "squares", lambda: [])
+
+
+def test_star_monotonicity_failure_names_its_groups(monkeypatch):
+    ctx = CheckContext([catalog_group("C2")])
+    # A composite that loses k1, the trivial subgroup: the block must
+    # report the case.
+    _planted_block(monkeypatch, ctx, 0b0001)
     result = verification.check_star_monotonicity(ctx)
     assert not result.passed and result.checked == 1
     assert result.failures == [
         "Subgroup(order=4 of C2xC2), Subgroup(order=4 of C2xC2), "
         "Subgroup(order=1 of C2xC2): k1(U) not inside k1(U*V)"]
+
+
+def test_star_monotonicity_fails_a_composite_that_is_no_subgroup(
+        monkeypatch):
+    ctx = CheckContext([catalog_group("C2")])
+    _planted_block(monkeypatch, ctx, 0b0110)  # no identity
+    result = verification.check_star_monotonicity(ctx)
+    assert not result.passed and result.checked == 1
+    assert result.failures == [
+        "Subgroup(order=4 of C2xC2), Subgroup(order=4 of C2xC2): "
+        "U*V is no subgroup interned on C2xC2"]
+
+
+def _swap_full_and_trivial(rows: np.ndarray, order: int) -> np.ndarray:
+    """A planted fault in composite rows over a home of the given order:
+    every composite that is the whole home becomes the trivial subgroup
+    and every trivial one the whole home, both interned on every group."""
+    bits = np.unpackbits(rows, axis=-1, bitorder="little")
+    whole = bits[..., :order].all(axis=-1)
+    trivial = (bits[..., 0] == 1) & (bits.sum(axis=-1) == 1)
+    bits[whole] = 0
+    bits[whole, 0] = 1
+    bits[trivial, :order] = 1
+    return np.packbits(bits, axis=-1, bitorder="little")
+
+
+def _home_order(Us, Vs) -> int:
+    return Us[0].parent.product_info.left.order \
+        * Vs[0].parent.product_info.right.order
+
+
+@pytest.mark.parametrize("names", [("C2", "C3", "S3"), ("C2xC4",)],
+                         ids="-".join)
+@pytest.mark.parametrize("planted", [False, True])
+def test_star_monotonicity_blocks_match_the_per_case_probe(monkeypatch,
+                                                           names, planted):
+    """The block arrays count and fail the same cases, in the same order,
+    as the per-case probe over the same composites, the triples first,
+    then each scanned square's lattice with itself."""
+    if planted:
+        compose = verification.compose_relations
+        chunks = verification.compose_chunks
+        monkeypatch.setattr(verification, "compose_relations",
+                            lambda Us, Vs: _swap_full_and_trivial(
+                                compose(Us, Vs), _home_order(Us, Vs)))
+        monkeypatch.setattr(verification, "compose_chunks", lambda Us, Vs: (
+            (lo, _swap_full_and_trivial(rows, _home_order(Us, Vs)))
+            for lo, rows in chunks(Us, Vs)))
+    ctx = CheckContext([load_group(n) for n in names])
+    lattices = [ctx.lattice(G, G) for G in ctx.squares()
+                if G.order * G.order <= verification.SCAN_CAP]
+    cases = itertools.chain(ctx.composable_triples(), *(
+        ctx.star_block(lattice, lattice) for lattice in lattices))
+    want = verification._run("star-monotonicity", verification._probe_each(
+        cases, helpers.star_monotonicity_probe))
+    got = verification.check_star_monotonicity(ctx)
+    assert (got.checked, got.failures) == (want.checked, want.failures)
+    assert got.checked == (CASE_COUNTS["star-monotonicity"]
+                           if names[0] == "C2" else 249 ** 2 + 32 ** 2)
+    assert bool(got.failures) == planted
+    if planted:
+        reasons = {line.rsplit(": ", 1)[1] for line in got.failures}
+        assert reasons == {"k1(U) not inside k1(U*V)",
+                           "p1(U*V) not inside p1(U)"}
+
+
+def test_star_monotonicity_holds_no_lattice_block(monkeypatch):
+    """The C2xC4 lattice block, 249 x 249 composites, is composed chunk
+    by chunk: the sweep never holds half of the packed block, and
+    keeps none of it."""
+    budget = 1 << 12
+    monkeypatch.setattr(products, "COMPOSE_BUDGET", budget)
+    G = load_group("C2xC4")
+    ctx = CheckContext([G])
+    lattice = ctx.lattice(G, G)
+    assert len(lattice) == 249
+    packed = len(lattice) ** 2 * (G.order ** 2 // 8)
+    verification.check_star_monotonicity(ctx)  # memoises U's kernels
+    tracemalloc.start()
+    try:
+        result = verification.check_star_monotonicity(ctx)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed and result.checked == 249 ** 2 + 32 ** 2
+    assert peak < packed / 2
+    assert held < packed / 32
 
 
 def test_checks_and_case_counts_match_the_benchmark_answers():
