@@ -37,6 +37,7 @@ from .records import (
     AnalysisRecord,
     analyze_subgroup,
     star_analysis,
+    write_lines,
     write_records,
 )
 from .specs import _as_int, load_group, load_product_subgroup
@@ -305,15 +306,10 @@ def cmd_verify(args) -> int:
         print(f"time {result.name}: {result.seconds * 1e3:.1f} ms",
               file=sys.stderr, flush=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for result in results:
-                fh.write(json.dumps({
-                    "schema": "subdirect-verify/1",
-                    "name": result.name,
-                    "passed": result.passed,
-                    "checked": result.checked,
-                    "failures": result.failures,
-                }, sort_keys=True) + "\n")
+        write_lines(args.out, (json.dumps(
+            {"schema": "subdirect-verify/1", "name": r.name, "passed": r.passed,
+             "checked": r.checked, "failures": r.failures}, sort_keys=True)
+            for r in results))
     failed = [r for r in results if not r.passed]
     total = sum(r.checked for r in results)
     if failed:

@@ -51,7 +51,6 @@ from .products import (
 METHOD_EXACT = "exact-criterion"
 METHOD_CYCLIC_SYLOW = "cyclic-sylow"
 METHOD_CENTRAL = "central-shortcut"
-METHOD_ORACLE = "oracle"
 
 
 @dataclass(frozen=True)

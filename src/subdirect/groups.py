@@ -18,7 +18,9 @@ Checks stay at ``from_cayley_table``, ``specs``, ``make_quintuple``'s
 coset pairs, composite misses and ``set_product`` (AB = BA).  Each
 Goursat quintuple's induced map is checked once, where the quintuple is
 built: in ``make_quintuple``, the subdirect enumeration or
-``goursat_quintuple``.
+``goursat_quintuple``.  Each check tests only the steps x -> x*s at
+generators s (walk rule): a subgroup is its own closure, a map with
+f(x*s) = f(x)*f(s) is a hom, a table with (x*y)*s = x*(y*s) associative.
 
 Caps, each raising OrderLimitExceeded: a group a spec or closure asks
 for and every ``direct_product`` stop above ``max_order`` (default
@@ -31,6 +33,10 @@ Walk rule: :func:`_closure` is the one walk that generates subgroups,
 commutator subgroups included.  It steps in factor coordinates, an
 element of G x H as a pair in the tables of G and H and one of any
 other group in its own table, so it never builds a product's table.
+The checks above and the isomorphism search rest on one lemma: the c
+at which a product rule holds for every x -> x*c are closed under
+products (Light's test, for associativity), so a rule that holds at
+each generator holds at each element the walk reaches.
 
 Derived data such as element orders, conjugacy classes and the full
 subgroup lattice is memoised in the ``_cache`` dict of the instance that
@@ -196,7 +202,7 @@ class FiniteGroup:
         """Full axiom scan; raises NotAGroup with the failing witness.
         The table is read-only, so a passing scan is memoised; a failing
         one raises before anything is stored."""
-        _check_axioms(self.product)
+        _check_axioms(self)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
@@ -223,9 +229,10 @@ class _DeferredTable(FiniteGroup):
         return table
 
 
-def _check_axioms(table: np.ndarray) -> None:
-    """The scan behind :meth:`FiniteGroup.validate`."""
-    n = table.shape[0]
+def _check_axioms(G: FiniteGroup) -> None:
+    """The scan behind :meth:`FiniteGroup.validate`; associativity at the
+    greedy generators of an unmemoised walk."""
+    table, n = G.product, G.order
     if table.min() < 0 or table.max() >= n:
         bad = np.argwhere((table < 0) | (table >= n))[0]
         raise NotAGroup(f"entry out of range at {tuple(int(x) for x in bad)}")
@@ -238,13 +245,12 @@ def _check_axioms(table: np.ndarray) -> None:
         raise NotAGroup(f"column {int(np.flatnonzero(~cols_ok)[0])} is not a permutation")
     if not (table[0] == want).all() or not (table[:, 0] == want).all():
         raise NotAGroup("identity is not at index 0")
-    # associativity, one defining row at a time to bound memory
-    for a in range(n):
-        left = table[table[a], :]
-        right = table[a][table]
+    for s in _closure(G, range(n))[1]:
+        col = table[:, s]
+        left, right = col[table], table[:, col]  # (x*y)*s and x*(y*s)
         if not (left == right).all():
-            b, c = (int(x) for x in np.argwhere(left != right)[0])
-            raise NotAGroup(f"associativity fails at triple ({a}, {b}, {c})")
+            x, y = (int(v) for v in np.argwhere(left != right)[0])
+            raise NotAGroup(f"associativity fails at triple ({x}, {y}, {s})")
 
 
 def _inverse_table(table: np.ndarray) -> np.ndarray:
@@ -260,25 +266,21 @@ def from_cayley_table(table: Sequence[Sequence[int]], label: str = "G") -> Finit
     """Build a group from a raw table, relabelling the identity to 0.
 
     The identity is located first; if it sits at some index e != 0 the
-    elements e and 0 are swapped before validation.
+    elements e and 0 are swapped, in the entries too, before validation.
     """
     arr = np.asarray(table, dtype=_DTYPE)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotAGroup("multiplication table must be square")
-    n = arr.shape[0]
-    want = np.arange(n)
-    identity = None
-    for e in range(n):
-        if (arr[e] == want).all() and (arr[:, e] == want).all():
-            identity = e
-            break
-    if identity is None:
+    want = np.arange(arr.shape[0])
+    units = np.flatnonzero((arr == want).all(axis=1) & (arr.T == want).all(axis=1))
+    if not units.size:
         raise NotAGroup("table has no two-sided identity")
-    if identity != 0:
-        sigma = np.arange(n)
-        sigma[0], sigma[identity] = identity, 0
-        relabel = sigma  # involution, so sigma doubles as its inverse
-        arr = relabel[arr[sigma[:, None], sigma]]
+    e = int(units[0])
+    if e:
+        sigma = want.copy()
+        sigma[0], sigma[e] = e, 0
+        arr = arr[sigma[:, None], sigma]
+        arr = np.where(arr == e, 0, np.where(arr == 0, e, arr))
     return FiniteGroup(arr, label)
 
 
@@ -357,14 +359,10 @@ class Subgroup:
             raise ValueError("subgroup elements out of range or empty")
         if elems[0] != 0:
             raise ValueError("subgroup must contain the identity")
-        self._fill(parent, elems)
-        arr = np.array(elems)
-        member = np.zeros(parent.order, dtype=bool)
-        member[arr] = True
-        if not member[parent.product[arr[:, None], arr]].all():
+        closed, gens = _closure(parent, elems)
+        if closed != elems:
             raise ValueError("element set is not closed under products")
-        if not member[parent.inverse[arr]].all():
-            raise ValueError("element set is not closed under inverses")
+        self._fill(parent, elems, None, gens)
 
     def _fill(self, parent, elements, mask=None, gens=None,
               memos=None) -> None:
@@ -861,16 +859,9 @@ class GroupHom:
     def __init__(self, domain: FiniteGroup, codomain: FiniteGroup,
                  image: np.ndarray):
         self._fill(domain, codomain, image)
-        arr = self.image
-        if arr.min() < 0 or arr.max() >= codomain.order:
+        if self.image.min() < 0 or self.image.max() >= codomain.order:
             raise ValueError("image table out of range")
-        if arr[0] != 0:
-            raise ValueError("identity must map to identity")
-        lhs = arr[domain.product]
-        rhs = codomain.product[arr[:, None], arr[None, :]]
-        if not (lhs == rhs).all():
-            a, b = (int(x) for x in np.argwhere(lhs != rhs)[0])
-            raise ValueError(f"not a homomorphism at pair ({a}, {b})")
+        _check_steps(domain, self.image, lambda fx, fs: codomain.product[fx, fs])
 
     def _fill(self, domain, codomain, image) -> None:
         arr = np.ascontiguousarray(np.asarray(image, dtype=_DTYPE))
@@ -929,6 +920,19 @@ class GroupHom:
             raise ValueError("subgroup of a different parent")
         m = _mask_of(self.image[np.array(sub.elements)].tolist())
         return Subgroup._trusted(self.codomain, _mask_elements(m), m)
+
+
+def _check_steps(domain: FiniteGroup, image: np.ndarray,
+                 times: Callable) -> None:
+    """Raise unless image[0] is 0 and image[x*s] == times(image[x],
+    image[s]) for every x and each greedy generator s, named second in
+    the failing pair."""
+    if image[0] != 0:
+        raise ValueError("identity must map to identity")
+    for s in generating_sequence(domain):
+        bad = np.flatnonzero(image[domain.product[:, s]] != times(image, image[s]))
+        if bad.size:
+            raise ValueError(f"not a homomorphism at pair ({int(bad[0])}, {s})")
 
 
 def identity_hom(G: FiniteGroup) -> GroupHom:

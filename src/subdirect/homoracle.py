@@ -28,6 +28,7 @@ from .errors import InternalInconsistency, OrderLimitExceeded
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _check_steps,
     _unchecked,
     memoised,
     mutual_commutator,
@@ -51,14 +52,7 @@ class CyclicHom:
         if not isinstance(modulus, (int, np.integer)) or modulus < 1:
             raise ValueError(f"modulus must be a positive integer: {modulus!r}")
         self._fill(domain, modulus, values)
-        arr = self.values
-        if arr[0] != 0:
-            raise ValueError("identity must map to 0")
-        lhs = arr[domain.product]
-        rhs = (arr[:, None] + arr[None, :]) % modulus
-        if not (lhs == rhs).all():
-            a, b = (int(x) for x in np.argwhere(lhs != rhs)[0])
-            raise ValueError(f"not a homomorphism at pair ({a}, {b})")
+        _check_steps(domain, self.values, lambda fx, fs: (fx + fs) % modulus)
 
     def _fill(self, domain: FiniteGroup, modulus: int, values) -> None:
         arr = np.ascontiguousarray(np.asarray(values, dtype=np.int64)) % modulus

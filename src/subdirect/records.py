@@ -12,6 +12,7 @@ to [g, h] lists only when the record is written.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import typing
@@ -292,23 +293,28 @@ def report_header(extra: Optional[dict] = None) -> dict:
 
 def write_records(path: Union[str, Path], records, *,
                   extra_header: Optional[dict] = None) -> int:
-    """Stream records to a report file; returns the record count.
+    """Stream the header and records through :func:`write_lines`;
+    returns the record count."""
+    header = json.dumps(report_header(extra_header), sort_keys=True,
+                        separators=(",", ":"))
+    lines = itertools.chain([header], (r.to_json() for r in records))
+    return write_lines(path, lines) - 1
 
-    The lines go to a temporary sibling of ``path`` as the records come,
-    and it replaces ``path`` only once the last one is written.  So an
-    error on the way, one the records raise included, leaves no partial
-    report and an existing file as it was.  An error opening or moving
-    the file names ``path``.
-    """
+
+def write_lines(path: Union[str, Path], lines) -> int:
+    """Write each string of ``lines`` as one line of ``path``; returns
+    the line count.  The lines go to a temporary sibling of ``path`` as
+    they come, which replaces ``path`` only once the last is written: an
+    error on the way, one the lines raise included, leaves no partial
+    file and an existing one as it was.  An error opening or moving the
+    file names ``path``."""
     path = Path(path)
     partial = path.parent / f".{path.name}.{os.getpid()}.partial"
     count = 0
     try:
         with partial.open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report_header(extra_header), sort_keys=True,
-                                separators=(",", ":")) + "\n")
-            for record in records:
-                fh.write(record.to_json() + "\n")
+            for line in lines:
+                fh.write(line + "\n")
                 count += 1
         os.replace(partial, path)
     except BaseException as exc:

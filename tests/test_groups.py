@@ -89,11 +89,38 @@ def test_corrupted_table_reports_witness():
     assert "3" in str(exc.value) or "4" in str(exc.value)
 
 
-def test_nonassociative_table_rejected():
-    # Latin square that is not a group table (no identity works).
+def test_latin_square_without_identity_rejected():
     table = [[1, 0, 2], [0, 2, 1], [2, 1, 0]]
-    with pytest.raises(NotAGroup):
+    with pytest.raises(NotAGroup, match="no two-sided identity"):
         from_cayley_table(table)
+
+
+def _named(message: str) -> tuple:
+    """The ints of the pair or triple an error message names last."""
+    return tuple(int(x) for x in
+                 message.rsplit("(", 1)[1].rstrip(")").split(","))
+
+
+def test_nonassociative_loop_rejected_at_a_failing_triple():
+    """A loop: a Latin square with identity 0 that is no group, so only
+    the associativity test can reject it.  The triple it names fails,
+    and its last entry is a greedy generator."""
+    table = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(NotAGroup, match="associativity fails") as exc:
+        from_cayley_table(table)
+    x, y, s = _named(str(exc.value))
+    assert table[table[x][y]][s] != table[x][table[y][s]]
+    assert s in helpers.right_step_generators(table)
+
+
+def test_cayley_table_with_its_identity_elsewhere_is_range_checked():
+    """Relabelling the identity to 0 swaps entries; it no longer indexes
+    by them, so an out-of-range entry is a NotAGroup, not an IndexError."""
+    with pytest.raises(NotAGroup, match="out of range"):
+        from_cayley_table([[1, 0, 5], [0, 1, 2], [2, 2, 2]])
+    G = from_cayley_table([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+    assert G.product.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
 def test_permutation_generators_s3():
@@ -900,6 +927,132 @@ def test_subgroup_membership_and_equality():
 def test_validate_accepts_catalog():
     for G in (cyclic(5), symmetric(4), dihedral(12), alternating(4)):
         G.validate()
+
+
+def test_validate_agrees_with_the_cubic_scan_on_reduced_latin_squares():
+    """Every Latin square of order <= 6 with identity 0: validate, which
+    tests (x*y)*s = x*(y*s) at the greedy generators s only, rejects
+    exactly the non-associative ones, at a triple that fails and ends
+    in a greedy generator, and stores nothing on the group."""
+    tables = rejected = 0
+    for n in range(1, 7):
+        for table in helpers.reduced_latin_squares(n):
+            tables += 1
+            associative = helpers.brute_is_associative(table)
+            G = FiniteGroup._trusted(np.array(table), "L")
+            try:
+                G.validate()
+            except NotAGroup as error:
+                rejected += 1
+                assert not associative, table
+                assert G._cache == {}, table
+                assert str(error).startswith("associativity fails"), table
+                x, y, s = _named(str(error))
+                assert table[table[x][y]][s] != table[x][table[y][s]]
+                assert s in helpers.right_step_generators(table)
+            else:
+                assert associative, table
+    # the group tables among them, (n-1)!/|Aut G| per group G of order
+    # n: 1, 1, 1, 3 + 1, 6 and 60 + 20
+    assert (tables, tables - rejected) == (9471, 93)
+
+
+def _order_8_groups() -> list:
+    c4c2 = FiniteGroup._trusted(
+        helpers.dense_product_table(cyclic(4), cyclic(2)), "C4xC2")
+    return [cyclic(8), c4c2, elementary_abelian(2, 3), dihedral(8),
+            quaternion8()]
+
+
+@pytest.mark.parametrize("G", _order_8_groups(), ids=lambda G: G.label)
+def test_checked_subgroup_agrees_with_the_brute_test(G):
+    """Every subset with the identity: Subgroup accepts exactly the
+    subgroups, and seeds their greedy generators."""
+    for bits in range(1 << (G.order - 1)):
+        elems = [0] + [x for x in range(1, G.order) if bits >> (x - 1) & 1]
+        want = helpers.brute_is_subgroup(G, elems)
+        try:
+            S = Subgroup(G, elems)
+        except ValueError as error:
+            assert not want, elems
+            assert "not closed under products" in str(error)
+        else:
+            assert want, elems
+            assert S.elements == tuple(elems)
+            assert S._cache["gens"] == \
+                helpers.greedy_generating_sequence(G, elems)
+
+
+@pytest.mark.parametrize("G", _deferred_products(), ids=lambda G: G.label)
+def test_checked_subgroup_of_a_product_leaves_its_table_unbuilt(G):
+    """The check walks in the factors' tables: every subgroup of a
+    product whose table is not built passes, and each nontrivial proper
+    one grown by an element outside it fails, with the table still
+    unbuilt."""
+    lattice = _lattice(G)
+    outside = {S.mask: next(x for x in range(G.order) if x not in S)
+               for S in lattice if 1 < S.order < G.order}
+    for S in lattice:
+        assert Subgroup(G, S.elements) == S
+        if S.mask in outside:
+            with pytest.raises(ValueError, match="not closed"):
+                Subgroup(G, S.elements + (outside[S.mask],))
+    assert type(G) is groups._DeferredTable
+    for S in lattice:
+        assert helpers.brute_is_subgroup(G, S.elements)
+
+
+def _perturbed(values, size):
+    """Every copy of values with one entry changed to another of
+    range(size)."""
+    for x in range(len(values)):
+        for v in range(size):
+            if v != values[x]:
+                yield [*values[:x], v, *values[x + 1:]]
+
+
+def _assert_step_test_matches(G, build, values, size, times):
+    """build(values) accepts exactly the maps the all-pairs test
+    accepts; the pair a rejection names fails, with a greedy generator
+    second."""
+    gens = helpers.greedy_generating_sequence(G)
+    for image in _perturbed(values, size):
+        want = helpers.brute_is_hom(G, image, times)
+        try:
+            build(image)
+        except ValueError as error:
+            assert not want, image
+            if image[0] != 0:
+                assert "identity must map to identity" in str(error)
+                continue
+            a, s = _named(str(error))
+            assert image[G.product[a, s]] != times(image[a], image[s])
+            assert s in gens
+        else:
+            assert want, image
+
+
+@pytest.mark.parametrize("G", [symmetric(3), dihedral(8), quaternion8(),
+                               alternating(4)], ids=lambda G: G.label)
+def test_group_hom_step_test_matches_the_pairs_test(G):
+    homs = automorphisms(G) + [quotient_group(G, N)[1]
+                               for N in normal_subgroups(G)]
+    for f in homs:
+        H = f.codomain
+        _assert_step_test_matches(
+            G, lambda image: GroupHom(G, H, image), f.image.tolist(),
+            H.order, lambda a, b: int(H.product[a, b]))
+
+
+@pytest.mark.parametrize("G", [cyclic(4), symmetric(3), dihedral(8),
+                               elementary_abelian(2, 2)],
+                         ids=lambda G: G.label)
+def test_cyclic_hom_step_test_matches_the_pairs_test(G):
+    for m in (2, 3, 4):
+        for f in enumerate_homs(G, m):
+            _assert_step_test_matches(
+                G, lambda values: CyclicHom(G, m, values), f.values.tolist(),
+                m, lambda a, b: (a + b) % m)
 
 
 def test_validate_memoises_only_a_passing_scan():

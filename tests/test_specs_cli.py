@@ -251,9 +251,9 @@ def test_cli_verify_scans_a_cayley_entry_once(monkeypatch, capsys, tmp_path):
     scanned = []
     real = subdirect.groups._check_axioms
 
-    def spy(table):
-        scanned.append(table.shape[0])
-        real(table)
+    def spy(G):
+        scanned.append(G.order)
+        real(G)
 
     monkeypatch.setattr(subdirect.groups, "_check_axioms", spy)
     path = tmp_path / "c5.json"
@@ -904,6 +904,56 @@ def test_cli_subdirects_of_e2_8_stops_at_the_scan_cap():
     err = run.stderr.decode()
     assert run.returncode == 3, err
     assert "cap exceeded" in err
+
+
+# sha256 of the stdout of `star --G S5 --U diagonal --V diagonal
+# --max-order 20000`, whose composite is checked in the factors' tables.
+STAR_S5_STDOUT = \
+    "569dfe8378fb4c3d89485e0e290b745db7b2ae22cfb840980dd06d3f133eeef9"
+
+
+def test_cli_star_of_s5_diagonals_builds_no_product_table():
+    """The composite, not interned on S5 x S5, is built by the checked
+    Subgroup; its closure walk steps in the S5 tables, so the 14 400^2
+    table (830 MB) is never built and the run peaks under 100 MB.  A
+    small middle process reports the peak of its one child: a process
+    forked straight from the test run would count the test run's pages
+    in its own peak."""
+    src = pathlib.Path(subdirect.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import resource, subprocess, sys; run = subprocess.run("
+         "sys.argv[1:]); print(resource.getrusage(resource.RUSAGE_CHILDREN)"
+         ".ru_maxrss, file=sys.stderr); sys.exit(run.returncode)",
+         sys.executable, "-m", "subdirect.cli",
+         "star", "--G", "S5", "--U", "diagonal", "--V", "diagonal",
+         "--max-order", "20000"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120)
+    err = run.stderr.decode()
+    assert run.returncode == 0, err
+    assert hashlib.sha256(run.stdout).hexdigest() == STAR_S5_STDOUT
+    assert int(err.splitlines()[-1]) < 100 * 1024, err  # ru_maxrss in KiB
+
+
+def test_cli_verify_out_keeps_the_old_file_when_a_line_fails(
+        capsys, monkeypatch, tmp_path):
+    """verify --out goes through the report writer: a line that cannot
+    be written leaves an existing file byte for byte and no temporary
+    file behind."""
+    path = tmp_path / "verify.jsonl"
+    path.write_bytes(b"an older verify file\n")
+    real = cli.iter_checks
+
+    def unwritable(ctx):
+        yield from real(ctx)
+        yield verification.CheckResult("planted", True, object())
+
+    monkeypatch.setattr(cli, "iter_checks", unwritable)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        run_cli(capsys, "verify", "--G", "C2", "--out", str(path))
+    assert path.read_bytes() == b"an older verify file\n"
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_cli_verify_leaves_numpy_ma_unimported():
